@@ -15,6 +15,7 @@ codes: 0 success (and verdicts that hold), 1 domain errors (reported as
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -28,13 +29,14 @@ from .counting import (
 )
 from .cube_model import (
     CubeSpec,
-    CubeState,
     apply_sequence,
     format_move_sequence,
     legal_slab_moves,
     parse_move_sequence,
     render_net,
     solved_state,
+    state_from_json_dict,
+    state_to_json_dict,
 )
 from .cubology_law import check_validity
 from .decomposition import build_atlas, decompose
@@ -45,10 +47,6 @@ from .solver import solve
 
 class _UsageError(Exception):
     pass
-
-
-_ANSI_CODES = {'W': '97', 'O': '38;5;208', 'G': '32',
-               'R': '31', 'B': '34', 'Y': '93'}
 
 
 def _schema(command):
@@ -89,7 +87,7 @@ def _input_state(args):
         else:
             with open(args.state_file) as handle:
                 document = json.load(handle)
-        state = CubeState(document['n'], tuple(document['stickers']))
+        state = state_from_json_dict(document)
         if args.n is not None and args.n != state.n:
             raise _UsageError('--n %d contradicts the state file (n=%d)'
                               % (args.n, state.n))
@@ -103,16 +101,12 @@ def _input_state(args):
     raise _UsageError('give one of --state-file, --moves, --seed')
 
 
-def _state_document(state):
-    return {'n': state.n, 'stickers': list(state.stickers)}
-
-
 def _cmd_scramble(args):
     spec = _require_n(args)
     if args.seed is None:
         raise _UsageError('scramble needs --seed for reproducibility')
     state = _scramble_state(spec, args.seed, args.length)
-    _emit(_state_document(state))
+    _emit(state_to_json_dict(state))
     return 0
 
 
@@ -267,16 +261,11 @@ def _cmd_verify_moves(args):
 
 def _cmd_render(args):
     state = _input_state(args)
-    text = render_net(state)
-    if args.ansi:
-        for letter, code in _ANSI_CODES.items():
-            text = text.replace(letter, '\x1b[%sm%s\x1b[0m'
-                                % (code, letter))
     if args.json:
         _emit({'schema': _schema('render'), 'n': state.n,
                'lines': render_net(state).splitlines()})
     else:
-        print(text)
+        print(render_net(state, ansi=args.ansi))
     return 0
 
 
@@ -301,6 +290,17 @@ def _add_state_arguments(parser):
                         help='scramble the solved cube with this seed')
 
 
+def _int_at_least(low):
+    '''argparse type: an integer no smaller than low.'''
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                'must be at least %d, got %d' % (low, value))
+        return value
+    return integer
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog='cubology',
@@ -319,7 +319,7 @@ def _build_parser():
     sub = subcommand('scramble', _cmd_scramble,
                      'emit a seeded random state document')
     sub.add_argument('--seed', type=int, metavar='S')
-    sub.add_argument('--length', type=int, metavar='K',
+    sub.add_argument('--length', type=_int_at_least(0), metavar='K',
                      help='scramble length (default 30n)')
 
     _add_state_arguments(subcommand('validate', _cmd_validate,
@@ -331,7 +331,8 @@ def _build_parser():
     sub.add_argument('--what', required=True,
                      choices=['s_conf', 'orbits', 'group', 's_phys',
                               'bound', 'tuned-bound'])
-    sub.add_argument('--precision', type=int, default=50, metavar='D')
+    sub.add_argument('--precision', type=_int_at_least(1), default=50,
+                     metavar='D')
 
     sub = subcommand('order', _cmd_order,
                      'group order by formula, oracle, or both')
@@ -340,7 +341,8 @@ def _build_parser():
 
     sub = subcommand('bound', _cmd_bound,
                      'certified lower bound on worst-case solve length')
-    sub.add_argument('--precision', type=int, default=50, metavar='D')
+    sub.add_argument('--precision', type=_int_at_least(1), default=50,
+                     metavar='D')
     sub.add_argument('--tuned', action='store_true',
                      help='use the reduced word count')
 
@@ -361,11 +363,18 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`). Point stdout at
+        # devnull so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as error:
         print('usage error: %s' % error, file=sys.stderr)
         return 2
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         print('%s: %s' % (type(error).__name__, error), file=sys.stderr)
         return 1
 

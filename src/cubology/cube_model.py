@@ -168,7 +168,7 @@ def sticker_index(n, face, row, col):
 # the right, y up and z toward the viewer. Each sticker is a (cell, outward
 # normal) pair.
 
-_FACE_NORMAL = {
+FACE_NORMAL = {
     'U': (0, 1, 0), 'D': (0, -1, 0), 'R': (1, 0, 0),
     'L': (-1, 0, 0), 'F': (0, 0, 1), 'B': (0, 0, -1),
 }
@@ -223,7 +223,7 @@ def _geometry(n):
     placement = []
     lookup = {}
     for face in FACES:
-        normal = _FACE_NORMAL[face]
+        normal = FACE_NORMAL[face]
         for r in range(n):
             for c in range(n):
                 cell = _cell_of(face, r, c, n)

@@ -24,6 +24,7 @@ vectors over GF(2)) as an independent check on the closed formulas in
 the counting module.
 '''
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ from .decomposition import (
     compose,
     decompose,
     permutation_sign,
+    required_center_signs,
     validate_shape,
 )
 
@@ -56,17 +58,6 @@ class ValidityReport:
 
     def by_condition(self):
         return {c.condition: c for c in self.conditions}
-
-
-def _wing_sign(config, depth):
-    '''Sign contributed by the edge family at a slab depth.
-
-    Depths that point at the central slab of an odd cube carry no wing
-    family and contribute no factor.
-    '''
-    if depth in config.coupled_perms:
-        return permutation_sign(config.coupled_perms[depth])
-    return 1
 
 
 def check_validity(config, atlas=None):
@@ -97,12 +88,11 @@ def check_validity(config, atlas=None):
                     % (corner_sign, ', '.join(bad)))))
 
     if config.center_edge_perms:
-        bad = []
-        for (i, j), perm in sorted(config.center_edge_perms.items()):
-            required = (corner_sign * _wing_sign(config, i)
-                        * _wing_sign(config, j))
-            if permutation_sign(perm) != required:
-                bad.append('(%d, %d)' % (i, j))
+        required = required_center_signs(
+            atlas, config.corner_perm, config.coupled_perms)
+        bad = ['(%d, %d)' % label
+               for label, perm in sorted(config.center_edge_perms.items())
+               if permutation_sign(perm) != required[label]]
         conditions.append(ConditionVerdict(
             condition='center_edge_sign',
             ok=not bad,
@@ -155,25 +145,18 @@ def random_configuration(spec, seed=None):
     '''
     rng = random.Random(seed)
     atlas = build_atlas(spec)
-    odd = spec.n % 2 == 1
-    config = ConfigTuple(
-        n=spec.n,
-        corner_perm=_random_perm(rng, 8),
-        corner_twists=tuple(rng.randrange(3) for _ in range(8)),
-        single_edge_perm=_random_perm(rng, 12) if odd else None,
-        single_edge_flips=(
-            tuple(rng.randrange(2) for _ in range(12)) if odd else None),
-        coupled_perms={
-            i: _random_perm(rng, 24) for i in atlas.coupled_orbit_indices},
-        coupled_orientations={
-            i: tuple(rng.randrange(2) for _ in range(24))
-            for i in atlas.coupled_orbit_indices},
-        center_corner_perms={
-            i: _random_perm(rng, 24) for i in atlas.center_corner_indices},
-        center_edge_perms={
-            label: _random_perm(rng, 24)
-            for label in atlas.center_edge_labels},
-    )
+    config = ConfigTuple(spec.n)
+    # Family by family, every permutation is drawn before any orientation
+    # vector, so that a seed names the same state as it always has.
+    for _, group in itertools.groupby(atlas.orbits, lambda o: o.family):
+        group = list(group)
+        perms = [_random_perm(rng, len(orbit.slots)) for orbit in group]
+        for orbit, perm in zip(group, perms):
+            orientation = None
+            if orbit.turns > 1:
+                orientation = tuple(rng.randrange(orbit.turns)
+                                    for _ in orbit.slots)
+            config.set_orbit_fields(orbit, perm, orientation)
     return compose(config, atlas)
 
 
@@ -209,19 +192,13 @@ def random_valid_configuration(spec, seed=None):
         i: _random_perm(rng, 24) for i in atlas.coupled_orbit_indices}
     coupled_orientations = {
         i: (0,) * 24 for i in atlas.coupled_orbit_indices}
-
-    def wing_sign(depth):
-        if depth in coupled_perms:
-            return permutation_sign(coupled_perms[depth])
-        return 1
-
+    required = required_center_signs(atlas, corner_perm, coupled_perms)
     center_corner_perms = {
-        i: _signed_perm(rng, 24, corner_sign)
+        i: _signed_perm(rng, 24, required[i])
         for i in atlas.center_corner_indices}
-    center_edge_perms = {}
-    for (i, j) in atlas.center_edge_labels:
-        required = corner_sign * wing_sign(i) * wing_sign(j)
-        center_edge_perms[(i, j)] = _signed_perm(rng, 24, required)
+    center_edge_perms = {
+        label: _signed_perm(rng, 24, required[label])
+        for label in atlas.center_edge_labels}
 
     config = ConfigTuple(
         n=spec.n,
@@ -262,22 +239,12 @@ def orbit_class_count(spec):
     '''
     atlas = build_atlas(spec)
     odd = spec.n % 2 == 1
-    families = [('corner', None)]
-    if odd:
-        families.append(('single', None))
-    for i in atlas.coupled_orbit_indices:
-        families.append(('coupled', i))
-    for i in atlas.center_corner_indices:
-        families.append(('center_corner', i))
-    for label in atlas.center_edge_labels:
-        families.append(('center_edge', label))
-
     vectors = []
     for move in legal_slab_moves(spec):
         perm = sticker_permutation(spec, move)
         bits = 0
-        for k, (family, key) in enumerate(families):
-            action = atlas.slot_action(perm, family, key)
+        for k, orbit in enumerate(atlas.orbits):
+            action = atlas.slot_action(perm, orbit.family, orbit.key)
             if permutation_sign(action) < 0:
                 bits |= 1 << k
         vectors.append(bits)
@@ -292,7 +259,7 @@ def orbit_class_count(spec):
                 basis[top] = vec
                 break
 
-    free_signs = len(families) - len(basis)
+    free_signs = len(atlas.orbits) - len(basis)
     wing_bits = 24 * len(atlas.coupled_orbit_indices)
     count = 3 * (2 ** (free_signs + wing_bits))
     if odd:

@@ -1,48 +1,58 @@
-'''Decomposition of cube states into independent piece families.
+'''Decomposition of cube states into independent piece orbits.
 
 A sticker state can be read as a reassembly of physical pieces: corner
-cubies, edge cubies, and centre facelets. Pieces fall into families that
+cubies, edge cubies, and centre facelets. Pieces fall into orbits that
 never mix under slab moves:
 
   * 8 corner cubies (three stickers each),
   * on odd cubes, 12 single edge cubies in the central slab (two stickers),
-  * for each slab depth i in 2..n//2, 24 coupled edge wings (one sticker),
+  * for each slab depth i in 2..n//2, 24 coupled edge wings (two stickers),
   * for each depth i, 24 oblique centre facelets on the diagonals,
   * for each label (i, j) with i != j, 24 off-diagonal centre facelets,
   * on odd cubes, 6 immobile face centres.
 
-build_atlas() works the family partition out from the move engine and
-cross-checks it against orbit closure under the legal slab moves.
-decompose() cuts a state into a ConfigTuple: one permutation per family
-plus orientation vectors for corners, single edges and wings. compose()
-reassembles the sticker state from a tuple.
+build_atlas() works the orbits out from the move engine and cross-checks
+them against orbit closure under the legal slab moves. It returns an
+OrbitAtlas whose `orbits` tuple holds one Orbit record per orbit, in the
+order corners, single edges, wings by depth, diagonal centres by depth,
+off-diagonal centres by label. An Orbit names its family and key (the
+depth or label) and lists its slots; a Slot lists its sticker positions
+and the colours its home piece shows there, reference sticker first.
 
-Orientation conventions. Corners: the reference sticker of a corner is
-its U or D facelet, and the other two positions follow clockwise when
-the corner is viewed from outside; the twist of a slot counts how many
-clockwise steps the occupant's reference colour sits away from the
-slot's reference position. Single edges: one facelet of each edge slot
-is marked, chosen (by a small exhaustive search over the 3x3 cube) so
-that every outer face turn flips all four edges it moves; the flip bit
-says whether the occupant's marked colour avoids the marked position.
-Coupled wings: the 48 wing positions of a depth split into two classes
-that no slab move ever exchanges; the orientation bit of a slot says
-whether the occupant's class-leading sticker sits on the wrong class.
-Sticker colours cannot distinguish a wing from its mirror twin, so
-decompose() resolves each twin pair canonically: bits are zeroed where
-possible and ties send the lower home to the lower slot. Centre facelets
-of one colour are interchangeable as well, so decompose() assigns them
-in sorted order and then, if needed, swaps one pair in the first colour
-class to land the permutation sign demanded by the first law; states
-that admit a legal tuple therefore receive one.
+decompose() cuts a state into a ConfigTuple: one permutation per orbit
+plus an orientation vector for every orbit whose slots hold more than
+one sticker. compose() reassembles the sticker state from a tuple with
+one rule for every orbit: the piece from home slot h that sits in slot d
+with orientation o paints colours[k] of h onto positions[(k + o) % m] of
+d, where m is the number of stickers per slot. So orientation is a
+corner twist mod 3, a single-edge flip or a wing bit mod 2, and always 0
+for one-sticker centres.
+
+Reference stickers. Corners: the reference sticker of a corner is its U
+or D facelet, and the other two positions follow clockwise when the
+corner is viewed from outside. Single edges: one facelet of each edge
+slot is marked, chosen (by a small exhaustive search over the 3x3 cube)
+so that every outer face turn flips all four edges it moves; the marked
+facelet comes first. Coupled wings: the 48 wing positions of a depth
+split into two classes that no slab move ever exchanges; the sticker on
+the leading class comes first, so a wing bit of 1 says the occupant sits
+with its leading sticker on the wrong class. Sticker colours cannot
+distinguish a wing from its mirror twin, so decompose() resolves each
+twin pair canonically: bits are zeroed where possible and ties send the
+lower home to the lower slot. Centre facelets of one colour are
+interchangeable as well, so decompose() assigns them in sorted order and
+then, if needed, swaps one pair in the first colour class to land the
+permutation sign demanded by the first law; states that admit a legal
+tuple therefore receive one.
 '''
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cube_model import (
     COLORS,
     FACE_COLOR,
+    FACE_NORMAL,
     FACES,
     CubeSpec,
     CubeState,
@@ -52,6 +62,14 @@ from .cube_model import (
     sticker_permutation,
     sticker_position,
 )
+
+FAMILY_WORDS = {
+    'corner': 'corners',
+    'single': 'single edges',
+    'coupled': 'coupled orbit',
+    'center_corner': 'diagonal centre orbit',
+    'center_edge': 'off-diagonal centre orbit',
+}
 
 
 class NotAConfiguration(ValueError):
@@ -89,19 +107,12 @@ def permutation_sign(perm):
     return sign
 
 
+_FACE_OF_NORMAL = {normal: face for face, normal in FACE_NORMAL.items()}
+
+
 def _cell_and_face(spec, index):
     cell, normal = sticker_position(spec, index)
     return cell, _FACE_OF_NORMAL[normal]
-
-
-_FACE_OF_NORMAL = {
-    (0, 1, 0): 'U',
-    (0, -1, 0): 'D',
-    (0, 0, 1): 'F',
-    (0, 0, -1): 'B',
-    (1, 0, 0): 'R',
-    (-1, 0, 0): 'L',
-}
 
 
 def _face_grid(spec, index):
@@ -173,113 +184,119 @@ def _edge_marking():
 
 
 @dataclass(frozen=True)
-class CornerSlot:
+class Slot:
+    '''Sticker positions of one piece slot and the colours its home piece
+    shows there, reference sticker first.'''
+
     positions: tuple
     colors: tuple
 
-
-@dataclass(frozen=True)
-class SingleEdgeSlot:
-    marked_position: int
-    other_position: int
-    marked_color: str
-    other_color: str
-
-
-@dataclass(frozen=True)
-class CoupledSlot:
-    lead_position: int
-    trail_position: int
-    lead_color: str
-    trail_color: str
+    @functools.cached_property
+    def rotations(self):
+        '''rotations[o][k]: the position colour k of a piece lands on when
+        it sits in this slot with orientation o.'''
+        p = self.positions
+        return tuple(p[o:] + p[:o] for o in range(len(p)))
 
 
-@dataclass(frozen=True)
-class CenterSlot:
-    position: int
-    color: str
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    '''The slots of one orbit of pieces under the slab moves.
+
+    family is 'corner', 'single', 'coupled', 'center_corner' or
+    'center_edge'; key is the slab depth of a wing or diagonal centre
+    orbit, the (i, j) label of an off-diagonal centre orbit, and None
+    for corners and single edges. Orbits compare by identity: each
+    exists once, in its atlas.
+    '''
+
+    family: str
+    key: object
+    slots: tuple
+
+    @functools.cached_property
+    def turns(self):
+        '''Stickers per slot, which is also the orientation modulus.'''
+        return len(self.slots[0].positions)
+
+    @property
+    def name(self):
+        word = FAMILY_WORDS[self.family]
+        return word if self.key is None else '%s %s' % (word, self.key)
+
+    @functools.cached_property
+    def readings(self):
+        '''Colours a slot shows, in position order, mapped to (home slot,
+        orientation) of the piece showing them; only meaningful for
+        orbits of distinct cubies (corners, single edges).'''
+        out = {}
+        for home, slot in enumerate(self.slots):
+            colors = slot.colors
+            for o in range(self.turns):
+                shown = tuple(colors[(m - o) % self.turns]
+                              for m in range(self.turns))
+                out[shown] = (home, o)
+        return out
 
 
 class OrbitAtlas:
-    '''Catalogue of piece families and their slots for one cube size.'''
+    '''Catalogue of piece orbits and their slots for one cube size.
 
-    def __init__(self, spec, corners, single_edges, coupled, center_corners,
-                 center_edges, fixed_centers):
+    `orbits` is the one table; the per-family attributes are views of
+    it kept for readers that want one family.
+    '''
+
+    def __init__(self, spec, orbits, fixed_centers):
         self.spec = spec
-        self.corners = corners
-        self.single_edges = single_edges
-        self.coupled = coupled
-        self.center_corners = center_corners
-        self.center_edges = center_edges
+        self.orbits = tuple(orbits)
         self.fixed_centers = fixed_centers
-        self.coupled_orbit_indices = tuple(sorted(coupled))
-        self.center_corner_indices = tuple(sorted(center_corners))
-        self.center_edge_labels = tuple(sorted(center_edges))
+        self._by_name = {(o.family, o.key): o for o in self.orbits}
+        slots_of = {}
+        for orbit in self.orbits:
+            slots_of.setdefault(orbit.family, {})[orbit.key] = orbit.slots
+        self.corners = slots_of['corner'][None]
+        self.single_edges = slots_of.get('single', {}).get(None)
+        self.coupled = slots_of.get('coupled', {})
+        self.center_corners = slots_of.get('center_corner', {})
+        self.center_edges = slots_of.get('center_edge', {})
+        self.coupled_orbit_indices = tuple(self.coupled)
+        self.center_corner_indices = tuple(self.center_corners)
+        self.center_edge_labels = tuple(self.center_edges)
         self.center_classes = {}
-        for key, slots in self._center_items():
-            classes = {}
-            for slot_id, slot in enumerate(slots):
-                classes.setdefault(slot.color, []).append(slot_id)
-            self.center_classes[key] = {
-                color: tuple(ids) for color, ids in classes.items()
-            }
         self.position_owner = {}
-        for slot_id, corner in enumerate(corners):
-            for role, pos in enumerate(corner.positions):
-                self.position_owner[pos] = ('corner', None, slot_id, role)
-        if single_edges is not None:
-            for slot_id, edge in enumerate(single_edges):
-                self.position_owner[edge.marked_position] = (
-                    'single', None, slot_id, 'marked')
-                self.position_owner[edge.other_position] = (
-                    'single', None, slot_id, 'other')
-        for i, slots in coupled.items():
-            for slot_id, slot in enumerate(slots):
-                self.position_owner[slot.lead_position] = (
-                    'coupled', i, slot_id, 'lead')
-                self.position_owner[slot.trail_position] = (
-                    'coupled', i, slot_id, 'trail')
-        for key, slots in self._center_items():
-            family = 'center_corner' if isinstance(key, int) else 'center_edge'
-            for slot_id, slot in enumerate(slots):
-                self.position_owner[slot.position] = (
-                    family, key, slot_id, None)
-        if fixed_centers is not None:
-            for pos, color in fixed_centers:
-                self.position_owner[pos] = ('fixed_center', None, None, None)
+        for orbit in self.orbits:
+            if orbit.turns == 1:
+                classes = {}
+                for slot_id, slot in enumerate(orbit.slots):
+                    classes.setdefault(slot.colors[0], []).append(slot_id)
+                self.center_classes[orbit.key] = {
+                    color: tuple(ids) for color, ids in classes.items()}
+            for slot_id, slot in enumerate(orbit.slots):
+                for pos in slot.positions:
+                    self.position_owner[pos] = (orbit, slot_id)
 
-    def _center_items(self):
-        items = [(i, self.center_corners[i])
-                 for i in sorted(self.center_corners)]
-        items += [(label, self.center_edges[label])
-                  for label in sorted(self.center_edges)]
-        return items
+    def orbit(self, family, key=None):
+        '''The orbit of a family and key.'''
+        try:
+            return self._by_name[(family, key)]
+        except KeyError:
+            raise ValueError('no %s orbit %r on a %d-cube'
+                             % (family, key, self.spec.n)) from None
 
     def slot_action(self, perm, family, key=None):
         '''Slot permutation induced by a sticker permutation.
 
         Returns images indexed by slot: the piece in slot a moves to
         slot action[a]. The sticker permutation must preserve the
-        family, which holds for every legal non-central slab move.
+        orbit, which holds for every legal non-central slab move.
         '''
-        if family == 'corner':
-            anchors = [slot.positions[0] for slot in self.corners]
-        elif family == 'single':
-            anchors = [slot.marked_position for slot in self.single_edges]
-        elif family == 'coupled':
-            anchors = [slot.lead_position for slot in self.coupled[key]]
-        elif family == 'center_corner':
-            anchors = [slot.position for slot in self.center_corners[key]]
-        elif family == 'center_edge':
-            anchors = [slot.position for slot in self.center_edges[key]]
-        else:
-            raise ValueError('unknown family %r' % (family,))
+        orbit = self.orbit(family, key)
         images = []
-        for anchor in anchors:
-            owner = self.position_owner[perm[anchor]]
-            if owner[0] != family or owner[1] != key:
+        for slot in orbit.slots:
+            owner, slot_id = self.position_owner[perm[slot.positions[0]]]
+            if owner is not orbit:
                 raise ValueError('permutation leaves family %s' % family)
-            images.append(owner[2])
+            images.append(slot_id)
         return tuple(images)
 
 
@@ -287,7 +304,7 @@ _ATLAS_CACHE = {}
 
 
 def build_atlas(spec):
-    '''Build (and cache) the family catalogue for one cube size.'''
+    '''Build (and cache) the orbit catalogue for one cube size.'''
     atlas = _ATLAS_CACHE.get(spec.n)
     if atlas is None:
         atlas = _build_atlas(spec)
@@ -325,6 +342,10 @@ def _build_atlas(spec):
     solved = solved_state(spec)
     half = n // 2
     central = (n - 1) // 2 if n % 2 == 1 else None
+
+    def slot(positions):
+        return Slot(tuple(positions),
+                    tuple(solved.stickers[p] for p in positions))
 
     cells = {}
     for index in range(spec.sticker_count):
@@ -369,20 +390,16 @@ def _build_atlas(spec):
                 others.append((index, face))
         if primary is None or len(others) != 2:
             raise AssertionError('corner without a U/D facelet')
-        n0 = _FACE_NORMALS[primary[1]]
-        na = _FACE_NORMALS[others[0][1]]
-        nb = _FACE_NORMALS[others[1][1]]
+        n0 = FACE_NORMAL[primary[1]]
+        na = FACE_NORMAL[others[0][1]]
+        nb = FACE_NORMAL[others[1][1]]
         if _det3(n0, na, nb) == -1:
-            ordered = (primary[0], others[0][0], others[1][0])
+            corners.append(slot((primary[0], others[0][0], others[1][0])))
         else:
-            ordered = (primary[0], others[1][0], others[0][0])
-        corners.append(CornerSlot(
-            positions=ordered,
-            colors=tuple(solved.stickers[p] for p in ordered)))
-    corners.sort(key=lambda slot: slot.positions[0])
-    corners = tuple(corners)
+            corners.append(slot((primary[0], others[1][0], others[0][0])))
+    corners.sort(key=lambda s: s.positions[0])
+    orbits = [Orbit('corner', None, tuple(corners))]
 
-    single_edges = None
     if central is not None:
         marks = _edge_marking()
         built = []
@@ -390,13 +407,9 @@ def _build_atlas(spec):
             pair = {face: index for index, face in stickers}
             marked_face = marks[frozenset(pair)]
             other_face = next(f for f in pair if f != marked_face)
-            built.append(SingleEdgeSlot(
-                marked_position=pair[marked_face],
-                other_position=pair[other_face],
-                marked_color=FACE_COLOR[marked_face],
-                other_color=FACE_COLOR[other_face]))
-        built.sort(key=lambda slot: slot.marked_position)
-        single_edges = tuple(built)
+            built.append(slot((pair[marked_face], pair[other_face])))
+        built.sort(key=lambda s: s.positions[0])
+        orbits.append(Orbit('single', None, tuple(built)))
 
     components = _orbit_components(spec)
     component_of = {}
@@ -404,8 +417,8 @@ def _build_atlas(spec):
         for pos in members:
             component_of[pos] = comp_id
 
-    coupled = {}
-    for depth, raw in coupled_raw.items():
+    for depth in sorted(coupled_raw):
+        raw = coupled_raw[depth]
         positions = sorted(p for _, stickers in raw for p, _ in stickers)
         comp_ids = {component_of[p] for p in positions}
         if len(comp_ids) != 2:
@@ -420,27 +433,21 @@ def _build_atlas(spec):
         for cell, stickers in raw:
             (ia, fa), (ib, fb) = stickers
             if component_of[ia] == lead_comp and component_of[ib] != lead_comp:
-                lead, trail = ia, ib
+                built.append(slot((ia, ib)))
             elif component_of[ib] == lead_comp and component_of[ia] != lead_comp:
-                lead, trail = ib, ia
+                built.append(slot((ib, ia)))
             else:
                 raise AssertionError('wing with both stickers in one class')
-            built.append(CoupledSlot(
-                lead_position=lead,
-                trail_position=trail,
-                lead_color=solved.stickers[lead],
-                trail_color=solved.stickers[trail]))
-        built.sort(key=lambda slot: slot.lead_position)
+        built.sort(key=lambda s: s.positions[0])
         by_pair = {}
-        for slot in built:
-            key = frozenset((slot.lead_color, slot.trail_color))
-            by_pair.setdefault(key, []).append(slot)
+        for wing in built:
+            by_pair.setdefault(frozenset(wing.colors), []).append(wing)
         for key, twins in by_pair.items():
             if (len(twins) != 2
-                    or twins[0].lead_color == twins[1].lead_color):
+                    or twins[0].colors[0] == twins[1].colors[0]):
                 raise AssertionError(
                     'wing twins of %r are not mirror images' % sorted(key))
-        coupled[depth] = tuple(built)
+        orbits.append(Orbit('coupled', depth, tuple(built)))
 
     center_components = {}
     for index, face, row, col in center_raw:
@@ -461,10 +468,8 @@ def _build_atlas(spec):
         if len(in_quadrant) != 1:
             raise AssertionError('centre orbit label is ambiguous')
         row, col = in_quadrant[0]
-        slots = tuple(sorted(
-            (CenterSlot(position=index, color=FACE_COLOR[face])
-             for index, face, _, _ in members),
-            key=lambda slot: slot.position))
+        slots = tuple(slot((index,))
+                      for index in sorted(m[0] for m in members))
         if row == col:
             if row + 1 in center_corners:
                 raise AssertionError('duplicate diagonal centre label')
@@ -488,9 +493,13 @@ def _build_atlas(spec):
     if set(center_edges) != expected_ce:
         raise AssertionError('off-diagonal centre labels %r, expected %r'
                              % (sorted(center_edges), sorted(expected_ce)))
-    if set(coupled) != expected_cc:
+    if set(coupled_raw) != expected_cc:
         raise AssertionError('wing depths %r, expected %r'
-                             % (sorted(coupled), sorted(expected_cc)))
+                             % (sorted(coupled_raw), sorted(expected_cc)))
+    orbits += [Orbit('center_corner', i, center_corners[i])
+               for i in sorted(center_corners)]
+    orbits += [Orbit('center_edge', label, center_edges[label])
+               for label in sorted(center_edges)]
 
     fixed_centers = None
     if central is not None:
@@ -501,49 +510,41 @@ def _build_atlas(spec):
             if len(components[component_of[index]]) != 1:
                 raise AssertionError('face centre is not immobile')
 
-    atlas = OrbitAtlas(spec, corners, single_edges, coupled,
-                       center_corners, center_edges, fixed_centers)
+    atlas = OrbitAtlas(spec, orbits, fixed_centers)
 
-    total = 24
-    if single_edges is not None:
-        total += 24
-    total += 48 * len(coupled) + 24 * (len(center_corners) + len(center_edges))
-    if fixed_centers is not None:
-        total += 6
-    if total != spec.sticker_count or len(atlas.position_owner) != total:
-        raise AssertionError('family sizes do not cover the cube')
-    family_sets = {}
-    for pos, owner in atlas.position_owner.items():
-        family_sets.setdefault((owner[0], owner[1]), set()).add(pos)
+    covered = sum(len(s.positions) for o in orbits for s in o.slots)
+    fixed_count = len(fixed_centers or ())
+    if (covered + fixed_count != spec.sticker_count
+            or len(atlas.position_owner) != covered):
+        raise AssertionError('orbit sizes do not cover the cube')
     for members in components:
-        keys = {
-            (atlas.position_owner[pos][0], atlas.position_owner[pos][1])
-            for pos in members
-        }
-        if len(keys) != 1:
+        owners = {atlas.position_owner.get(pos, (None,))[0]
+                  for pos in members}
+        if len(owners) != 1:
             raise AssertionError('a move orbit crosses family boundaries')
-    for key, slots in atlas._center_items():
-        classes = atlas.center_classes[key]
+    for classes in atlas.center_classes.values():
         if sorted(classes) != sorted(COLORS) or any(
                 len(ids) != 4 for ids in classes.values()):
             raise AssertionError('centre orbit colours are not 6 x 4')
     return atlas
 
 
-_FACE_NORMALS = {
-    'U': (0, 1, 0),
-    'D': (0, -1, 0),
-    'F': (0, 0, 1),
-    'B': (0, 0, -1),
-    'R': (1, 0, 0),
-    'L': (-1, 0, 0),
-}
-
-
 def _det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+# ConfigTuple fields of each family: the permutation and the orientation
+# vector (None for one-sticker centres). Families with a key hold dicts
+# keyed by it.
+_FIELDS = {
+    'corner': ('corner_perm', 'corner_twists'),
+    'single': ('single_edge_perm', 'single_edge_flips'),
+    'coupled': ('coupled_perms', 'coupled_orientations'),
+    'center_corner': ('center_corner_perms', None),
+    'center_edge': ('center_edge_perms', None),
+}
 
 
 @dataclass
@@ -554,41 +555,45 @@ class ConfigTuple:
     piece whose home is slot a sits in slot b. Orientation vectors are
     indexed by current slot. Wing and centre families are keyed by slab
     depth, off-diagonal centre families by their (row, col) depth label.
-    Single-edge fields are None on even cubes.
+    Single-edge fields are None on even cubes. ConfigTuple(n) is an empty
+    tuple for set_orbit_fields to fill.
     '''
 
     n: int
-    corner_perm: tuple
-    corner_twists: tuple
-    single_edge_perm: object
-    single_edge_flips: object
-    coupled_perms: dict
-    coupled_orientations: dict
-    center_corner_perms: dict
-    center_edge_perms: dict
+    corner_perm: tuple = None
+    corner_twists: tuple = None
+    single_edge_perm: object = None
+    single_edge_flips: object = None
+    coupled_perms: dict = field(default_factory=dict)
+    coupled_orientations: dict = field(default_factory=dict)
+    center_corner_perms: dict = field(default_factory=dict)
+    center_edge_perms: dict = field(default_factory=dict)
+
+    def orbit_fields(self, orbit):
+        '''(permutation, orientation vector or None) of one orbit.'''
+        perm_name, orientation_name = _FIELDS[orbit.family]
+        perm = getattr(self, perm_name)
+        orientation = (getattr(self, orientation_name) if orientation_name
+                       else None)
+        if orbit.key is not None:
+            perm = perm[orbit.key]
+            if orientation is not None:
+                orientation = orientation[orbit.key]
+        return perm, orientation
+
+    def set_orbit_fields(self, orbit, perm, orientation=None):
+        '''Store one orbit's permutation and, where the orbit has one, its
+        orientation vector.'''
+        for name, value in zip(_FIELDS[orbit.family], (perm, orientation)):
+            if name is None:
+                continue
+            if orbit.key is None:
+                setattr(self, name, value)
+            else:
+                getattr(self, name)[orbit.key] = value
 
     def is_identity(self):
-        if (self.corner_perm != tuple(range(8))
-                or any(self.corner_twists)):
-            return False
-        if self.single_edge_perm is not None:
-            if (self.single_edge_perm != tuple(range(12))
-                    or any(self.single_edge_flips)):
-                return False
-        ident24 = tuple(range(24))
-        for perm in self.coupled_perms.values():
-            if perm != ident24:
-                return False
-        for bits in self.coupled_orientations.values():
-            if any(bits):
-                return False
-        for perm in self.center_corner_perms.values():
-            if perm != ident24:
-                return False
-        for perm in self.center_edge_perms.values():
-            if perm != ident24:
-                return False
-        return True
+        return self == identity_tuple(CubeSpec(self.n))
 
     def to_json_dict(self):
         return {
@@ -643,31 +648,38 @@ class ConfigTuple:
 
 def identity_tuple(spec):
     '''ConfigTuple of the solved state.'''
-    atlas = build_atlas(spec)
-    ident24 = tuple(range(24))
-    odd = spec.n % 2 == 1
-    return ConfigTuple(
-        n=spec.n,
-        corner_perm=tuple(range(8)),
-        corner_twists=(0,) * 8,
-        single_edge_perm=tuple(range(12)) if odd else None,
-        single_edge_flips=(0,) * 12 if odd else None,
-        coupled_perms={i: ident24 for i in atlas.coupled_orbit_indices},
-        coupled_orientations={
-            i: (0,) * 24 for i in atlas.coupled_orbit_indices},
-        center_corner_perms={
-            i: ident24 for i in atlas.center_corner_indices},
-        center_edge_perms={
-            label: ident24 for label in atlas.center_edge_labels},
-    )
+    config = ConfigTuple(spec.n)
+    for orbit in build_atlas(spec).orbits:
+        size = len(orbit.slots)
+        config.set_orbit_fields(orbit, tuple(range(size)), (0,) * size)
+    return config
 
 
-def _check_permutation(perm, size, family):
+def required_center_signs(atlas, corner_perm, coupled_perms):
+    '''Permutation sign the first law demands of each centre orbit, by key.
+
+    A diagonal centre orbit must match the corner sign. An off-diagonal
+    orbit (i, j) must match the corner sign times the wing permutation
+    signs at depths i and j; a depth pointing at the central slab of an
+    odd cube carries no wings and contributes no factor.
+    '''
+    corner_sign = permutation_sign(corner_perm)
+    wing_signs = {i: permutation_sign(perm)
+                  for i, perm in coupled_perms.items()}
+    required = dict.fromkeys(atlas.center_corner_indices, corner_sign)
+    for i, j in atlas.center_edge_labels:
+        required[(i, j)] = (corner_sign * wing_signs.get(i, 1)
+                            * wing_signs.get(j, 1))
+    return required
+
+
+def _check_permutation(perm, orbit):
+    size = len(orbit.slots)
     if not isinstance(perm, tuple) or len(perm) != size:
         raise ShapeMismatch('%s permutation must have length %d'
-                            % (family, size))
+                            % (orbit.name, size))
     if sorted(perm) != list(range(size)):
-        raise ShapeMismatch('%s images are not a permutation' % family)
+        raise ShapeMismatch('%s images are not a permutation' % orbit.name)
 
 
 def validate_shape(config, atlas):
@@ -677,45 +689,36 @@ def validate_shape(config, atlas):
     if config.n != atlas.spec.n:
         raise ShapeMismatch('tuple is for n=%s, atlas for n=%d'
                             % (config.n, atlas.spec.n))
-    _check_permutation(config.corner_perm, 8, 'corner')
-    if (not isinstance(config.corner_twists, tuple)
-            or len(config.corner_twists) != 8
-            or any(t not in (0, 1, 2) for t in config.corner_twists)):
-        raise ShapeMismatch('corner twists must be 8 values in 0..2')
-    odd = atlas.spec.n % 2 == 1
-    if odd:
-        _check_permutation(config.single_edge_perm, 12, 'single edge')
-        if (not isinstance(config.single_edge_flips, tuple)
-                or len(config.single_edge_flips) != 12
-                or any(b not in (0, 1) for b in config.single_edge_flips)):
-            raise ShapeMismatch('single edge flips must be 12 bits')
-    else:
-        if (config.single_edge_perm is not None
-                or config.single_edge_flips is not None):
-            raise ShapeMismatch('even cubes have no single edge family')
-    expected = set(atlas.coupled_orbit_indices)
-    if set(config.coupled_perms) != expected:
-        raise ShapeMismatch('wing depths %r, expected %r'
-                            % (sorted(config.coupled_perms),
-                               sorted(expected)))
-    if set(config.coupled_orientations) != expected:
-        raise ShapeMismatch('wing orientation depths do not match')
-    for i in expected:
-        _check_permutation(config.coupled_perms[i], 24, 'wing depth %d' % i)
-        bits = config.coupled_orientations[i]
-        if (not isinstance(bits, tuple) or len(bits) != 24
-                or any(b not in (0, 1) for b in bits)):
-            raise ShapeMismatch('wing orientations must be 24 bits')
-    if set(config.center_corner_perms) != set(atlas.center_corner_indices):
-        raise ShapeMismatch('diagonal centre depths do not match the cube')
-    for i in atlas.center_corner_indices:
-        _check_permutation(config.center_corner_perms[i], 24,
-                           'diagonal centre depth %d' % i)
-    if set(config.center_edge_perms) != set(atlas.center_edge_labels):
-        raise ShapeMismatch('off-diagonal centre labels do not match')
-    for label in atlas.center_edge_labels:
-        _check_permutation(config.center_edge_perms[label], 24,
-                           'centre label %r' % (label,))
+    # Count the entries the tuple holds against those the atlas's orbits
+    # fill, so that an entry for an orbit the cube lacks is caught too.
+    held = 0
+    for names in _FIELDS.values():
+        for name in names:
+            value = getattr(config, name) if name else None
+            held += len(value) if isinstance(value, dict) else (
+                value is not None)
+    filled = 0
+    for orbit in atlas.orbits:
+        try:
+            perm, orientation = config.orbit_fields(orbit)
+        except (KeyError, IndexError, TypeError):
+            raise ShapeMismatch('tuple has no entry for the %s'
+                                % orbit.name) from None
+        _check_permutation(perm, orbit)
+        filled += 1
+        if orbit.turns > 1:
+            size = len(orbit.slots)
+            values = range(orbit.turns)
+            if (not isinstance(orientation, tuple)
+                    or len(orientation) != size
+                    or any(v not in values for v in orientation)):
+                raise ShapeMismatch('%s orientations must be %d values in '
+                                    '0..%d' % (orbit.name, size,
+                                               orbit.turns - 1))
+            filled += 1
+    if held != filled:
+        raise ShapeMismatch('tuple holds entries for orbits a %d-cube lacks'
+                            % atlas.spec.n)
 
 
 def decompose(state, atlas=None):
@@ -743,165 +746,120 @@ def decompose(state, atlas=None):
                 'colour %s appears %d times, expected %d'
                 % (color, counts.get(color, 0), share))
 
-    if atlas.fixed_centers is not None:
-        for position, color in atlas.fixed_centers:
-            if state.stickers[position] != color:
-                raise NotAConfiguration(
-                    'immobile centre at position %d shows %s, expected %s'
-                    % (position, state.stickers[position], color),
-                    family='fixed_center')
-
-    corner_home = {}
-    for home, slot in enumerate(atlas.corners):
-        corner_home[frozenset(slot.colors)] = home
-    corner_perm = [None] * 8
-    corner_twists = [0] * 8
-    for current, slot in enumerate(atlas.corners):
-        shown = tuple(state.stickers[p] for p in slot.positions)
-        home = corner_home.get(frozenset(shown))
-        if home is None:
+    stickers = state.stickers
+    for position, color in atlas.fixed_centers or ():
+        if stickers[position] != color:
             raise NotAConfiguration(
-                'corner slot %d shows %r, not a corner piece'
-                % (current, shown), family='corner', slot=current)
-        if corner_perm[home] is not None:
-            raise NotAConfiguration(
-                'corner piece %d appears twice' % home,
-                family='corner', slot=current)
-        colors = atlas.corners[home].colors
-        twist = None
-        for t in range(3):
-            if all(shown[(k + t) % 3] == colors[k] for k in range(3)):
-                twist = t
-                break
-        if twist is None:
-            raise NotAConfiguration(
-                'corner slot %d holds a mirrored piece' % current,
-                family='corner', slot=current)
-        corner_perm[home] = current
-        corner_twists[current] = twist
+                'immobile centre at position %d shows %s, expected %s'
+                % (position, stickers[position], color),
+                family='fixed_center')
 
-    single_edge_perm = None
-    single_edge_flips = None
-    if atlas.single_edges is not None:
-        single_home = {}
-        for home, slot in enumerate(atlas.single_edges):
-            single_home[frozenset((slot.marked_color, slot.other_color))] = home
-        single_edge_perm = [None] * 12
-        single_edge_flips = [0] * 12
-        for current, slot in enumerate(atlas.single_edges):
-            shown = (state.stickers[slot.marked_position],
-                     state.stickers[slot.other_position])
-            home = single_home.get(frozenset(shown))
-            if home is None or shown[0] == shown[1]:
-                raise NotAConfiguration(
-                    'edge slot %d shows %r, not an edge piece'
-                    % (current, shown), family='single', slot=current)
-            if single_edge_perm[home] is not None:
-                raise NotAConfiguration(
-                    'edge piece %d appears twice' % home,
-                    family='single', slot=current)
-            single_edge_perm[home] = current
-            marked = atlas.single_edges[home].marked_color
-            single_edge_flips[current] = 0 if shown[0] == marked else 1
+    config = ConfigTuple(spec.n)
+    required = None
+    for orbit in atlas.orbits:
+        if orbit.turns == 1:
+            if required is None:
+                # Centre orbits come last in the atlas, after the corner
+                # and wing permutations that fix their signs.
+                required = required_center_signs(
+                    atlas, config.corner_perm, config.coupled_perms)
+            config.set_orbit_fields(orbit, _assign_centers(
+                stickers, atlas, orbit, required[orbit.key]))
+        elif orbit.family == 'coupled':
+            config.set_orbit_fields(orbit, *_read_wings(stickers, orbit))
+        else:
+            config.set_orbit_fields(orbit, *_read_cubies(stickers, orbit))
+    return config
 
-    coupled_perms = {}
-    coupled_orientations = {}
-    for i in atlas.coupled_orbit_indices:
-        slots = atlas.coupled[i]
-        home_by_pair = {}
-        for home, slot in enumerate(slots):
-            key = frozenset((slot.lead_color, slot.trail_color))
-            home_by_pair.setdefault(key, []).append(home)
-        shown_by_pair = {}
-        for current, slot in enumerate(slots):
-            shown = (state.stickers[slot.lead_position],
-                     state.stickers[slot.trail_position])
-            if shown[0] == shown[1]:
-                raise NotAConfiguration(
-                    'wing slot %d at depth %d shows %r twice'
-                    % (current, i, shown[0]), family='coupled', slot=current)
-            key = frozenset(shown)
-            if key not in home_by_pair:
-                raise NotAConfiguration(
-                    'wing slot %d at depth %d shows %r, not a wing piece'
-                    % (current, i, shown), family='coupled', slot=current)
-            shown_by_pair.setdefault(key, []).append(current)
-        perm = [None] * 24
-        bits = [0] * 24
-        for key, homes in home_by_pair.items():
-            currents = shown_by_pair.get(key, [])
-            if len(currents) != 2:
-                raise NotAConfiguration(
-                    'wing pair %r appears %d times at depth %d, expected 2'
-                    % (sorted(key), len(currents), i),
-                    family='coupled', slot=currents[0] if currents else None)
-            lead_colors = {slots[h].lead_color: h for h in homes}
-            straight = {
-                c: state.stickers[slots[c].lead_position] for c in currents
-            }
-            if set(straight.values()) == set(lead_colors):
-                for current, color in straight.items():
-                    perm[lead_colors[color]] = current
+
+def _read_cubies(stickers, orbit):
+    '''Permutation and orientations of an orbit of distinct cubies.'''
+    readings = orbit.readings
+    perm = [None] * len(orbit.slots)
+    orientation = [0] * len(orbit.slots)
+    for current, slot in enumerate(orbit.slots):
+        shown = tuple([stickers[p] for p in slot.positions])
+        reading = readings.get(shown)
+        if reading is None:
+            if any(set(shown) == set(s.colors) for s in orbit.slots):
+                problem = 'a mirrored piece'
             else:
-                # Both slots show the same leading colour: one occupant
-                # must sit with its leading sticker on the trailing
-                # class. Send the lower home to the lower slot.
-                for home, current in zip(sorted(homes), sorted(currents)):
-                    perm[home] = current
-                    if slots[home].lead_color != straight[current]:
-                        bits[current] = 1
-        coupled_perms[i] = tuple(perm)
-        coupled_orientations[i] = tuple(bits)
-
-    corner_sign = permutation_sign(corner_perm)
-
-    def wing_sign(depth):
-        if depth in coupled_perms:
-            return permutation_sign(coupled_perms[depth])
-        return 1
-
-    center_corner_perms = {}
-    for i in atlas.center_corner_indices:
-        center_corner_perms[i] = _assign_centers(
-            state, atlas, i, atlas.center_corners[i], corner_sign,
-            'diagonal centre depth %d' % i)
-    center_edge_perms = {}
-    for label in atlas.center_edge_labels:
-        i, j = label
-        required = corner_sign * wing_sign(i) * wing_sign(j)
-        center_edge_perms[label] = _assign_centers(
-            state, atlas, label, atlas.center_edges[label], required,
-            'centre label %r' % (label,))
-
-    return ConfigTuple(
-        n=spec.n,
-        corner_perm=tuple(corner_perm),
-        corner_twists=tuple(corner_twists),
-        single_edge_perm=(
-            None if single_edge_perm is None else tuple(single_edge_perm)),
-        single_edge_flips=(
-            None if single_edge_flips is None else tuple(single_edge_flips)),
-        coupled_perms=coupled_perms,
-        coupled_orientations=coupled_orientations,
-        center_corner_perms=center_corner_perms,
-        center_edge_perms=center_edge_perms,
-    )
+                problem = '%r, not one of its pieces' % (shown,)
+            raise NotAConfiguration(
+                'slot %d of the %s holds %s' % (current, orbit.name, problem),
+                family=orbit.family, slot=current)
+        home, o = reading
+        if perm[home] is not None:
+            raise NotAConfiguration(
+                'piece %d of the %s appears twice' % (home, orbit.name),
+                family=orbit.family, slot=current)
+        perm[home] = current
+        orientation[current] = o
+    return tuple(perm), tuple(orientation)
 
 
-def _assign_centers(state, atlas, key, slots, required_sign, label):
-    classes = atlas.center_classes[key]
-    current_by_color = {}
+def _read_wings(stickers, orbit):
+    '''Permutation and orientation bits of a wing orbit, with mirror
+    twins resolved canonically.'''
+    slots = orbit.slots
+    home_by_pair = {}
+    for home, slot in enumerate(slots):
+        home_by_pair.setdefault(frozenset(slot.colors), []).append(home)
+    shown_by_pair = {}
     for current, slot in enumerate(slots):
+        lead, trail = slot.positions
+        shown = (stickers[lead], stickers[trail])
+        if shown[0] == shown[1]:
+            raise NotAConfiguration(
+                'slot %d of the %s shows %r twice'
+                % (current, orbit.name, shown[0]),
+                family='coupled', slot=current)
+        key = frozenset(shown)
+        if key not in home_by_pair:
+            raise NotAConfiguration(
+                'slot %d of the %s shows %r, not a wing piece'
+                % (current, orbit.name, shown),
+                family='coupled', slot=current)
+        shown_by_pair.setdefault(key, []).append(current)
+    perm = [None] * len(slots)
+    bits = [0] * len(slots)
+    for key, homes in home_by_pair.items():
+        currents = shown_by_pair.get(key, [])
+        if len(currents) != 2:
+            raise NotAConfiguration(
+                'wing pair %r appears %d times in the %s, expected 2'
+                % (sorted(key), len(currents), orbit.name),
+                family='coupled', slot=currents[0] if currents else None)
+        lead_colors = {slots[h].colors[0]: h for h in homes}
+        straight = {c: stickers[slots[c].positions[0]] for c in currents}
+        if set(straight.values()) == set(lead_colors):
+            for current, color in straight.items():
+                perm[lead_colors[color]] = current
+        else:
+            # Both slots show the same leading colour: one occupant
+            # must sit with its leading sticker on the trailing
+            # class. Send the lower home to the lower slot.
+            for home, current in zip(sorted(homes), sorted(currents)):
+                perm[home] = current
+                if slots[home].colors[0] != straight[current]:
+                    bits[current] = 1
+    return tuple(perm), tuple(bits)
+
+
+def _assign_centers(stickers, atlas, orbit, required_sign):
+    classes = atlas.center_classes[orbit.key]
+    current_by_color = {}
+    for current, slot in enumerate(orbit.slots):
         current_by_color.setdefault(
-            state.stickers[slot.position], []).append(current)
-    perm = [None] * 24
+            stickers[slot.positions[0]], []).append(current)
+    perm = [None] * len(orbit.slots)
     for color in sorted(classes):
         homes = classes[color]
         currents = current_by_color.get(color, [])
         if len(currents) != len(homes):
             raise NotAConfiguration(
                 '%s has %d stickers of colour %s, expected %d'
-                % (label, len(currents), color, len(homes)),
+                % (orbit.name, len(currents), color, len(homes)),
                 family='center', slot=currents[0] if currents else None)
         for home, current in zip(homes, sorted(currents)):
             perm[home] = current
@@ -919,54 +877,22 @@ def compose(config, atlas=None):
             raise ShapeMismatch('expected a ConfigTuple')
         atlas = build_atlas(CubeSpec(config.n))
     validate_shape(config, atlas)
-    spec = atlas.spec
-    stickers = [None] * spec.sticker_count
-
-    if atlas.fixed_centers is not None:
-        for position, color in atlas.fixed_centers:
-            stickers[position] = color
-
-    for home, slot in enumerate(atlas.corners):
-        dest = atlas.corners[config.corner_perm[home]]
-        twist = config.corner_twists[config.corner_perm[home]]
-        for k in range(3):
-            stickers[dest.positions[(k + twist) % 3]] = slot.colors[k]
-
-    if atlas.single_edges is not None:
-        for home, slot in enumerate(atlas.single_edges):
-            dest = atlas.single_edges[config.single_edge_perm[home]]
-            flip = config.single_edge_flips[config.single_edge_perm[home]]
-            if flip == 0:
-                stickers[dest.marked_position] = slot.marked_color
-                stickers[dest.other_position] = slot.other_color
-            else:
-                stickers[dest.marked_position] = slot.other_color
-                stickers[dest.other_position] = slot.marked_color
-
-    for i in atlas.coupled_orbit_indices:
-        slots = atlas.coupled[i]
-        perm = config.coupled_perms[i]
-        bits = config.coupled_orientations[i]
-        for home, slot in enumerate(slots):
-            dest = slots[perm[home]]
-            if bits[perm[home]] == 0:
-                stickers[dest.lead_position] = slot.lead_color
-                stickers[dest.trail_position] = slot.trail_color
-            else:
-                stickers[dest.lead_position] = slot.trail_color
-                stickers[dest.trail_position] = slot.lead_color
-
-    for i in atlas.center_corner_indices:
-        slots = atlas.center_corners[i]
-        perm = config.center_corner_perms[i]
-        for home, slot in enumerate(slots):
-            stickers[slots[perm[home]].position] = slot.color
-    for label in atlas.center_edge_labels:
-        slots = atlas.center_edges[label]
-        perm = config.center_edge_perms[label]
-        for home, slot in enumerate(slots):
-            stickers[slots[perm[home]].position] = slot.color
-
+    stickers = [None] * atlas.spec.sticker_count
+    for position, color in atlas.fixed_centers or ():
+        stickers[position] = color
+    for orbit in atlas.orbits:
+        perm, orientation = config.orbit_fields(orbit)
+        slots = orbit.slots
+        if orientation is None:
+            for slot, current in zip(slots, perm):
+                stickers[slots[current].positions[0]] = slot.colors[0]
+            continue
+        turns = range(orbit.turns)
+        for slot, current in zip(slots, perm):
+            rotated = slots[current].rotations[orientation[current]]
+            colors = slot.colors
+            for k in turns:
+                stickers[rotated[k]] = colors[k]
     if any(s is None for s in stickers):
         raise AssertionError('reassembly left a position unpainted')
-    return CubeState(spec.n, ''.join(stickers))
+    return CubeState(atlas.spec.n, ''.join(stickers))

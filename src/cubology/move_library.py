@@ -17,7 +17,6 @@ instead, since twists and flips are defined by the decomposition and the
 relabeling is harmless on corners and single edges.
 '''
 
-import re
 from dataclasses import dataclass
 
 from .cube_model import (
@@ -29,7 +28,12 @@ from .cube_model import (
     solved_state,
 )
 from .cubology_law import check_validity
-from .decomposition import build_atlas, decompose, permutation_sign
+from .decomposition import (
+    FAMILY_WORDS,
+    build_atlas,
+    decompose,
+    permutation_sign,
+)
 
 
 class EvenCube(ValueError):
@@ -42,15 +46,6 @@ class OddCube(ValueError):
 
 class IndexOutOfRange(ValueError):
     '''A slice index does not name an interior orbit of this cube.'''
-
-
-FAMILY_WORDS = {
-    'corner': 'corners',
-    'single': 'single edges',
-    'coupled': 'coupled orbit',
-    'center_corner': 'diagonal centre orbit',
-    'center_edge': 'off-diagonal centre orbit',
-}
 
 
 @dataclass(frozen=True)
@@ -107,78 +102,9 @@ class NamedMove:
     expected_effect: EffectDescriptor
 
 
-def parse_effect(text):
-    '''Read a short prose descriptor such as 'corner 3-cycle' or
-    'center-edge (2,3) 3-cycle' into an EffectDescriptor.'''
-    low = text.lower()
-    key = None
-    pair = re.search(r'\((\d+)\s*,\s*(\d+)\)', low)
-    if pair:
-        key = (int(pair.group(1)), int(pair.group(2)))
-        low = low.replace(pair.group(0), ' ')
-    if 'odd permutation' in low:
-        kind = 'odd_permutation'
-    elif 'twist' in low:
-        kind = 'twist_pair'
-    elif 'flip' in low:
-        kind = 'flip_pair'
-    elif '3-cycle' in low or 'three-cycle' in low or '3 cycle' in low:
-        kind = 'three_cycle'
-    else:
-        raise ValueError('no cycle type in descriptor %r' % (text,))
-    for phrase, family in (
-            ('center-corner', 'center_corner'),
-            ('centre-corner', 'center_corner'),
-            ('center corner', 'center_corner'),
-            ('diagonal', 'center_corner'),
-            ('center-edge', 'center_edge'),
-            ('centre-edge', 'center_edge'),
-            ('center edge', 'center_edge'),
-            ('coupled', 'coupled'),
-            ('single', 'single'),
-            ('corner', 'corner'),
-    ):
-        if phrase in low:
-            break
-    else:
-        raise ValueError('no family in descriptor %r' % (text,))
-    if key is None:
-        stripped = re.sub(r'3[- ]cycle', ' ', low)
-        index = re.search(r'\b(\d+)\b', stripped)
-        if index:
-            key = int(index.group(1))
-    return EffectDescriptor(kind, family, key)
-
-
-def _positions_of(atlas, family, key, slot_id):
-    if family == 'corner':
-        return atlas.corners[slot_id].positions
-    if family == 'single':
-        slot = atlas.single_edges[slot_id]
-        return (slot.marked_position, slot.other_position)
-    if family == 'coupled':
-        slot = atlas.coupled[key][slot_id]
-        return (slot.lead_position, slot.trail_position)
-    if family == 'center_corner':
-        return (atlas.center_corners[key][slot_id].position,)
-    return (atlas.center_edges[key][slot_id].position,)
-
-
-def _family_positions(atlas, family, key=None):
-    if family == 'corner':
-        count = len(atlas.corners)
-    elif family == 'single':
-        count = len(atlas.single_edges)
-    else:
-        count = 24
-    out = []
-    for slot_id in range(count):
-        out.extend(_positions_of(atlas, family, key, slot_id))
-    return frozenset(out)
-
-
 def _check_three_cycle(atlas, perm, moved, descriptor, checks):
     try:
+        orbit = atlas.orbit(descriptor.family, descriptor.key)
         action = atlas.slot_action(perm, descriptor.family, descriptor.key)
     except (ValueError, KeyError) as exc:
         checks.append(('orbit action', False, str(exc)))
@@ -192,10 +118,7 @@ def _check_three_cycle(atlas, perm, moved, descriptor, checks):
     closed = action[action[action[a]]] == a
     checks.append(('single 3-cycle', closed,
                    'slots (%d %d %d)' % (a, action[a], action[action[a]])))
-    allowed = set()
-    for slot_id in cycled:
-        allowed.update(
-            _positions_of(atlas, descriptor.family, descriptor.key, slot_id))
+    allowed = {p for s in cycled for p in orbit.slots[s].positions}
     stray = sorted(moved - allowed)
     checks.append(('rest id', not stray,
                    'stickers outside the cycled slots move: %s' % stray[:8]
@@ -203,25 +126,18 @@ def _check_three_cycle(atlas, perm, moved, descriptor, checks):
 
 
 def _check_orientation_pair(atlas, perm, moved, descriptor, checks):
-    config = decompose(_state_after(atlas, perm), atlas)
-    if descriptor.kind == 'twist_pair':
-        vec = config.corner_twists
-        perm_id = config.corner_perm == tuple(range(8))
-        touched = {s: v for s, v in enumerate(vec) if v}
-        good = sorted(touched.values()) == [1, 2]
-        label = 'two twists, +1 and -1'
-    else:
-        vec = config.single_edge_flips
-        perm_id = config.single_edge_perm == tuple(range(12))
-        touched = {s: v for s, v in enumerate(vec) if v}
-        good = len(touched) == 2
-        label = 'two flips'
+    orbit = atlas.orbit(descriptor.family)
+    slot_perm, orientation = decompose(
+        _state_after(atlas, perm), atlas).orbit_fields(orbit)
+    perm_id = slot_perm == tuple(range(len(slot_perm)))
+    touched = {s: v for s, v in enumerate(orientation) if v}
+    # Two slots whose orientations cancel: +1 and -1 twists, or two flips.
+    good = len(touched) == 2 and sum(touched.values()) % orbit.turns == 0
+    label = ('two twists, +1 and -1' if descriptor.kind == 'twist_pair'
+             else 'two flips')
     checks.append(('family permutation id', perm_id, 'perm fixed'))
     checks.append((label, good, 'slots %s' % sorted(touched)))
-    allowed = set()
-    for slot_id in touched:
-        allowed.update(
-            _positions_of(atlas, descriptor.family, None, slot_id))
+    allowed = {p for s in touched for p in orbit.slots[s].positions}
     stray = sorted(moved - allowed)
     checks.append(('rest id', not stray,
                    'stickers outside the pair move: %s' % stray[:8]
@@ -229,9 +145,8 @@ def _check_orientation_pair(atlas, perm, moved, descriptor, checks):
 
 
 def _check_odd_permutation(atlas, perm, moved, descriptor, checks):
-    frozen = _family_positions(atlas, 'corner')
-    if atlas.single_edges is not None:
-        frozen = frozen | _family_positions(atlas, 'single')
+    frozen = {p for slot in atlas.corners + (atlas.single_edges or ())
+              for p in slot.positions}
     stray = sorted(moved & frozen)
     checks.append(('corners and single edges fixed', not stray,
                    'sticker positions %s move' % stray[:8]
@@ -267,12 +182,9 @@ def _state_after(atlas, perm):
 def verify_cycle_structure(spec, sequence, descriptor):
     '''Check a word against a descriptor, returning an EffectReport.
 
-    The descriptor may be an EffectDescriptor or a short prose string
-    (see parse_effect). The report carries one (label, passed, detail)
-    triple per check, so a failure names the actual observed effect.
+    The report carries one (label, passed, detail) triple per check, so
+    a failure names the actual observed effect.
     '''
-    if isinstance(descriptor, str):
-        descriptor = parse_effect(descriptor)
     atlas = build_atlas(spec)
     perm = sequence_permutation(spec, sequence)
     moved = frozenset(p for p, q in enumerate(perm) if q != p)

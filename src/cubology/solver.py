@@ -101,19 +101,14 @@ class _SetupChain:
     than true shortest setups; the cycles they conjugate stay exact.
     '''
 
-    def __init__(self, spec, atlas, family, key, bases):
+    def __init__(self, spec, atlas, orbit, bases):
         self.bases = tuple(bases)
-        if family == 'corner':
-            size = len(atlas.corners)
-        elif family == 'single':
-            size = len(atlas.single_edges)
-        else:
-            size = 24
+        size = len(orbit.slots)
         self.identity = bytes(range(size))
         alphabet = []
         for move in legal_slab_moves(spec, False, (1, 2, 3)):
             action = atlas.slot_action(
-                sticker_permutation(spec, move), family, key)
+                sticker_permutation(spec, move), orbit.family, orbit.key)
             if bytes(action) != self.identity:
                 # Composition runs through bytes.translate, so store
                 # each action as a full translation table.
@@ -182,18 +177,18 @@ class _SetupChain:
 _CHAIN_CACHE = {}
 
 
-def _setup_search(spec, atlas, family, key, bases):
-    cache_key = (spec.n, family, key, tuple(bases))
+def _setup_search(spec, atlas, orbit, bases):
+    cache_key = (spec.n, orbit.family, orbit.key, tuple(bases))
     chain = _CHAIN_CACHE.get(cache_key)
     if chain is None:
-        chain = _SetupChain(spec, atlas, family, key, bases)
+        chain = _SetupChain(spec, atlas, orbit, bases)
         _CHAIN_CACHE[cache_key] = chain
     return chain
 
 
-def _cycle_bases(spec, atlas, core, family, key):
+def _cycle_bases(spec, atlas, core, orbit):
     action = atlas.slot_action(
-        sequence_permutation(spec, core.sequence), family, key)
+        sequence_permutation(spec, core.sequence), orbit.family, orbit.key)
     moved = [s for s, image in enumerate(action) if image != s]
     b0 = min(moved)
     return (b0, action[b0], action[action[b0]])
@@ -216,14 +211,6 @@ def _apply_cycle(state, search, core, inverse_core, s, h, t_choices):
     return apply_sequence(state, word), tuple(word)
 
 
-def _family_perm(config, family, key):
-    if family == 'corner':
-        return config.corner_perm
-    if family == 'single':
-        return config.single_edge_perm
-    return config.coupled_perms[key]
-
-
 def _run_sign_alignment(spec, atlas, state):
     parts = []
     config = decompose(state, atlas)
@@ -241,13 +228,13 @@ def _run_sign_alignment(spec, atlas, state):
     return MoveSequence(tuple(parts)), state
 
 
-def _run_perm_placement(spec, atlas, state, family, key, core):
-    bases = _cycle_bases(spec, atlas, core, family, key)
-    search = _setup_search(spec, atlas, family, key, bases)
+def _run_perm_placement(spec, atlas, state, orbit, core):
+    bases = _cycle_bases(spec, atlas, core, orbit)
+    search = _setup_search(spec, atlas, orbit, bases)
     inverse_core = invert_sequence(core.sequence)
     parts = []
     while True:
-        perm = _family_perm(decompose(state, atlas), family, key)
+        perm, _ = decompose(state, atlas).orbit_fields(orbit)
         support = [s for s, image in enumerate(perm) if image != s]
         if not support:
             break
@@ -265,13 +252,11 @@ def _run_perm_placement(spec, atlas, state, family, key, core):
     return MoveSequence(tuple(parts)), state
 
 
-def _run_center_placement(spec, atlas, state, family, key, core):
-    slots = (atlas.center_corners[key] if family == 'center_corner'
-             else atlas.center_edges[key])
-    homes = [slot.color for slot in slots]
-    positions = [slot.position for slot in slots]
-    bases = _cycle_bases(spec, atlas, core, family, key)
-    search = _setup_search(spec, atlas, family, key, bases)
+def _run_center_placement(spec, atlas, state, orbit, core):
+    homes = [slot.colors[0] for slot in orbit.slots]
+    positions = [slot.positions[0] for slot in orbit.slots]
+    bases = _cycle_bases(spec, atlas, core, orbit)
+    search = _setup_search(spec, atlas, orbit, bases)
     inverse_core = invert_sequence(core.sequence)
     parts = []
     while True:
@@ -297,24 +282,23 @@ def _run_center_placement(spec, atlas, state, family, key, core):
     return MoveSequence(tuple(parts)), state
 
 
-def _orientation_bases(spec, atlas, core, family):
-    config = decompose(
-        apply_sequence(solved_state(spec), core.sequence), atlas)
-    if family == 'corner':
-        plus = [s for s, v in enumerate(config.corner_twists) if v == 1]
-        minus = [s for s, v in enumerate(config.corner_twists) if v == 2]
-        return (plus[0], minus[0])
-    flipped = [s for s, v in enumerate(config.single_edge_flips) if v]
-    return tuple(flipped)
+def _orientation_bases(spec, atlas, core, orbit):
+    '''The two slots the core reorients, ordered by orientation value
+    (the +1 twist first), then by slot.'''
+    _, orientation = decompose(
+        apply_sequence(solved_state(spec), core.sequence),
+        atlas).orbit_fields(orbit)
+    return tuple(sorted((s for s, v in enumerate(orientation) if v),
+                        key=lambda s: (orientation[s], s)))
 
 
-def _run_corner_orientation(spec, atlas, state, core):
-    bases = _orientation_bases(spec, atlas, core, 'corner')
-    search = _setup_search(spec, atlas, 'corner', None, bases)
+def _run_corner_orientation(spec, atlas, state, orbit, core):
+    bases = _orientation_bases(spec, atlas, core, orbit)
+    search = _setup_search(spec, atlas, orbit, bases)
     inverse_core = invert_sequence(core.sequence)
     parts = []
     while True:
-        twists = decompose(state, atlas).corner_twists
+        _, twists = decompose(state, atlas).orbit_fields(orbit)
         nonzero = [s for s, v in enumerate(twists) if v]
         if not nonzero:
             break
@@ -335,12 +319,12 @@ def _run_corner_orientation(spec, atlas, state, core):
     return MoveSequence(tuple(parts)), state
 
 
-def _run_single_edge_orientation(spec, atlas, state, core):
-    bases = _orientation_bases(spec, atlas, core, 'single')
-    search = _setup_search(spec, atlas, 'single', None, bases)
+def _run_single_edge_orientation(spec, atlas, state, orbit, core):
+    bases = _orientation_bases(spec, atlas, core, orbit)
+    search = _setup_search(spec, atlas, orbit, bases)
     parts = []
     while True:
-        flips = decompose(state, atlas).single_edge_flips
+        _, flips = decompose(state, atlas).orbit_fields(orbit)
         nonzero = [s for s, v in enumerate(flips) if v]
         if not nonzero:
             break
@@ -358,22 +342,30 @@ def _run_single_edge_orientation(spec, atlas, state, core):
 
 
 def _signs_aligned(config, atlas):
-    if permutation_sign(config.corner_perm) != 1:
-        return False
-    if (config.single_edge_perm is not None
-            and permutation_sign(config.single_edge_perm) != 1):
-        return False
-    for i in atlas.coupled_orbit_indices:
-        if permutation_sign(config.coupled_perms[i]) != 1:
-            return False
-    for i in atlas.center_corner_indices:
-        if permutation_sign(config.center_corner_perms[i]) != 1:
-            return False
-    for label in atlas.center_edge_labels:
-        if permutation_sign(config.center_edge_perms[label]) != 1:
-            return False
-    return True
+    return all(permutation_sign(config.orbit_fields(orbit)[0]) == 1
+               for orbit in atlas.orbits)
 
+
+# Placement runs family by family in this order, one stage per orbit;
+# each entry names the stage and builds the orbit's 3-cycle word.
+_PLACEMENT = (
+    ('corner', 'corner_placement',
+     lambda spec, _key: corner_three_cycle(spec)),
+    ('single', 'single_edge_placement',
+     lambda spec, _key: single_edge_three_cycle(spec)),
+    ('center_corner', 'center_corner_placement_%d',
+     lambda spec, i: center_three_cycle(spec, i, i)),
+    ('coupled', 'coupled_placement_%d', coupled_edge_three_cycle),
+    ('center_edge', 'center_edge_placement_%d_%d',
+     lambda spec, label: center_three_cycle(spec, *label)),
+)
+
+_ORIENTATION = (
+    ('corner', 'corner_orientation', corner_twist_pair,
+     _run_corner_orientation),
+    ('single', 'single_edge_orientation', single_edge_flip_pair,
+     _run_single_edge_orientation),
+)
 
 _PLAN_CACHE = {}
 
@@ -384,58 +376,29 @@ def stage_plan(spec):
     if cached is not None:
         return cached
     atlas = build_atlas(spec)
-    identity8 = tuple(range(8))
-    identity12 = tuple(range(12))
-    identity24 = tuple(range(24))
-    stages = [
-        Stage('sign_alignment',
-              lambda c, _atlas=atlas: _signs_aligned(c, _atlas),
-              lambda state: _run_sign_alignment(spec, atlas, state)),
-        Stage('corner_placement',
-              lambda c: c.corner_perm == identity8,
-              lambda state: _run_perm_placement(
-                  spec, atlas, state, 'corner', None,
-                  corner_three_cycle(spec))),
-    ]
-    if spec.n % 2:
-        stages.append(Stage(
-            'single_edge_placement',
-            lambda c: c.single_edge_perm == identity12,
-            lambda state: _run_perm_placement(
-                spec, atlas, state, 'single', None,
-                single_edge_three_cycle(spec))))
-    for i in atlas.center_corner_indices:
-        stages.append(Stage(
-            'center_corner_placement_%d' % i,
-            lambda c, _i=i: c.center_corner_perms[_i] == identity24,
-            lambda state, _i=i: _run_center_placement(
-                spec, atlas, state, 'center_corner', _i,
-                center_three_cycle(spec, _i, _i))))
-    for i in atlas.coupled_orbit_indices:
-        stages.append(Stage(
-            'coupled_placement_%d' % i,
-            lambda c, _i=i: c.coupled_perms[_i] == identity24,
-            lambda state, _i=i: _run_perm_placement(
-                spec, atlas, state, 'coupled', _i,
-                coupled_edge_three_cycle(spec, _i))))
-    for label in atlas.center_edge_labels:
-        stages.append(Stage(
-            'center_edge_placement_%d_%d' % label,
-            lambda c, _label=label: c.center_edge_perms[_label] == identity24,
-            lambda state, _label=label: _run_center_placement(
-                spec, atlas, state, 'center_edge', _label,
-                center_three_cycle(spec, _label[0], _label[1]))))
-    stages.append(Stage(
-        'corner_orientation',
-        lambda c: not any(c.corner_twists),
-        lambda state: _run_corner_orientation(
-            spec, atlas, state, corner_twist_pair(spec))))
-    if spec.n % 2:
-        stages.append(Stage(
-            'single_edge_orientation',
-            lambda c: not any(c.single_edge_flips),
-            lambda state: _run_single_edge_orientation(
-                spec, atlas, state, single_edge_flip_pair(spec))))
+    stages = [Stage('sign_alignment',
+                    lambda c: _signs_aligned(c, atlas),
+                    lambda state: _run_sign_alignment(spec, atlas, state))]
+    for family, name, word in _PLACEMENT:
+        for orbit in atlas.orbits:
+            if orbit.family != family:
+                continue
+            run = (_run_center_placement if orbit.turns == 1
+                   else _run_perm_placement)
+            stages.append(Stage(
+                name if orbit.key is None else name % orbit.key,
+                lambda c, o=orbit, ident=tuple(range(len(orbit.slots))):
+                    c.orbit_fields(o)[0] == ident,
+                lambda state, o=orbit, run=run, word=word: run(
+                    spec, atlas, state, o, word(spec, o.key))))
+    for family, name, word, run in _ORIENTATION:
+        for orbit in atlas.orbits:
+            if orbit.family == family:
+                stages.append(Stage(
+                    name,
+                    lambda c, o=orbit: not any(c.orbit_fields(o)[1]),
+                    lambda state, o=orbit, run=run, word=word: run(
+                        spec, atlas, state, o, word(spec))))
     plan = tuple(stages)
     _PLAN_CACHE[spec.n] = plan
     return plan

@@ -174,7 +174,7 @@ def test_criterion_6_subgroup_certification():
 
     edge_positions = sorted(
         q for slot in atlas3.single_edges
-        for q in (slot.marked_position, slot.other_position))
+        for q in slot.positions)
     edge_index = {q: i for i, q in enumerate(edge_positions)}
     flips = subgroup_order(
         conjugate_family(spec3, single_edge_flip_pair(spec3), 2),

@@ -8,6 +8,13 @@ import sys
 import pytest
 
 from cubology.cli import main
+from cubology.cube_model import (
+    CubeSpec,
+    apply_sequence,
+    parse_move_sequence,
+    render_net,
+    solved_state,
+)
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -181,6 +188,9 @@ def test_render_plain_and_ansi(capsys):
     code, ansi_out, _ = run(capsys, ['render', '--n', '2', '--moves', 'R',
                                      '--ansi'])
     assert '\x1b[' in ansi_out
+    spec = CubeSpec(2)
+    state = apply_sequence(solved_state(spec), parse_move_sequence('R', spec))
+    assert ansi_out == render_net(state, ansi=True) + '\n'
 
 
 def test_decompose_shows_tuple_fields(capsys):
@@ -208,3 +218,58 @@ def test_real_process_pipe_round_trip():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert 'verified: solved' in proc.stdout
+
+
+def test_solve_accepts_an_already_solved_state_document(capsys, monkeypatch):
+    _, doc, _ = run(capsys, ['scramble', '--n', '4', '--seed', '3',
+                             '--length', '0'])
+    code, out, _ = run(capsys, ['solve', '--n', '4', '--state-file', '-'],
+                       stdin_text=doc, monkeypatch=monkeypatch)
+    assert code == 0
+    assert 'verified: solved' in out
+
+
+def test_state_document_without_n_is_a_domain_error(capsys, monkeypatch):
+    _, doc, _ = run(capsys, ['scramble', '--n', '2', '--seed', '1'])
+    data = json.loads(doc)
+    del data['n']
+    code, _, err = run(capsys, ['validate', '--state-file', '-'],
+                       stdin_text=json.dumps(data), monkeypatch=monkeypatch)
+    assert code == 1
+    assert err.startswith('ValueError:')
+    assert 'Traceback' not in err
+
+
+def test_missing_state_file_is_a_domain_error(capsys, tmp_path):
+    code, _, err = run(capsys, ['validate', '--state-file',
+                                str(tmp_path / 'missing.json')])
+    assert code == 1
+    assert err.startswith('FileNotFoundError:')
+
+
+@pytest.mark.parametrize('argv', [
+    ['count', '--n', '3', '--what', 'bound', '--precision', '0'],
+    ['bound', '--n', '3', '--precision', '-5'],
+    ['scramble', '--n', '3', '--seed', '1', '--length', '-1'],
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ''
+    assert 'must be at least' in err
+
+
+@pytest.mark.parametrize('command', [
+    'render --n 100 --moves U',
+    'scramble --n 60 --seed 1 --length 0',
+])
+def test_closed_pipe_leaves_no_traceback(command):
+    # Both outputs are far larger than a pipe buffer, so the writer is
+    # still writing when head exits.
+    proc = subprocess.run(
+        ['sh', '-c', '%s -m cubology.cli %s | head -1'
+         % (sys.executable, command)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.count('\n') == 1
+    assert proc.stderr == ''

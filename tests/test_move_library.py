@@ -22,7 +22,6 @@ from cubology.move_library import (
     corner_twist_pair,
     coupled_edge_parity_move,
     coupled_edge_three_cycle,
-    parse_effect,
     single_edge_flip_pair,
     single_edge_three_cycle,
     verify_cycle_structure,
@@ -215,10 +214,3 @@ def test_all_named_moves_inventory():
             report = verify_cycle_structure(
                 CubeSpec(n), named.sequence, named.expected_effect)
             assert report.ok, (n, named.name, report.failing())
-
-
-def test_effect_descriptor_text_round_trips():
-    spec = CubeSpec(4)
-    for named in all_named_moves(spec):
-        descriptor = named.expected_effect
-        assert parse_effect(descriptor.describe()) == descriptor
