@@ -140,6 +140,8 @@ class CubeState:
     stickers: str
 
     def __post_init__(self):
+        if not isinstance(self.stickers, str):
+            object.__setattr__(self, 'stickers', ''.join(self.stickers))
         if len(self.stickers) != 6 * self.n * self.n:
             raise ValueError('sticker string has wrong length for this cube size')
 

@@ -173,44 +173,30 @@ def random_valid_configuration(spec, seed=None):
     '''
     rng = random.Random(seed)
     atlas = build_atlas(spec)
-    odd = spec.n % 2 == 1
-
-    corner_perm = _random_perm(rng, 8)
-    corner_sign = permutation_sign(corner_perm)
-    twists = [rng.randrange(3) for _ in range(7)]
-    twists.append(-sum(twists) % 3)
-
-    single_perm = None
-    single_flips = None
-    if odd:
-        single_perm = _signed_perm(rng, 12, corner_sign)
-        flips = [rng.randrange(2) for _ in range(11)]
-        flips.append(sum(flips) % 2)
-        single_flips = tuple(flips)
-
-    coupled_perms = {
-        i: _random_perm(rng, 24) for i in atlas.coupled_orbit_indices}
-    coupled_orientations = {
-        i: (0,) * 24 for i in atlas.coupled_orbit_indices}
-    required = required_center_signs(atlas, corner_perm, coupled_perms)
-    center_corner_perms = {
-        i: _signed_perm(rng, 24, required[i])
-        for i in atlas.center_corner_indices}
-    center_edge_perms = {
-        label: _signed_perm(rng, 24, required[label])
-        for label in atlas.center_edge_labels}
-
-    config = ConfigTuple(
-        n=spec.n,
-        corner_perm=corner_perm,
-        corner_twists=tuple(twists),
-        single_edge_perm=single_perm,
-        single_edge_flips=single_flips,
-        coupled_perms=coupled_perms,
-        coupled_orientations=coupled_orientations,
-        center_corner_perms=center_corner_perms,
-        center_edge_perms=center_edge_perms,
-    )
+    config = ConfigTuple(spec.n)
+    required = None
+    # Orbit by orbit, the permutation is drawn before the orientation
+    # vector, so that a seed names the same state as it always has.
+    for orbit in atlas.orbits:
+        size = len(orbit.slots)
+        if orbit.family == 'single':
+            perm = _signed_perm(rng, size, permutation_sign(config.corner_perm))
+        elif orbit.turns == 1:
+            if required is None:
+                # Centre orbits come last, after the corner and wing
+                # permutations that fix their signs.
+                required = required_center_signs(
+                    atlas, config.corner_perm, config.coupled_perms)
+            perm = _signed_perm(rng, size, required[orbit.key])
+        else:
+            perm = _random_perm(rng, size)
+        orientation = None
+        if orbit.family == 'coupled':
+            orientation = (0,) * size
+        elif orbit.turns > 1:
+            values = [rng.randrange(orbit.turns) for _ in range(size - 1)]
+            orientation = tuple(values) + (-sum(values) % orbit.turns,)
+        config.set_orbit_fields(orbit, perm, orientation)
     return compose(config, atlas)
 
 

@@ -300,18 +300,6 @@ class OrbitAtlas:
         return tuple(images)
 
 
-_ATLAS_CACHE = {}
-
-
-def build_atlas(spec):
-    '''Build (and cache) the orbit catalogue for one cube size.'''
-    atlas = _ATLAS_CACHE.get(spec.n)
-    if atlas is None:
-        atlas = _build_atlas(spec)
-        _ATLAS_CACHE[spec.n] = atlas
-    return atlas
-
-
 def _orbit_components(spec):
     '''Partition sticker positions into orbits of the legal slab moves.'''
     parent = list(range(spec.sticker_count))
@@ -337,7 +325,9 @@ def _orbit_components(spec):
     return list(components.values())
 
 
-def _build_atlas(spec):
+@functools.lru_cache(maxsize=None)
+def build_atlas(spec):
+    '''Build (and cache) the orbit catalogue for one cube size.'''
     n = spec.n
     solved = solved_state(spec)
     half = n // 2

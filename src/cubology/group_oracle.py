@@ -20,7 +20,7 @@ for a Wilson confidence interval on the reachable fraction.
 '''
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,16 +81,18 @@ class _Level:
 @dataclass
 class BSGS:
     '''Base and strong generating set: the product of the orbit sizes
-    along the stabilizer chain is the exact group order.'''
+    along the stabilizer chain is the exact group order. levels holds
+    the chain itself, one transversal per base point, for contains().'''
 
     degree: int
     base: tuple
     orbit_sizes: tuple
     order: int
     strong_generators: tuple
+    levels: list = field(repr=False, compare=False)
 
     def contains(self, perm):
-        residue, _ = _sift(np.asarray(perm, dtype=np.int64), self._levels)
+        residue, _ = _sift(np.asarray(perm, dtype=np.int64), self.levels)
         return bool((residue == np.arange(self.degree)).all())
 
 
@@ -195,14 +197,13 @@ def build_bsgs(permutations, degree=None):
     for level in levels:
         orbit_sizes.append(len(level.transversal))
         order *= len(level.transversal)
-    result = BSGS(
+    return BSGS(
         degree=degree,
         base=tuple(base),
         orbit_sizes=tuple(orbit_sizes),
         order=order,
-        strong_generators=tuple(tuple(int(v) for v in g) for g in strong))
-    result._levels = levels
-    return result
+        strong_generators=tuple(tuple(int(v) for v in g) for g in strong),
+        levels=levels)
 
 
 def schreier_sims_order(gens):

@@ -4,11 +4,15 @@ solve() drives any law-abiding state to the solved colouring through a
 fixed pipeline. A short sign alignment runs first: one outer turn when
 the corner permutation is odd, then one slab turn per coupled orbit
 whose permutation is odd. After that every family permutation is even,
-so each placement stage can empty one family using nothing but
-setup-conjugated 3-cycle words from the move library; those words move
-no sticker outside their own orbit, which is why later stages never
-disturb the families fixed earlier. Two orientation stages finish the
-job with conjugated twist and flip pairs.
+and every later stage runs one loop on one orbit, with a core word from
+the move library: a 3-cycle for placement, a twist or flip pair for
+orientation. Each pass reads the stage's targets from the state, the
+slot tuples the core could be aimed at next; finds the shortest chained
+setup carrying one of them onto the core's base slots; and applies the
+core conjugated by that setup. The loop ends when no targets remain.
+Core words move no sticker outside their own orbit, which is why later
+stages never disturb the families fixed earlier. stage_plan() builds
+and verifies each core word once per cube size.
 
 Placement picks its 3-cycles lowest index first: the unplaced piece
 with the smallest home is cycled home through a third, still-unplaced
@@ -16,7 +20,8 @@ slot. Centre orbits are handled by colour instead of by the canonical
 permutation, because stickers of one colour are interchangeable there;
 when only two centre slots show swapped colours, the cycle is routed
 through a correctly placed slot of the matching colour class, which
-fixes all three at once.
+fixes all three at once. Orientation pairs the first misoriented slot
+with each other one.
 
 Setup words come from a transversal chain per orbit: a short
 breadth-first pass over single slab moves records, for every slot, a
@@ -26,6 +31,7 @@ reached by chaining one word per level, so the pass runs once per cube
 size and later solves pay only dictionary lookups.
 '''
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -41,7 +47,12 @@ from .cube_model import (
     sticker_permutation,
 )
 from .cubology_law import check_validity
-from .decomposition import build_atlas, decompose, permutation_sign
+from .decomposition import (
+    build_atlas,
+    decompose,
+    identity_tuple,
+    permutation_sign,
+)
 from .move_library import (
     center_three_cycle,
     conjugate_setup,
@@ -174,19 +185,13 @@ class _SetupChain:
         return word
 
 
-_CHAIN_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _setup_search(spec, atlas, orbit, bases):
-    cache_key = (spec.n, orbit.family, orbit.key, tuple(bases))
-    chain = _CHAIN_CACHE.get(cache_key)
-    if chain is None:
-        chain = _SetupChain(spec, atlas, orbit, bases)
-        _CHAIN_CACHE[cache_key] = chain
-    return chain
+    return _SetupChain(spec, atlas, orbit, bases)
 
 
 def _cycle_bases(spec, atlas, core, orbit):
+    '''The slots a 3-cycle core moves, b0 -> b1 -> b2 from its lowest.'''
     action = atlas.slot_action(
         sequence_permutation(spec, core.sequence), orbit.family, orbit.key)
     moved = [s for s, image in enumerate(action) if image != s]
@@ -194,21 +199,14 @@ def _cycle_bases(spec, atlas, core, orbit):
     return (b0, action[b0], action[action[b0]])
 
 
-def _cycle_keys(s, h, t):
-    '''Preimage tuples realizing the slot cycle s -> h -> t -> s, each
-    tagged with the core direction that produces it.'''
-    return (((s, h, t), False), ((h, t, s), False), ((t, s, h), False),
-            ((s, t, h), True), ((t, h, s), True), ((h, s, t), True))
-
-
-def _apply_cycle(state, search, core, inverse_core, s, h, t_choices):
-    wanted = {}
-    for t in t_choices:
-        for key, inverted in _cycle_keys(s, h, t):
-            wanted.setdefault(key, inverted)
-    key, setup = search.find(wanted)
-    word = conjugate_setup(setup, inverse_core if wanted[key] else core)
-    return apply_sequence(state, word), tuple(word)
+def _orientation_bases(spec, atlas, core, orbit):
+    '''The two slots the core reorients, ordered by orientation value
+    (the +1 twist first), then by slot.'''
+    _, orientation = decompose(
+        apply_sequence(solved_state(spec), core.sequence),
+        atlas).orbit_fields(orbit)
+    return tuple(sorted((s for s, v in enumerate(orientation) if v),
+                        key=lambda s: (orientation[s], s)))
 
 
 def _run_sign_alignment(spec, atlas, state):
@@ -228,117 +226,89 @@ def _run_sign_alignment(spec, atlas, state):
     return MoveSequence(tuple(parts)), state
 
 
-def _run_perm_placement(spec, atlas, state, orbit, core):
-    bases = _cycle_bases(spec, atlas, core, orbit)
+def _run_orbit(spec, atlas, state, orbit, core, bases, targets):
+    '''Conjugate the core by chained setups until targets(state) is
+    empty. targets maps each wanted preimage tuple to whether the
+    inverse core, not the core, produces the wanted effect.'''
     search = _setup_search(spec, atlas, orbit, bases)
     inverse_core = invert_sequence(core.sequence)
     parts = []
     while True:
-        perm, _ = decompose(state, atlas).orbit_fields(orbit)
-        support = [s for s, image in enumerate(perm) if image != s]
-        if not support:
-            break
-        home = min(support)
-        slot = perm[home]
-        # Any third slot above the working home keeps the smallest
-        # unplaced home strictly increasing, so the loop terminates
-        # whether the slot it routes through was placed yet or not.
-        t_choices = [t for t in range(len(perm))
-                     if t > home and t != slot]
-        assert t_choices, 'an even permutation cannot strand two pieces'
-        state, word = _apply_cycle(
-            state, search, core, inverse_core, slot, home, t_choices)
-        parts.extend(word)
-    return MoveSequence(tuple(parts)), state
-
-
-def _run_center_placement(spec, atlas, state, orbit, core):
-    homes = [slot.colors[0] for slot in orbit.slots]
-    positions = [slot.positions[0] for slot in orbit.slots]
-    bases = _cycle_bases(spec, atlas, core, orbit)
-    search = _setup_search(spec, atlas, orbit, bases)
-    inverse_core = invert_sequence(core.sequence)
-    parts = []
-    while True:
-        shown = [state.stickers[p] for p in positions]
-        wrong = [k for k in range(24) if shown[k] != homes[k]]
-        if not wrong:
-            break
-        h = wrong[0]
-        donors = [k for k in wrong if shown[k] == homes[h]]
-        s = donors[0]
-        # Third slot: any other wrong slot, or a correct slot whose
-        # colour matches what leaves h (that slot then receives its own
-        # colour back and stays correct). The latter also covers the
-        # two-slot colour swap, which a bare 3-cycle of wrong slots
-        # never could.
-        t_choices = [k for k in range(24)
-                     if k not in (s, h)
-                     and (shown[k] != homes[k] or homes[k] == shown[h])]
-        assert t_choices, 'colour counts guarantee a routing slot'
-        state, word = _apply_cycle(
-            state, search, core, inverse_core, s, h, t_choices)
-        parts.extend(word)
-    return MoveSequence(tuple(parts)), state
-
-
-def _orientation_bases(spec, atlas, core, orbit):
-    '''The two slots the core reorients, ordered by orientation value
-    (the +1 twist first), then by slot.'''
-    _, orientation = decompose(
-        apply_sequence(solved_state(spec), core.sequence),
-        atlas).orbit_fields(orbit)
-    return tuple(sorted((s for s, v in enumerate(orientation) if v),
-                        key=lambda s: (orientation[s], s)))
-
-
-def _run_corner_orientation(spec, atlas, state, orbit, core):
-    bases = _orientation_bases(spec, atlas, core, orbit)
-    search = _setup_search(spec, atlas, orbit, bases)
-    inverse_core = invert_sequence(core.sequence)
-    parts = []
-    while True:
-        _, twists = decompose(state, atlas).orbit_fields(orbit)
-        nonzero = [s for s, v in enumerate(twists) if v]
-        if not nonzero:
-            break
-        assert len(nonzero) >= 2, 'the twist sum law leaves no lone twist'
-        a = nonzero[0]
-        wanted = {}
-        for b in nonzero[1:]:
-            if twists[a] == 1:
-                wanted.setdefault((b, a), False)
-                wanted.setdefault((a, b), True)
-            else:
-                wanted.setdefault((a, b), False)
-                wanted.setdefault((b, a), True)
+        wanted = targets(state)
+        if not wanted:
+            return MoveSequence(tuple(parts)), state
         key, setup = search.find(wanted)
         word = conjugate_setup(setup, inverse_core if wanted[key] else core)
         state = apply_sequence(state, word)
         parts.extend(word)
-    return MoveSequence(tuple(parts)), state
 
 
-def _run_single_edge_orientation(spec, atlas, state, orbit, core):
-    bases = _orientation_bases(spec, atlas, core, orbit)
-    search = _setup_search(spec, atlas, orbit, bases)
-    parts = []
-    while True:
-        _, flips = decompose(state, atlas).orbit_fields(orbit)
-        nonzero = [s for s, v in enumerate(flips) if v]
-        if not nonzero:
-            break
-        assert len(nonzero) >= 2, 'the flip sum law leaves no lone flip'
-        a = nonzero[0]
-        wanted = []
-        for b in nonzero[1:]:
-            wanted.append((a, b))
-            wanted.append((b, a))
-        _, setup = search.find(wanted)
-        word = conjugate_setup(setup, core)
-        state = apply_sequence(state, word)
-        parts.extend(word)
-    return MoveSequence(tuple(parts)), state
+def _cycle_targets(s, h, t_choices):
+    '''Preimage tuples realizing the slot cycle s -> h -> t -> s for any
+    t of the choices.'''
+    wanted = {}
+    for t in t_choices:
+        for key, inverted in (((s, h, t), False), ((h, t, s), False),
+                              ((t, s, h), False), ((s, t, h), True),
+                              ((t, h, s), True), ((h, s, t), True)):
+            wanted.setdefault(key, inverted)
+    return wanted
+
+
+def _perm_targets(atlas, orbit, state):
+    perm, _ = decompose(state, atlas).orbit_fields(orbit)
+    support = [s for s, image in enumerate(perm) if image != s]
+    if not support:
+        return None
+    home = min(support)
+    slot = perm[home]
+    # Any third slot above the working home keeps the smallest
+    # unplaced home strictly increasing, so the loop terminates
+    # whether the slot it routes through was placed yet or not.
+    t_choices = [t for t in range(len(perm)) if t > home and t != slot]
+    assert t_choices, 'an even permutation cannot strand two pieces'
+    return _cycle_targets(slot, home, t_choices)
+
+
+def _center_targets(atlas, orbit, state):
+    shown = [state.stickers[slot.positions[0]] for slot in orbit.slots]
+    homes = [slot.colors[0] for slot in orbit.slots]
+    wrong = [k for k in range(24) if shown[k] != homes[k]]
+    if not wrong:
+        return None
+    h = wrong[0]
+    s = next(k for k in wrong if shown[k] == homes[h])
+    # Third slot: any other wrong slot, or a correct slot whose colour
+    # matches what leaves h (that slot then receives its own colour back
+    # and stays correct). The latter also covers the two-slot colour
+    # swap, which a bare 3-cycle of wrong slots never could.
+    t_choices = [k for k in range(24)
+                 if k not in (s, h)
+                 and (shown[k] != homes[k] or homes[k] == shown[h])]
+    assert t_choices, 'colour counts guarantee a routing slot'
+    return _cycle_targets(s, h, t_choices)
+
+
+def _orientation_targets(atlas, orbit, state):
+    '''Pairs (a, b) for the first misoriented slot a. The twist core
+    turns the slot on its first base by +1 and the one on its second by
+    -1, so a's twist of +1 is undone by (b, a) forward or (a, b)
+    inverted, and a twist of -1 the other way round. The flip core
+    flips both slots and always runs forward.'''
+    _, values = decompose(state, atlas).orbit_fields(orbit)
+    nonzero = [s for s, v in enumerate(values) if v]
+    if not nonzero:
+        return None
+    assert len(nonzero) >= 2, 'the orientation sum law leaves no lone slot'
+    a = nonzero[0]
+    twist = orbit.turns == 3
+    wanted = {}
+    for b in nonzero[1:]:
+        first, second = ((b, a), (a, b)) if twist and values[a] == 1 \
+            else ((a, b), (b, a))
+        wanted.setdefault(first, False)
+        wanted.setdefault(second, twist)
+    return wanted
 
 
 def _signs_aligned(config, atlas):
@@ -346,66 +316,78 @@ def _signs_aligned(config, atlas):
                for orbit in atlas.orbits)
 
 
-# Placement runs family by family in this order, one stage per orbit;
-# each entry names the stage and builds the orbit's 3-cycle word.
-_PLACEMENT = (
-    ('corner', 'corner_placement',
-     lambda spec, _key: corner_three_cycle(spec)),
-    ('single', 'single_edge_placement',
-     lambda spec, _key: single_edge_three_cycle(spec)),
-    ('center_corner', 'center_corner_placement_%d',
-     lambda spec, i: center_three_cycle(spec, i, i)),
-    ('coupled', 'coupled_placement_%d', coupled_edge_three_cycle),
-    ('center_edge', 'center_edge_placement_%d_%d',
-     lambda spec, label: center_three_cycle(spec, *label)),
+# After sign alignment the stages run in this order, one per orbit of
+# the family: (family, stage name, targets, core word builder, and the
+# orbit field the stage brings to identity: 0 permutation, 1
+# orientation).
+_PLAN = (
+    ('corner', 'corner_placement', _perm_targets,
+     lambda spec, _key: corner_three_cycle(spec), 0),
+    ('single', 'single_edge_placement', _perm_targets,
+     lambda spec, _key: single_edge_three_cycle(spec), 0),
+    ('center_corner', 'center_corner_placement_%d', _center_targets,
+     lambda spec, i: center_three_cycle(spec, i, i), 0),
+    ('coupled', 'coupled_placement_%d', _perm_targets,
+     coupled_edge_three_cycle, 0),
+    ('center_edge', 'center_edge_placement_%d_%d', _center_targets,
+     lambda spec, label: center_three_cycle(spec, *label), 0),
+    ('corner', 'corner_orientation', _orientation_targets,
+     lambda spec, _key: corner_twist_pair(spec), 1),
+    ('single', 'single_edge_orientation', _orientation_targets,
+     lambda spec, _key: single_edge_flip_pair(spec), 1),
 )
 
-_ORIENTATION = (
-    ('corner', 'corner_orientation', corner_twist_pair,
-     _run_corner_orientation),
-    ('single', 'single_edge_orientation', single_edge_flip_pair,
-     _run_single_edge_orientation),
-)
 
-_PLAN_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def stage_plan(spec):
     '''The ordered stages a solve of this cube size runs through.'''
-    cached = _PLAN_CACHE.get(spec.n)
-    if cached is not None:
-        return cached
     atlas = build_atlas(spec)
     stages = [Stage('sign_alignment',
                     lambda c: _signs_aligned(c, atlas),
                     lambda state: _run_sign_alignment(spec, atlas, state))]
-    for family, name, word in _PLACEMENT:
+    identity = identity_tuple(spec)
+    for family, name, targets, word, field in _PLAN:
         for orbit in atlas.orbits:
             if orbit.family != family:
                 continue
-            run = (_run_center_placement if orbit.turns == 1
-                   else _run_perm_placement)
+            core = word(spec, orbit.key)
+            bases = (_orientation_bases if field else _cycle_bases)(
+                spec, atlas, core, orbit)
             stages.append(Stage(
                 name if orbit.key is None else name % orbit.key,
-                lambda c, o=orbit, ident=tuple(range(len(orbit.slots))):
-                    c.orbit_fields(o)[0] == ident,
-                lambda state, o=orbit, run=run, word=word: run(
-                    spec, atlas, state, o, word(spec, o.key))))
-    for family, name, word, run in _ORIENTATION:
-        for orbit in atlas.orbits:
-            if orbit.family == family:
-                stages.append(Stage(
-                    name,
-                    lambda c, o=orbit: not any(c.orbit_fields(o)[1]),
-                    lambda state, o=orbit, run=run, word=word: run(
-                        spec, atlas, state, o, word(spec))))
-    plan = tuple(stages)
-    _PLAN_CACHE[spec.n] = plan
-    return plan
+                lambda c, o=orbit, f=field,
+                    ident=identity.orbit_fields(orbit)[field]:
+                    c.orbit_fields(o)[f] == ident,
+                functools.partial(
+                    _run_orbit, spec, atlas, orbit=orbit, core=core,
+                    bases=bases,
+                    targets=functools.partial(targets, atlas, orbit))))
+    return tuple(stages)
 
 
 def stage_names(spec):
     return tuple(stage.name for stage in stage_plan(spec))
+
+
+def _checked(state):
+    '''The state's atlas and tuple; NotSolvable unless it obeys the law.'''
+    atlas = build_atlas(state.spec)
+    config = decompose(state, atlas)
+    report = check_validity(config, atlas)
+    if not report.valid:
+        raise NotSolvable(report)
+    return atlas, config
+
+
+def _run_stage(stage, state, atlas):
+    '''Run one stage and check its postcondition; returns (sequence,
+    state after the stage, its tuple).'''
+    sequence, state = stage.run(state)
+    config = decompose(state, atlas)
+    if not stage.done(config):
+        raise AssertionError(
+            'stage %s missed its postcondition' % stage.name)
+    return sequence, state, config
 
 
 def solve(state):
@@ -416,18 +398,11 @@ def solve(state):
     not a reassembly at all.
     '''
     spec = state.spec
-    atlas = build_atlas(spec)
-    report = check_validity(decompose(state, atlas), atlas)
-    if not report.valid:
-        raise NotSolvable(report)
+    atlas, _ = _checked(state)
     entries = []
     total = []
     for stage in stage_plan(spec):
-        sequence, state = stage.run(state)
-        config = decompose(state, atlas)
-        if not stage.done(config):
-            raise AssertionError(
-                'stage %s missed its postcondition' % stage.name)
+        sequence, state, config = _run_stage(stage, state, atlas)
         entries.append((stage.name, sequence, config))
         total.extend(sequence)
     if state != solved_state(spec):
@@ -439,13 +414,8 @@ def solve(state):
 def solve_stage(state, stage_name):
     '''Run one named stage, checking every earlier stage is already
     done; returns (sequence, state after the stage).'''
-    spec = state.spec
-    atlas = build_atlas(spec)
-    config = decompose(state, atlas)
-    report = check_validity(config, atlas)
-    if not report.valid:
-        raise NotSolvable(report)
-    plan = stage_plan(spec)
+    atlas, config = _checked(state)
+    plan = stage_plan(state.spec)
     names = [stage.name for stage in plan]
     if stage_name not in names:
         raise ValueError('unknown stage %r; this cube has: %s'
@@ -456,10 +426,7 @@ def solve_stage(state, stage_name):
             raise StageOrderViolation(
                 'stage %s runs after %s, which is not done'
                 % (stage_name, earlier.name))
-    sequence, state = plan[index].run(state)
-    if not plan[index].done(decompose(state, atlas)):
-        raise AssertionError(
-            'stage %s missed its postcondition' % stage_name)
+    sequence, state, _ = _run_stage(plan[index], state, atlas)
     return sequence, state
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubology.cube_model import (
     CubeSpec,
+    CubeState,
     IllegalDepth,
     Move,
     MoveSequence,
@@ -191,3 +192,11 @@ def test_state_json_round_trip():
     state = apply_sequence(
         solved_state(spec), parse_move_sequence("2R U' [F, 2L]", spec))
     assert state_from_json(state_to_json(state)) == state
+
+
+@pytest.mark.parametrize('convert', [tuple, list])
+def test_sequence_stickers_equal_the_string_state(convert):
+    state = apply_move(solved_state(CubeSpec(3)), Move('R'))
+    rebuilt = CubeState(3, convert(state.stickers))
+    assert rebuilt == state
+    assert rebuilt.stickers == state.stickers

@@ -1,13 +1,26 @@
 """Staged solver tests: verified solves, stage ordering, trace shape."""
 
-import pytest
+import contextlib
+import io
+import json
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cubology import move_library
+from cubology.cli import main
 from cubology.cube_model import (
     CubeSpec,
+    CubeState,
     MoveSequence,
+    apply_move,
     apply_sequence,
+    legal_slab_moves,
     parse_move_sequence,
     solved_state,
+    state_to_json_dict,
 )
 from cubology.cubology_law import random_valid_configuration
 from cubology.decomposition import compose, decompose
@@ -138,3 +151,50 @@ def test_peephole_preserves_the_permutation():
     slim = peephole(trace.total)
     assert len(slim) <= len(trace.total)
     assert apply_sequence(state, slim) == solved_state(spec)
+
+
+@pytest.mark.parametrize('convert', [tuple, list])
+def test_sequence_stickers_solve(convert):
+    spec = CubeSpec(3)
+    for state in (solved_state(spec), random_valid_configuration(spec, 4)):
+        trace = solve(CubeState(3, convert(state.stickers)))
+        assert apply_sequence(state, trace.total) == solved_state(spec)
+
+
+def test_warm_solve_builds_no_named_words(monkeypatch):
+    spec = CubeSpec(5)
+    solve(random_valid_configuration(spec, 1))
+    built = []
+    named = move_library._named
+    monkeypatch.setattr(move_library, '_named',
+                        lambda *args: built.append(args[0]) or named(*args))
+    solve(random_valid_configuration(spec, 2))
+    assert built == []
+
+
+@st.composite
+def valid_states(draw):
+    spec = CubeSpec(draw(st.integers(2, 5)))
+    kind = draw(st.sampled_from(('solved', 'one_move', 'random')))
+    if kind == 'solved':
+        return solved_state(spec)
+    if kind == 'one_move':
+        moves = legal_slab_moves(spec, False, (1, 2, 3))
+        return apply_move(solved_state(spec), draw(st.sampled_from(moves)))
+    return random_valid_configuration(spec, draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(valid_states())
+def test_every_valid_state_solves_through_library_and_cli(state):
+    trace = solve(state)
+    assert apply_sequence(state, trace.total) == solved_state(state.spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, 'state.json')
+        with open(path, 'w') as handle:
+            json.dump(state_to_json_dict(state), handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(['solve', '--state-file', path])
+    assert code == 0
+    assert out.getvalue().rstrip().endswith('verified: solved')
