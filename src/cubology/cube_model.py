@@ -68,11 +68,6 @@ class CubeSpec:
         return 6 * self.n * self.n
 
     @property
-    def max_depth(self):
-        '''Deepest addressable slab: ceil(n/2).'''
-        return (self.n + 1) // 2
-
-    @property
     def central_depth(self):
         '''Depth of the central slab, or None on even cubes.'''
         return (self.n + 1) // 2 if self.n % 2 else None

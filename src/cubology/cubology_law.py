@@ -56,9 +56,6 @@ class ValidityReport:
     def failing(self):
         return tuple(c for c in self.conditions if not c.ok)
 
-    def by_condition(self):
-        return {c.condition: c for c in self.conditions}
-
 
 def check_validity(config, atlas=None):
     '''Evaluate every applicable law condition on a ConfigTuple.'''

@@ -2,10 +2,14 @@
 
 Everything here works on raw sticker permutations produced by the move
 engine; no counting formula is consulted. schreier_sims_order() builds
-a deterministic stabilizer chain (base points taken in increasing
-sticker position of whatever the generators still move) and returns the
-exact group order as the product of its orbit sizes. It is the check
-the closed-form counts in the counting module are measured against.
+a deterministic stabilizer chain by incremental Schreier-Sims, which
+sifts each Schreier generator once, and returns the exact group order
+as the product of its orbit sizes. A level is opened by the first
+residue that fixes every base point so far, and its base point is the
+lowest sticker position that residue moves; so the base depends on
+the order of the input permutations, not only on the group. It is the
+check the closed-form counts in the counting module are measured
+against.
 
 subgroup_order() runs the same machinery over any list of permutations,
 which lets tests certify the groups generated by the named move words:
@@ -19,6 +23,7 @@ move each) and estimate_valid_fraction() samples random reassemblies
 for a Wilson confidence interval on the reachable fraction.
 '''
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -70,10 +75,11 @@ def generators(spec, include_central=False, signed=False):
 
 
 class _Level:
-    __slots__ = ('point', 'transversal', 'inverses')
+    __slots__ = ('point', 'gens', 'transversal', 'inverses')
 
     def __init__(self, point, identity):
         self.point = point
+        self.gens = []
         self.transversal = {point: identity}
         self.inverses = {point: identity}
 
@@ -107,35 +113,21 @@ def _sift(perm, levels):
     return g, len(levels)
 
 
-def _extend_orbit(level, gens, degree):
-    '''Complete the orbit and transversal of one level under gens.'''
-    frontier = list(level.transversal)
-    while frontier:
-        new_frontier = []
-        for point in frontier:
-            u = level.transversal[point]
-            for g in gens:
-                image = int(g[point])
-                if image not in level.transversal:
-                    forward = g[u]
-                    inverse = np.empty(degree, dtype=np.int64)
-                    inverse[forward] = np.arange(degree)
-                    level.transversal[image] = forward
-                    level.inverses[image] = inverse
-                    new_frontier.append(image)
-        frontier = new_frontier
-
-
 def build_bsgs(permutations, degree=None):
-    '''Deterministic Schreier-Sims over explicit permutation arrays.
+    '''Incremental Schreier-Sims over explicit permutation arrays.
 
-    A residue that survives sifting becomes a strong generator. One
-    found while installing an input permutation joins every level it
-    fixes the base prefix of (0 up to where it stuck); one found while
-    verifying level i is already a word in level i's generators, so it
-    joins levels i+1 up to where it stuck. Either way the group each
-    level generates contains the next level's generators, which is what
-    the orbit-size product argument needs.
+    Each input permutation is sifted through the chain; a residue that
+    survives becomes a strong generator of every level whose base
+    prefix it fixes. A new generator of a level is paired with every
+    orbit point, and a new orbit point with every generator. Each pair
+    either reaches a new point, extending the transversal, or yields a
+    Schreier generator that is sifted through the levels below, and a
+    survivor of that sift is installed there in turn. Levels are
+    completed bottom-up, so the chain below a level is always a full
+    BSGS of its own generators when a Schreier generator is sifted
+    through it. Transversal entries are never replaced, so a Schreier
+    generator that sifted to the identity keeps doing so: each (level,
+    point, generator) pair is handled exactly once.
     '''
     perms = [np.asarray(p, dtype=np.int64) for p in permutations]
     if degree is None:
@@ -143,65 +135,47 @@ def build_bsgs(permutations, degree=None):
             raise ValueError('need a degree for an empty generator list')
         degree = len(perms[0])
     identity = np.arange(degree, dtype=np.int64)
-    perms = [p for p in perms if not (p == identity).all()]
-
-    base = []
     levels = []
     strong = []
-    level_gens = []
 
-    def add_strong_generator(g, lo, hi):
-        '''Install g at levels lo..hi; g fixes base[0..hi-1].'''
+    def install(g, lo, hi):
+        '''Give residue g, which fixes the base points of the levels
+        above hi, to levels hi down to lo.'''
         strong.append(g)
         if hi == len(levels):
-            point = int(np.nonzero(g != identity)[0][0])
-            levels.append(_Level(point, identity))
-            level_gens.append([])
-            base.append(point)
-        for i in range(lo, hi + 1):
-            level_gens[i].append(g)
-        _extend_orbit(levels[hi], level_gens[hi], degree)
+            levels.append(
+                _Level(int(np.nonzero(g != identity)[0][0]), identity))
+        for k in range(hi, lo - 1, -1):
+            level = levels[k]
+            level.gens.append(g)
+            queue = [(point, g) for point in level.transversal]
+            while queue:
+                point, h = queue.pop()
+                image = int(h[point])
+                forward = h[level.transversal[point]]
+                if image not in level.transversal:
+                    inverse = np.empty(degree, dtype=np.int64)
+                    inverse[forward] = identity
+                    level.transversal[image] = forward
+                    level.inverses[image] = inverse
+                    queue.extend((image, x) for x in level.gens)
+                    continue
+                residue, j = _sift(level.inverses[image][forward],
+                                   levels[k + 1:])
+                if not (residue == identity).all():
+                    install(residue, k + 1, k + 1 + j)
 
     for g in perms:
         residue, k = _sift(g, levels)
         if not (residue == identity).all():
-            add_strong_generator(residue, 0, k)
+            install(residue, 0, k)
 
-    # Verify levels bottom-up: every Schreier generator of a level must
-    # sift to the identity through the levels below it. A survivor is
-    # installed where it stuck and verification restarts there.
-    i = len(levels) - 1
-    while i >= 0:
-        _extend_orbit(levels[i], level_gens[i], degree)
-        restart = False
-        for point in list(levels[i].transversal):
-            u = levels[i].transversal[point]
-            for g in list(level_gens[i]):
-                image = int(g[point])
-                forward = g[u]
-                schreier = levels[i].inverses[image][forward]
-                residue, j = _sift(schreier, levels[i + 1:])
-                if not (residue == identity).all():
-                    add_strong_generator(residue, i + 1, i + 1 + j)
-                    i = i + 1 + j
-                    restart = True
-                    break
-            if restart:
-                break
-        if restart:
-            continue
-        i -= 1
-
-    order = 1
-    orbit_sizes = []
-    for level in levels:
-        orbit_sizes.append(len(level.transversal))
-        order *= len(level.transversal)
+    orbit_sizes = tuple(len(level.transversal) for level in levels)
     return BSGS(
         degree=degree,
-        base=tuple(base),
-        orbit_sizes=tuple(orbit_sizes),
-        order=order,
+        base=tuple(level.point for level in levels),
+        orbit_sizes=orbit_sizes,
+        order=math.prod(orbit_sizes),
         strong_generators=tuple(tuple(int(v) for v in g) for g in strong),
         levels=levels)
 

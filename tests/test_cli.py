@@ -134,6 +134,15 @@ def test_parse_errors_exit_one_with_the_error_name(capsys):
     assert err.startswith('IllegalDepth:')
 
 
+def test_uncancelled_central_slab_turns_are_domain_errors(capsys):
+    for command in ('validate', 'solve', 'decompose'):
+        code, _, err = run(capsys, [command, '--n', '3', '--moves', 'M'])
+        assert code == 1, command
+        assert err.startswith('NotAConfiguration: immobile centre'), command
+    code, _, _ = run(capsys, ['validate', '--n', '3', '--moves', '[F,[R:S]]'])
+    assert code == 0
+
+
 def test_count_prints_exact_decimals(capsys):
     code, out, _ = run(capsys, ['count', '--n', '3', '--what', 'group'])
     assert code == 0

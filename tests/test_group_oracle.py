@@ -1,6 +1,9 @@
 """Independent oracle tests: BSGS orders, breadth-first balls, sampling."""
 
+import random
+
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from cubology.cube_model import (
     CubeSpec,
@@ -81,6 +84,47 @@ def test_subgroup_order_with_a_slot_restriction():
     corners_only = subgroup_order(
         [perm], restriction=lambda p: atlas.slot_action(p, 'corner'))
     assert corners_only == 4
+
+
+def _random_generator_set(rng):
+    '''A few permutations of a small degree; about half of the sets
+    keep the points split in two blocks, so the group is intransitive.'''
+    degree = rng.randint(2, 13)
+    cut = rng.randint(1, degree - 1) if rng.random() < 0.5 else degree
+    perms = []
+    for _ in range(rng.randint(1, 4)):
+        low, high = list(range(cut)), list(range(cut, degree))
+        rng.shuffle(low)
+        rng.shuffle(high)
+        perms.append(tuple(low + high))
+    return degree, perms
+
+
+def test_order_and_membership_agree_with_sympy():
+    rng = random.Random(2021)
+    cases = [(4, [(0, 1, 2, 3)]), (6, [(0, 1, 2, 3, 4, 5)] * 2)]
+    cases += [_random_generator_set(rng) for _ in range(150)]
+    for degree, perms in cases:
+        bsgs = build_bsgs(perms, degree)
+        reference = PermutationGroup([Permutation(list(p)) for p in perms])
+        assert bsgs.order == reference.order(), (degree, perms)
+        queries = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
+        word = tuple(range(degree))
+        for _ in range(rng.randint(1, 6)):
+            step = rng.choice(perms)
+            word = tuple(step[i] for i in word)
+        queries.append(word)
+        for query in queries:
+            assert bsgs.contains(query) == \
+                reference.contains(Permutation(list(query))), (perms, query)
+
+
+def test_empty_generator_list_is_the_trivial_group():
+    bsgs = build_bsgs([], degree=5)
+    assert bsgs.order == 1
+    assert bsgs.base == ()
+    assert bsgs.contains((0, 1, 2, 3, 4))
+    assert not bsgs.contains((1, 0, 2, 3, 4))
 
 
 def test_ball_growth_frozen_counts():
