@@ -161,76 +161,57 @@ def sticker_index(n, face, row, col):
 
 # --- geometry -------------------------------------------------------------
 #
-# Cells live at integer coordinates (x, y, z) in 0..n-1 with x growing to
-# the right, y up and z toward the viewer. Each sticker is a (cell, outward
-# normal) pair.
+# Cells live in doubled, centred coordinates (x, y, z), x growing to the
+# right, y up and z toward the viewer; each coordinate runs over
+# -(n-1), -(n-3), ..., n-1, so the cube's centre is the origin. Each
+# sticker is a (cell, outward normal) pair. A face's grid runs along its
+# column direction (right) and that direction turned once about the face
+# normal (down), so the sticker at (face, r, c) sits at
+# (n-1)*normal + (2r-n+1)*down + (2c-n+1)*right. Every slab turn is one
+# rotation about its face normal, applied alike to cells and normals.
 
 FACE_NORMAL = {
     'U': (0, 1, 0), 'D': (0, -1, 0), 'R': (1, 0, 0),
     'L': (-1, 0, 0), 'F': (0, 0, 1), 'B': (0, 0, -1),
 }
 
-
-def _cell_of(face, r, c, n):
-    if face == 'U':
-        return (c, n - 1, r)
-    if face == 'D':
-        return (c, 0, n - 1 - r)
-    if face == 'F':
-        return (c, n - 1 - r, n - 1)
-    if face == 'B':
-        return (n - 1 - c, n - 1 - r, 0)
-    if face == 'L':
-        return (0, n - 1 - r, c)
-    return (n - 1, n - 1 - r, n - 1 - c)  # R
-
-
-# clockwise quarter turn of the whole coordinate frame, viewed from each face
-_ROT_CELL = {
-    'U': lambda x, y, z, n: (n - 1 - z, y, x),
-    'D': lambda x, y, z, n: (z, y, n - 1 - x),
-    'R': lambda x, y, z, n: (x, z, n - 1 - y),
-    'L': lambda x, y, z, n: (x, n - 1 - z, y),
-    'F': lambda x, y, z, n: (y, n - 1 - x, z),
-    'B': lambda x, y, z, n: (n - 1 - y, x, z),
+# column direction of each face's grid, as seen from outside the cube
+_FACE_RIGHT = {
+    'U': (1, 0, 0), 'D': (1, 0, 0), 'R': (0, 0, -1),
+    'L': (0, 0, 1), 'F': (1, 0, 0), 'B': (-1, 0, 0),
 }
 
-_ROT_DIR = {
-    'U': lambda dx, dy, dz: (-dz, dy, dx),
-    'D': lambda dx, dy, dz: (dz, dy, -dx),
-    'R': lambda dx, dy, dz: (dx, dz, -dy),
-    'L': lambda dx, dy, dz: (dx, -dz, dy),
-    'F': lambda dx, dy, dz: (dy, -dx, dz),
-    'B': lambda dx, dy, dz: (-dy, dx, dz),
-}
 
-# which coordinate a slab of each face family fixes, and at what value
-_SLAB_AXIS = {'U': 1, 'D': 1, 'R': 0, 'L': 0, 'F': 2, 'B': 2}
-
-
-def _slab_value(face, depth, n):
-    if face in ('U', 'R', 'F'):
-        return n - depth
-    return depth - 1
+def _turn(v, a):
+    '''v turned a clockwise quarter turn about the unit axis a, viewed
+    from outside along a: v -> (v.a)a + v x a.'''
+    d = v[0] * a[0] + v[1] * a[1] + v[2] * a[2]
+    return (d * a[0] + v[1] * a[2] - v[2] * a[1],
+            d * a[1] + v[2] * a[0] - v[0] * a[2],
+            d * a[2] + v[0] * a[1] - v[1] * a[0])
 
 
 @functools.lru_cache(maxsize=None)
 def _geometry(n):
-    '''Per-index (cell, normal) plus the reverse lookup.'''
+    '''Per-index (cell, normal) in the centred doubled frame, plus the
+    reverse lookup.'''
     placement = []
-    lookup = {}
     for face in FACES:
-        normal = FACE_NORMAL[face]
+        normal, right = FACE_NORMAL[face], _FACE_RIGHT[face]
+        down = _turn(right, normal)
         for r in range(n):
             for c in range(n):
-                cell = _cell_of(face, r, c, n)
+                u, v = 2 * r - n + 1, 2 * c - n + 1
+                cell = tuple((n - 1) * normal[k] + u * down[k] + v * right[k]
+                             for k in range(3))
                 placement.append((cell, normal))
-                lookup[(cell, normal)] = len(placement) - 1
+    lookup = {place: index for index, place in enumerate(placement)}
     return placement, lookup
 
 
 def sticker_position(spec, index):
-    '''(cell, outward normal) of a sticker index; inverse of position lookup.'''
+    '''(cell, outward normal) of a sticker index, the cell in centred
+    doubled coordinates; inverse of position lookup.'''
     placement, _ = _geometry(spec.n)
     return placement[index]
 
@@ -238,17 +219,14 @@ def sticker_position(spec, index):
 @functools.lru_cache(maxsize=None)
 def _quarter_turn_permutation(n, face, depth):
     placement, lookup = _geometry(n)
-    axis = _SLAB_AXIS[face]
-    value = _slab_value(face, depth, n)
-    rot_cell = _ROT_CELL[face]
-    rot_dir = _ROT_DIR[face]
+    normal = FACE_NORMAL[face]
+    axis = next(k for k in range(3) if normal[k])
+    # the slab's cells share this coordinate on the normal's axis
+    level = (n + 1 - 2 * depth) * normal[axis]
     perm = list(range(6 * n * n))
-    for src, (cell, normal) in enumerate(placement):
-        if cell[axis] != value:
-            continue
-        new_cell = rot_cell(cell[0], cell[1], cell[2], n)
-        new_normal = rot_dir(*normal)
-        perm[src] = lookup[(new_cell, new_normal)]
+    for src, (cell, direction) in enumerate(placement):
+        if cell[axis] == level:
+            perm[src] = lookup[(_turn(cell, normal), _turn(direction, normal))]
     return tuple(perm)
 
 
@@ -506,6 +484,9 @@ def state_from_json_dict(data):
     except (KeyError, TypeError):
         raise ValueError('state document needs "n" and "stickers" fields')
     if isinstance(raw, list):
+        if not all(isinstance(ch, str) and len(ch) == 1 for ch in raw):
+            raise ValueError('sticker list entries must be one colour '
+                             'letter each')
         raw = ''.join(raw)
     if not isinstance(n, int) or not isinstance(raw, str):
         raise ValueError('malformed state document')

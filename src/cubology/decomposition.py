@@ -31,9 +31,10 @@ for one-sticker centres.
 Reference stickers. Corners: the reference sticker of a corner is its U
 or D facelet, and the other two positions follow clockwise when the
 corner is viewed from outside. Single edges: one facelet of each edge
-slot is marked, chosen (by a small exhaustive search over the 3x3 cube)
-so that every outer face turn flips all four edges it moves; the marked
-facelet comes first. Coupled wings: the 48 wing positions of a depth
+slot is marked, the one on the face whose axis comes first in the cycle
+x -> y -> z -> x (U/D over F/B, F/B over L/R, L/R over U/D), so that
+every outer face turn flips all four edges it moves; the marked facelet
+comes first. Coupled wings: the 48 wing positions of a depth
 split into two classes that no slab move ever exchanges; the sticker on
 the leading class comes first, so a wing bit of 1 says the occupant sits
 with its leading sticker on the wrong class. Sticker colours cannot
@@ -56,7 +57,6 @@ from .cube_model import (
     FACES,
     CubeSpec,
     CubeState,
-    Move,
     legal_slab_moves,
     solved_state,
     sticker_permutation,
@@ -107,80 +107,24 @@ def permutation_sign(perm):
     return sign
 
 
-_FACE_OF_NORMAL = {normal: face for face, normal in FACE_NORMAL.items()}
-
-
-def _cell_and_face(spec, index):
-    cell, normal = sticker_position(spec, index)
-    return cell, _FACE_OF_NORMAL[normal]
-
-
-def _face_grid(spec, index):
-    face = FACES[index // (spec.n * spec.n)]
-    rem = index % (spec.n * spec.n)
-    return face, rem // spec.n, rem % spec.n
-
-
-@functools.lru_cache(maxsize=None)
 def _edge_marking():
-    '''Choose a marked face for each edge type of the 3x3 cube.
+    '''The marked face of each edge type, keyed by its face pair.
 
     The marking is the bookkeeping behind edge flips: an edge move of a
     state is counted as a flip exactly when the sticker from the source
     slot's marked face lands on the destination slot's unmarked face.
-    The choice below is found by exhaustive search over all 2**12
-    assignments, keeping those for which every outer face quarter turn
-    flips all four edges it moves, and taking the lexicographically
-    first solution in home order. The same face-pair marking is reused
-    for the central-slab edges of every odd cube, where it keeps the
-    same property because slabs of equal depth move alike.
+    In each face pair the face whose axis comes first in the cycle
+    x -> y -> z -> x is marked: U/D over F/B, F/B over L/R, L/R over U/D.
+    An outer face turn keeps one sticker of each edge it moves on the
+    turning axis and carries the other between the two remaining axes;
+    the turning axis comes first in one of those pairs and second in
+    the other, so the marked sticker always lands on the unmarked face:
+    every outer face turn flips all four edges it moves.
     '''
-    spec = CubeSpec(3)
-    cells = {}
-    for index in range(spec.sticker_count):
-        cell, face = _cell_and_face(spec, index)
-        extremes = sum(1 for axis in range(3) if cell[axis] in (0, 2))
-        if extremes == 2:
-            cells.setdefault(cell, []).append((index, face))
-    edges = []
-    for cell in sorted(cells):
-        pair = sorted(cells[cell])
-        edges.append((pair[0][0], pair[0][1], pair[1][0], pair[1][1]))
-    edges.sort()
-    slot_of_position = {}
-    for slot, (i0, f0, i1, f1) in enumerate(edges):
-        slot_of_position[i0] = (slot, 0)
-        slot_of_position[i1] = (slot, 1)
-    transitions = []
-    for face in FACES:
-        perm = sticker_permutation(spec, Move(face, 1, 1))
-        for slot, (i0, f0, i1, f1) in enumerate(edges):
-            if perm[i0] == i0:
-                continue
-            dst0 = slot_of_position[perm[i0]]
-            dst1 = slot_of_position[perm[i1]]
-            if dst0[0] != dst1[0]:
-                raise AssertionError('edge torn apart by a face turn')
-            transitions.append((slot, dst0[0], dst0[1], dst1[1]))
-    solutions = []
-    for bits in range(1 << len(edges)):
-        marking = [(bits >> slot) & 1 for slot in range(len(edges))]
-        ok = True
-        for src, dst, side0, side1 in transitions:
-            landing = side0 if marking[src] == 0 else side1
-            if landing == marking[dst]:
-                ok = False
-                break
-        if ok:
-            solutions.append(tuple(marking))
-    if not solutions:
-        raise AssertionError('no flip marking exists')
-    chosen = min(solutions)
-    marks = {}
-    for slot, (i0, f0, i1, f1) in enumerate(edges):
-        marked_face = f0 if chosen[slot] == 0 else f1
-        marks[frozenset((f0, f1))] = marked_face
-    return marks
+    axis = {face: next(k for k in range(3) if FACE_NORMAL[face][k])
+            for face in FACES}
+    return {frozenset((a, b)): a for a in FACES for b in FACES
+            if (axis[b] - axis[a]) % 3 == 1}
 
 
 @dataclass(frozen=True)
@@ -331,7 +275,6 @@ def build_atlas(spec):
     n = spec.n
     solved = solved_state(spec)
     half = n // 2
-    central = (n - 1) // 2 if n % 2 == 1 else None
 
     def slot(positions):
         return Slot(tuple(positions),
@@ -339,8 +282,8 @@ def build_atlas(spec):
 
     cells = {}
     for index in range(spec.sticker_count):
-        cell, face = _cell_and_face(spec, index)
-        cells.setdefault(cell, []).append((index, face))
+        cell, _ = sticker_position(spec, index)
+        cells.setdefault(cell, []).append((index, FACES[index // (n * n)]))
 
     corner_raw = []
     single_raw = []
@@ -348,23 +291,23 @@ def build_atlas(spec):
     center_raw = []
     fixed_raw = []
     for cell, stickers in cells.items():
-        extremes = [axis for axis in range(3) if cell[axis] in (0, n - 1)]
+        extremes = [axis for axis in range(3) if abs(cell[axis]) == n - 1]
         if len(extremes) == 3:
             corner_raw.append((cell, stickers))
         elif len(extremes) == 2:
             free_axis = ({0, 1, 2} - set(extremes)).pop()
             t = cell[free_axis]
-            if central is not None and t == central:
+            if t == 0:
                 single_raw.append((cell, stickers))
             else:
-                depth = min(t + 1, n - t)
+                depth = (n + 1 - abs(t)) // 2
                 coupled_raw.setdefault(depth, []).append((cell, stickers))
         elif len(extremes) == 1:
             (index, face), = stickers
-            _, row, col = _face_grid(spec, index)
-            if central is not None and row == central and col == central:
+            if cell.count(0) == 2:
                 fixed_raw.append((index, face))
             else:
+                row, col = divmod(index % (n * n), n)
                 center_raw.append((index, face, row, col))
         else:
             raise AssertionError('sticker on no face')
@@ -390,7 +333,7 @@ def build_atlas(spec):
     corners.sort(key=lambda s: s.positions[0])
     orbits = [Orbit('corner', None, tuple(corners))]
 
-    if central is not None:
+    if n % 2:
         marks = _edge_marking()
         built = []
         for cell, stickers in single_raw:
@@ -492,7 +435,7 @@ def build_atlas(spec):
                for label in sorted(center_edges)]
 
     fixed_centers = None
-    if central is not None:
+    if n % 2:
         fixed_raw.sort()
         fixed_centers = tuple(
             (index, FACE_COLOR[face]) for index, face in fixed_raw)

@@ -249,6 +249,21 @@ def test_state_document_without_n_is_a_domain_error(capsys, monkeypatch):
     assert 'Traceback' not in err
 
 
+@pytest.mark.parametrize('stickers', [
+    [1, 2],
+    [None],
+    ['WWWW', 'OOOO', 'GGGG', 'RRRR', 'BBBB', 'YYYY'],
+])
+def test_sticker_list_entries_must_be_single_letters(capsys, monkeypatch,
+                                                      stickers):
+    document = json.dumps({'n': 2, 'stickers': stickers})
+    code, _, err = run(capsys, ['validate', '--state-file', '-'],
+                       stdin_text=document, monkeypatch=monkeypatch)
+    assert code == 1
+    assert err.startswith('ValueError:')
+    assert 'Traceback' not in err
+
+
 def test_missing_state_file_is_a_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, ['validate', '--state-file',
                                 str(tmp_path / 'missing.json')])

@@ -82,6 +82,23 @@ def test_edge_marking_golden():
     assert marking == MARKED_FACE
 
 
+@pytest.mark.parametrize('n', [3, 5, 7])
+def test_outer_turns_flip_every_single_edge_they_move(n):
+    # The property the marking is chosen for: each outer face quarter
+    # turn flips exactly the four single edges it moves, and an inner
+    # slab moves and flips none.
+    spec = CubeSpec(n)
+    for move in legal_slab_moves(spec):
+        config = decompose(apply_sequence(solved_state(spec),
+                                          MoveSequence.of(move)))
+        moved = {slot for home, slot in enumerate(config.single_edge_perm)
+                 if slot != home}
+        flipped = {slot for slot, flip in enumerate(config.single_edge_flips)
+                   if flip}
+        assert flipped == moved
+        assert len(moved) == (4 if move.depth == 1 else 0)
+
+
 def test_permutation_sign():
     assert permutation_sign((0, 1, 2)) == 1
     assert permutation_sign((1, 0, 2)) == -1

@@ -9,6 +9,11 @@ so any change to either shows up here.
 The sampler digests pin the states the two random samplers draw per seed.
 The benchmark draws its inputs from them, so a changed draw would change
 what it measures.
+
+The geometry digests pin every slab move's sticker permutation, central
+slabs included, and every orbit atlas (slot positions and colours per
+orbit, plus the fixed face centres). They were recorded before the
+sticker geometry became one rotation rule.
 """
 
 import contextlib
@@ -18,11 +23,16 @@ import io
 import pytest
 
 from cubology.cli import main
-from cubology.cube_model import CubeSpec
+from cubology.cube_model import (
+    CubeSpec,
+    legal_slab_moves,
+    sticker_permutation,
+)
 from cubology.cubology_law import (
     random_configuration,
     random_valid_configuration,
 )
+from cubology.decomposition import build_atlas
 
 GOLDEN = {
     (2, 'decompose'):
@@ -95,6 +105,43 @@ SAMPLER_GOLDEN = {
         '6c1201374d2a2ab8925b97dfb949736fb5e14ba79a7c8e4b87b7e1247517ef7c',
 }
 
+# sha256 of every legal slab move's sticker permutation (central slabs
+# included, q = 1..3), and of every atlas, per size.
+GEOMETRY_GOLDEN = {
+    ('permutations', 2):
+        '87ce9c55d26facbee4029bc2a1dcae0de47c5a0f850fde5a0bd464b1fd5d66ab',
+    ('permutations', 3):
+        'fbfbd171dd6d60833c483b91991ff7e7acd5d412a9711476ab690ed677e1ca5f',
+    ('permutations', 4):
+        'cab69b9f12416d8d660a3f5501d48dafa0e8094bdeb500485cda140cc1a5a488',
+    ('permutations', 5):
+        '1bbf2082f9d077aa2bf79ca719717f7953938394c5aeee6b28959978184acf9e',
+    ('permutations', 6):
+        '08fc68a1d701b54c463f9020bd961101a099e6fa446b3b837840b93bcae0eaf0',
+    ('permutations', 7):
+        '8087032269407acb1314b42afcb33c6fa146a85158e3b195b5034a179a8e86eb',
+    ('permutations', 8):
+        '113d85bac9a734adc53b00af613d8f88efdfdb9e56db9d7f6c7a77280b14cf17',
+    ('permutations', 9):
+        '740c80017794842307d2a854e4408c46f16fadcb9afd96a1fb24daf988176397',
+    ('atlas', 2):
+        '3f6df3e80a3289b9757bb404ccff90d0572d2db660c0eb2e6808db4530bf787a',
+    ('atlas', 3):
+        'dd9cff47f4b575872075a6e3dd649e87f981d392bb03bab486ed70d838c98459',
+    ('atlas', 4):
+        '0ff842085fc799291afe2a2bb80824ca89d648f8eebb16221fbd59809ceedc28',
+    ('atlas', 5):
+        '87cf8530374596f7c6fc3f894c7c7c9ac846507366dd12e3dd44097d4689f54d',
+    ('atlas', 6):
+        'a6ce4bed75ffb9e20d7e7378d13c9503382522cd28ec3a60a6631d79552bb3f7',
+    ('atlas', 7):
+        '2adc2d0b6e1ebc3a40438c70133c055ba3a7899596025b32b3936a007f83cfac',
+    ('atlas', 8):
+        '54869e5efea614751ea637e0ae259061e3a38244ca9e6233d330233e3ad81c17',
+    ('atlas', 9):
+        'a2e1f7cff763bf970ef1a431066c1c24e13db3182cca588a77d5db039627e27f',
+}
+
 SAMPLERS = {sampler.__name__: sampler
             for sampler in (random_configuration, random_valid_configuration)}
 
@@ -115,3 +162,24 @@ def test_sampler_draws_match_golden_digest(sampler, n):
     for seed in range(10):
         digest.update(SAMPLERS[sampler](CubeSpec(n), seed).stickers.encode())
     assert digest.hexdigest() == SAMPLER_GOLDEN[(sampler, n)]
+
+
+def _geometry_rows(kind, n):
+    spec = CubeSpec(n)
+    if kind == 'permutations':
+        return [sticker_permutation(spec, move)
+                for move in legal_slab_moves(spec, True, (1, 2, 3))]
+    atlas = build_atlas(spec)
+    orbits = [(orbit.family, orbit.key,
+               [slot.positions for slot in orbit.slots],
+               [slot.colors for slot in orbit.slots])
+              for orbit in atlas.orbits]
+    return [(orbits, atlas.fixed_centers)]
+
+
+@pytest.mark.parametrize('kind, n', sorted(GEOMETRY_GOLDEN))
+def test_geometry_matches_golden_digest(kind, n):
+    digest = hashlib.sha256()
+    for row in _geometry_rows(kind, n):
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == GEOMETRY_GOLDEN[(kind, n)]
