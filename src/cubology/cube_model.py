@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 
 FACES = ('U', 'L', 'F', 'R', 'B', 'D')
@@ -271,19 +272,37 @@ def legal_slab_moves(spec, include_central=False, quarter_turns=(1,)):
     return moves
 
 
-def apply_move(state, move):
-    perm = sticker_permutation(state.spec, move)
-    old = state.stickers
-    new = [''] * len(old)
+def _gather(perm):
+    '''itemgetter reading a sticker sequence in the order the destination
+    map perm leaves it: _gather(perm)(s)[perm[i]] == s[i].'''
+    source = [0] * len(perm)
     for src, dst in enumerate(perm):
-        new[dst] = old[src]
-    return CubeState(state.n, ''.join(new))
+        source[dst] = src
+    return operator.itemgetter(*source)
+
+
+@functools.lru_cache(maxsize=None)
+def _move_gather(n, face, depth, quarter_turns):
+    return _gather(_move_permutation(n, face, depth, quarter_turns))
+
+
+def _carry(spec, items, sequence):
+    '''items, one per sticker index, in the order the sequence leaves
+    them.'''
+    for move in sequence:
+        move.require_legal(spec)
+        items = _move_gather(
+            spec.n, move.face, move.depth, move.quarter_turns)(items)
+    return items
+
+
+def apply_move(state, move):
+    return apply_sequence(state, (move,))
 
 
 def apply_sequence(state, sequence):
-    for move in sequence:
-        state = apply_move(state, move)
-    return state
+    stickers = _carry(state.spec, state.stickers, sequence)
+    return CubeState(state.n, ''.join(stickers))
 
 
 def invert_sequence(sequence):
@@ -292,11 +311,10 @@ def invert_sequence(sequence):
 
 def sequence_permutation(spec, sequence):
     '''Destination map of a whole sequence, composed left to right.'''
-    total = list(range(spec.sticker_count))
-    for move in sequence:
-        perm = sticker_permutation(spec, move)
-        total = [perm[t] for t in total]
-    return tuple(total)
+    # Carrying the labels 0..N-1 leaves at each index the label of the
+    # sticker that ends there, the source map; gathering by it inverts it.
+    labels = range(spec.sticker_count)
+    return _gather(_carry(spec, labels, sequence))(labels)
 
 
 # --- parsing and formatting ------------------------------------------------

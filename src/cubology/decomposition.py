@@ -698,11 +698,18 @@ def decompose(state, atlas=None):
                     atlas, config.corner_perm, config.coupled_perms)
             config.set_orbit_fields(orbit, _assign_centers(
                 stickers, atlas, orbit, required[orbit.key]))
-        elif orbit.family == 'coupled':
-            config.set_orbit_fields(orbit, *_read_wings(stickers, orbit))
         else:
-            config.set_orbit_fields(orbit, *_read_cubies(stickers, orbit))
+            config.set_orbit_fields(orbit, *read_orbit(stickers, orbit))
     return config
+
+
+def read_orbit(stickers, orbit):
+    '''Permutation and orientation vector of one corner, single-edge or
+    wing orbit, read from the sticker string alone; decompose's fields
+    for that orbit.'''
+    if orbit.family == 'coupled':
+        return _read_wings(stickers, orbit)
+    return _read_cubies(stickers, orbit)
 
 
 def _read_cubies(stickers, orbit):

@@ -20,8 +20,8 @@ relabeling is harmless on corners and single edges.
 from dataclasses import dataclass
 
 from .cube_model import (
-    CubeState,
     MoveSequence,
+    apply_sequence,
     invert_sequence,
     parse_move_sequence,
     sequence_permutation,
@@ -125,10 +125,9 @@ def _check_three_cycle(atlas, perm, moved, descriptor, checks):
                    if stray else 'no sticker outside the cycled slots moves'))
 
 
-def _check_orientation_pair(atlas, perm, moved, descriptor, checks):
+def _check_orientation_pair(atlas, perm, moved, after, descriptor, checks):
     orbit = atlas.orbit(descriptor.family)
-    slot_perm, orientation = decompose(
-        _state_after(atlas, perm), atlas).orbit_fields(orbit)
+    slot_perm, orientation = decompose(after, atlas).orbit_fields(orbit)
     perm_id = slot_perm == tuple(range(len(slot_perm)))
     touched = {s: v for s, v in enumerate(orientation) if v}
     # Two slots whose orientations cancel: +1 and -1 twists, or two flips.
@@ -144,7 +143,7 @@ def _check_orientation_pair(atlas, perm, moved, descriptor, checks):
                    if stray else 'no sticker outside the pair moves'))
 
 
-def _check_odd_permutation(atlas, perm, moved, descriptor, checks):
+def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
     frozen = {p for slot in atlas.corners + (atlas.single_edges or ())
               for p in slot.positions}
     stray = sorted(moved & frozen)
@@ -159,24 +158,11 @@ def _check_odd_permutation(atlas, perm, moved, descriptor, checks):
     sign = permutation_sign(action)
     checks.append(('odd permutation on the orbit', sign == -1,
                    'sign %+d' % sign))
-    config = decompose(_state_after(atlas, perm), atlas)
+    config = decompose(after, atlas)
     report = check_validity(config, atlas)
     checks.append(('state stays solvable', report.valid,
                    'first law holds' if report.valid
                    else str(report.failing())))
-
-
-def _inverse(perm):
-    out = [0] * len(perm)
-    for src, dst in enumerate(perm):
-        out[dst] = src
-    return out
-
-
-def _state_after(atlas, perm):
-    base = solved_state(atlas.spec).stickers
-    inv = _inverse(perm)
-    return CubeState(atlas.spec.n, ''.join(base[i] for i in inv))
 
 
 def verify_cycle_structure(spec, sequence, descriptor):
@@ -188,13 +174,14 @@ def verify_cycle_structure(spec, sequence, descriptor):
     atlas = build_atlas(spec)
     perm = sequence_permutation(spec, sequence)
     moved = frozenset(p for p, q in enumerate(perm) if q != p)
+    after = apply_sequence(solved_state(spec), sequence)
     checks = []
     if descriptor.kind == 'three_cycle':
         _check_three_cycle(atlas, perm, moved, descriptor, checks)
     elif descriptor.kind in ('twist_pair', 'flip_pair'):
-        _check_orientation_pair(atlas, perm, moved, descriptor, checks)
+        _check_orientation_pair(atlas, perm, moved, after, descriptor, checks)
     elif descriptor.kind == 'odd_permutation':
-        _check_odd_permutation(atlas, perm, moved, descriptor, checks)
+        _check_odd_permutation(atlas, perm, moved, after, descriptor, checks)
     else:
         raise ValueError('unknown effect kind %r' % (descriptor.kind,))
     return EffectReport(ok=all(c[1] for c in checks), checks=tuple(checks))

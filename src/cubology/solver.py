@@ -28,7 +28,12 @@ breadth-first pass over single slab moves records, for every slot, a
 word carrying it onto the first base slot, then one onto the second
 while the first stays put, and so on. Any requested slot tuple is then
 reached by chaining one word per level, so the pass runs once per cube
-size and later solves pay only dictionary lookups.
+size and later solves pay only dictionary lookups. Each pass scores
+every wanted tuple by the summed length of its chained words, following
+only where the earlier words send the tuple's remaining slots, and
+realizes just the first shortest one. Targets are read from the worked
+orbit's stickers alone; the full decomposition runs only for the stage
+postconditions.
 '''
 
 import functools
@@ -52,6 +57,7 @@ from .decomposition import (
     decompose,
     identity_tuple,
     permutation_sign,
+    read_orbit,
 )
 from .move_library import (
     center_three_cycle,
@@ -164,25 +170,27 @@ class _SetupChain:
 
     def find(self, wanted):
         '''Shortest chained word carrying one of the wanted preimage
-        tuples onto the bases.'''
-        best = None
+        tuples onto the bases. Every key is scored by the summed length
+        of its chain pieces, and only the winner, the first key of least
+        length, is realized as a word.'''
+        best = best_length = None
         for key in wanted:
-            word = self._realize(key)
-            if best is None or len(word) < len(best[1]):
-                best = (key, word)
+            length = sum(map(len, self._pieces(key)))
+            if best is None or length < best_length:
+                best, best_length = key, length
         if best is None:
             raise AssertionError('a cycle was requested with no targets')
-        return best[0], MoveSequence(best[1])
+        return best, MoveSequence(sum(self._pieces(best), ()))
 
-    def _realize(self, key):
-        word = ()
-        action = self.identity
-        for depth, slot in enumerate(key):
-            piece, step_action = self.levels[depth][action[slot]]
-            word += piece
-            action = action.translate(
-                step_action + bytes(range(len(action), 256)))
-        return word
+    def _pieces(self, key):
+        '''The chain words carrying key onto the bases, one per level:
+        each moves the key's next slot, from where the earlier words left
+        it, onto its base. Only the images of the key's remaining slots
+        are tracked.'''
+        for level in self.levels:
+            piece, action = level[key[0]]
+            yield piece
+            key = [action[slot] for slot in key[1:]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,18 +219,15 @@ def _orientation_bases(spec, atlas, core, orbit):
 
 def _run_sign_alignment(spec, atlas, state):
     parts = []
-    config = decompose(state, atlas)
-    if permutation_sign(config.corner_perm) == -1:
-        move = Move('F', 1, 1)
-        state = apply_move(state, move)
-        parts.append(move)
-        config = decompose(state, atlas)
-    for i in atlas.coupled_orbit_indices:
-        if permutation_sign(config.coupled_perms[i]) == -1:
-            move = Move('R', i, 1)
+    for orbit in atlas.orbits:
+        if orbit.family not in ('corner', 'coupled'):
+            continue
+        perm, _ = read_orbit(state.stickers, orbit)
+        if permutation_sign(perm) == -1:
+            move = Move('F', 1, 1) if orbit.key is None \
+                else Move('R', orbit.key, 1)
             state = apply_move(state, move)
             parts.append(move)
-            config = decompose(state, atlas)
     return MoveSequence(tuple(parts)), state
 
 
@@ -256,7 +261,7 @@ def _cycle_targets(s, h, t_choices):
 
 
 def _perm_targets(atlas, orbit, state):
-    perm, _ = decompose(state, atlas).orbit_fields(orbit)
+    perm, _ = read_orbit(state.stickers, orbit)
     support = [s for s, image in enumerate(perm) if image != s]
     if not support:
         return None
@@ -295,7 +300,7 @@ def _orientation_targets(atlas, orbit, state):
     -1, so a's twist of +1 is undone by (b, a) forward or (a, b)
     inverted, and a twist of -1 the other way round. The flip core
     flips both slots and always runs forward.'''
-    _, values = decompose(state, atlas).orbit_fields(orbit)
+    _, values = read_orbit(state.stickers, orbit)
     nonzero = [s for s, v in enumerate(values) if v]
     if not nonzero:
         return None

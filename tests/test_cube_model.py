@@ -24,6 +24,7 @@ from cubology.cube_model import (
     sticker_index,
     sticker_permutation,
 )
+from cubology.cubology_law import random_configuration
 
 R_TURN_ON_THREE = 'WWGWWGWWGOOOOOOOOOGGYGGYGGYRRRRRRRRRWBBWBBWBBYYBYYBYYB'
 
@@ -75,6 +76,32 @@ def test_apply_move_is_destination_map():
     moved = apply_move(state, move)
     for i, target in enumerate(perm):
         assert moved.stickers[target] == state.stickers[i]
+
+
+@pytest.mark.parametrize('n', range(2, 8))
+def test_apply_move_follows_sticker_permutation_for_every_move(n):
+    spec = CubeSpec(n)
+    # a reassembled state, and one whose stickers are all distinct so
+    # that no two positions can be confused
+    states = (random_configuration(spec, n),
+              CubeState(n, ''.join(chr(0x100 + i)
+                                   for i in range(spec.sticker_count))))
+    for move in legal_slab_moves(spec, True, (1, 2, 3)):
+        perm = sticker_permutation(spec, move)
+        for state in states:
+            moved = apply_move(state, move).stickers
+            assert all(moved[perm[i]] == ch
+                       for i, ch in enumerate(state.stickers)), move
+
+
+def test_apply_move_rejects_a_slab_the_cube_lacks():
+    spec = CubeSpec(4)
+    with pytest.raises(IllegalDepth):
+        apply_move(solved_state(spec), Move('U', 3))
+    with pytest.raises(IllegalDepth):
+        apply_sequence(solved_state(spec), (Move('R'), Move('U', 3)))
+    with pytest.raises(IllegalDepth):
+        sequence_permutation(spec, (Move('U', 3),))
 
 
 def test_sequence_permutation_composes_left_to_right():

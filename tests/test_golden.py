@@ -1,8 +1,9 @@
 """Golden outputs: `decompose --json` and `solve --json` stay byte-identical.
 
 The digests were recorded from the CLI before the orbit table replaced the
-per-family dispatch (n=2..7), and before the solver's stage runners became
-one loop (n=8, 9). They pin the canonical choices of decompose (wing
+per-family dispatch (n=2..7), before the solver's stage runners became
+one loop (n=8, 9), and before the solve loop gathered stickers through one
+cached itemgetter and scored setup keys by length (n=12, 16). They pin the canonical choices of decompose (wing
 twins, the centre sign swap) and the solver's setup-chain search order,
 so any change to either shows up here.
 
@@ -67,6 +68,10 @@ GOLDEN = {
         'c587901341092b469546bbd954e43b21c671a1e6628b9fecd2f20e88700c2cf6',
     (9, 'solve'):
         'fbafc74ff0846202bc2a7c4d82779415eb2a184f197ec7e4e0903f2df949e18a',
+    (12, 'solve'):
+        'ea100fc76f0642b33c54bdd7d8145c3cc91f39a2273ab0fd286b0b0783bf0f1f',
+    (16, 'solve'):
+        'ba59fa94b18ab0d591ab4dac4f27368e599c7c7b94654d2c6e5c90aaa2a059e5',
 }
 
 # sha256 of the stickers of seeds 0..9, concatenated, per sampler and size.

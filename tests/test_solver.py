@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -19,18 +20,21 @@ from cubology.cube_model import (
     apply_sequence,
     legal_slab_moves,
     parse_move_sequence,
+    sequence_permutation,
     solved_state,
     state_to_json_dict,
 )
 from cubology.cubology_law import random_valid_configuration
-from cubology.decomposition import compose, decompose
+from cubology.decomposition import build_atlas, compose, decompose
 from cubology.solver import (
     NotSolvable,
     StageOrderViolation,
+    _setup_search,
     peephole,
     solve,
     solve_stage,
     stage_names,
+    stage_plan,
 )
 
 STAGE_NAMES = {
@@ -170,6 +174,46 @@ def test_warm_solve_builds_no_named_words(monkeypatch):
                         lambda *args: built.append(args[0]) or named(*args))
     solve(random_valid_configuration(spec, 2))
     assert built == []
+
+
+def _find_by_full_realization(chain, wanted):
+    '''Realize every wanted key in full, composing whole slot actions
+    level by level, and keep the first of least length.'''
+    best = None
+    for key in wanted:
+        word = ()
+        action = list(range(len(chain.levels[0])))
+        for depth, slot in enumerate(key):
+            piece, step = chain.levels[depth][action[slot]]
+            word += piece
+            action = [step[a] for a in action]
+        if best is None or len(word) < len(best[1]):
+            best = (key, word)
+    return best[0], MoveSequence(best[1])
+
+
+@pytest.mark.parametrize('n', range(4, 8))
+def test_setup_choice_matches_full_realization(n):
+    spec = CubeSpec(n)
+    atlas = build_atlas(spec)
+    orbit_stages = [stage.run.keywords for stage in stage_plan(spec)
+                    if hasattr(stage.run, 'keywords')]
+    assert len(orbit_stages) == len(stage_plan(spec)) - 1
+    for args in orbit_stages:
+        orbit, bases = args['orbit'], args['bases']
+        chain = _setup_search(spec, atlas, orbit, bases)
+        for seed in range(4):
+            rng = random.Random(seed)
+            wanted = {}
+            for _ in range(rng.randint(1, 64)):
+                key = tuple(rng.sample(range(len(orbit.slots)), len(bases)))
+                wanted.setdefault(key, rng.random() < 0.5)
+            found = chain.find(wanted)
+            assert found == _find_by_full_realization(chain, wanted)
+            key, word = found
+            action = atlas.slot_action(sequence_permutation(spec, word),
+                                       orbit.family, orbit.key)
+            assert tuple(action[slot] for slot in key) == bases
 
 
 @st.composite
