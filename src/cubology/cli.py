@@ -41,7 +41,7 @@ from .cube_model import (
 from .cubology_law import check_validity
 from .decomposition import build_atlas, decompose
 from .group_oracle import generators, schreier_sims_order
-from .move_library import all_named_moves, verify_cycle_structure
+from .move_library import all_named_moves
 from .solver import solve
 
 
@@ -239,24 +239,21 @@ def _cmd_bound(args):
 
 def _cmd_verify_moves(args):
     spec = _require_n(args)
-    rows = []
-    for named in all_named_moves(spec):
-        report = verify_cycle_structure(spec, named.sequence,
-                                        named.expected_effect)
-        rows.append((named, report.ok))
+    moves = all_named_moves(spec)
+    all_ok = all(named.report.ok for named in moves)
     if args.json:
         _emit({'schema': _schema('verify-moves'), 'n': spec.n,
                'moves': [{'name': named.name,
                           'descriptor': named.expected_effect.describe(),
-                          'ok': ok}
-                         for named, ok in rows],
-               'all_ok': all(ok for _named, ok in rows)})
+                          'ok': named.report.ok}
+                         for named in moves],
+               'all_ok': all_ok})
     else:
-        for named, ok in rows:
+        for named in moves:
             print('%-26s n=%d  %-40s %s'
                   % (named.name, spec.n, named.expected_effect.describe(),
-                     'pass' if ok else 'FAIL'))
-    return 0 if all(ok for _named, ok in rows) else 1
+                     'pass' if named.report.ok else 'FAIL'))
+    return 0 if all_ok else 1
 
 
 def _cmd_render(args):

@@ -29,7 +29,6 @@ expansion. Groups nest.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import dataclass
 
@@ -513,10 +512,3 @@ def state_from_json_dict(data):
         raise ValueError(f'unknown colour letters {bad} in state document')
     return CubeState(n, raw)
 
-
-def state_to_json(state):
-    return json.dumps(state_to_json_dict(state))
-
-
-def state_from_json(text):
-    return state_from_json_dict(json.loads(text))

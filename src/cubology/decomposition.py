@@ -72,6 +72,12 @@ FAMILY_WORDS = {
 }
 
 
+def orbit_name(family, key=None):
+    '''How reports name an orbit: its family in words, then its key.'''
+    word = FAMILY_WORDS[family]
+    return word if key is None else '%s %s' % (word, key)
+
+
 class NotAConfiguration(ValueError):
     '''The sticker state is not any reassembly of the cube's pieces.'''
 
@@ -165,8 +171,7 @@ class Orbit:
 
     @property
     def name(self):
-        word = FAMILY_WORDS[self.family]
-        return word if self.key is None else '%s %s' % (word, self.key)
+        return orbit_name(self.family, self.key)
 
     @functools.cached_property
     def readings(self):
@@ -552,31 +557,6 @@ class ConfigTuple:
                 '%d,%d' % label: list(perm)
                 for label, perm in sorted(self.center_edge_perms.items())},
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        def as_tuple(value):
-            return None if value is None else tuple(int(v) for v in value)
-
-        return cls(
-            n=int(data['n']),
-            corner_perm=as_tuple(data['corner_perm']),
-            corner_twists=as_tuple(data['corner_twists']),
-            single_edge_perm=as_tuple(data['single_edge_perm']),
-            single_edge_flips=as_tuple(data['single_edge_flips']),
-            coupled_perms={
-                int(i): as_tuple(perm)
-                for i, perm in data['coupled_perms'].items()},
-            coupled_orientations={
-                int(i): as_tuple(bits)
-                for i, bits in data['coupled_orientations'].items()},
-            center_corner_perms={
-                int(i): as_tuple(perm)
-                for i, perm in data['center_corner_perms'].items()},
-            center_edge_perms={
-                tuple(int(part) for part in label.split(',')): as_tuple(perm)
-                for label, perm in data['center_edge_perms'].items()},
-        )
 
 
 def identity_tuple(spec):

@@ -109,7 +109,9 @@ def _sift(perm, levels):
         image = int(g[level.point])
         if image not in level.transversal:
             return g, k
-        g = level.inverses[image][g]
+        if image != level.point:
+            # The base point's own representative is the identity.
+            g = level.inverses[image][g]
     return g, len(levels)
 
 

@@ -3,8 +3,10 @@
 Each builder returns a NamedMove: a word in the slice-move grammar plus a
 descriptor of what it is supposed to do (one orbit touched, a stated cycle
 type there, identity everywhere else). The descriptor is re-verified on
-construction for the requested cube size, so holding a NamedMove is holding
-a checked fact about that cube.
+construction for the requested cube size and the NamedMove keeps the
+report that verified it, so holding a NamedMove is holding a checked fact
+about that cube. The report names the slots the effect acts on, and the
+solver reads its base slots from there.
 
 Cycle verification runs on the raw sticker permutation of the word rather
 than on the canonical ConfigTuple. Centre orbits carry four stickers of
@@ -29,9 +31,9 @@ from .cube_model import (
 )
 from .cubology_law import check_validity
 from .decomposition import (
-    FAMILY_WORDS,
     build_atlas,
     decompose,
+    orbit_name,
     permutation_sign,
 )
 
@@ -67,9 +69,6 @@ class EffectDescriptor:
     key: object = None
 
     def describe(self):
-        where = FAMILY_WORDS[self.family]
-        if self.key is not None:
-            where = '%s %s' % (where, self.key)
         wording = {
             'three_cycle': '3-cycle on %s, rest id',
             'twist_pair': 'twist pair on %s, permutations id',
@@ -77,15 +76,19 @@ class EffectDescriptor:
             'odd_permutation':
                 'odd permutation on %s, corners and single edges fixed',
         }[self.kind]
-        return wording % where
+        return wording % orbit_name(self.family, self.key)
 
 
 @dataclass(frozen=True)
 class EffectReport:
-    '''Outcome of checking a word against a descriptor.'''
+    '''Outcome of checking a word against a descriptor. slots are the
+    slots the effect acts on: (b0, b1, b2) with b0 -> b1 -> b2 from the
+    lowest moved slot for a 3-cycle, the pair sorted by (orientation
+    value, slot) for a twist or flip pair, () otherwise.'''
 
     ok: bool
     checks: tuple
+    slots: tuple
 
     def failing(self):
         return tuple(c for c in self.checks if not c[1])
@@ -93,13 +96,22 @@ class EffectReport:
 
 @dataclass(frozen=True)
 class NamedMove:
-    '''A verified word: name, builder parameters, sequence, effect.'''
+    '''A verified word: its name, its sequence, the effect it promises
+    and the report that verified that effect on construction.'''
 
     name: str
-    n: int
-    params: tuple
     sequence: MoveSequence
     expected_effect: EffectDescriptor
+    report: EffectReport
+
+
+def _rest_id(orbit, slots, moved, where, checks):
+    '''No sticker may move outside the given slots of the orbit.'''
+    allowed = {p for s in slots for p in orbit.slots[s].positions}
+    stray = sorted(moved - allowed)
+    checks.append(('rest id', not stray,
+                   'stickers outside the %s move: %s' % (where, stray[:8])
+                   if stray else 'no sticker outside the %s moves' % where))
 
 
 def _check_three_cycle(atlas, perm, moved, descriptor, checks):
@@ -108,21 +120,18 @@ def _check_three_cycle(atlas, perm, moved, descriptor, checks):
         action = atlas.slot_action(perm, descriptor.family, descriptor.key)
     except (ValueError, KeyError) as exc:
         checks.append(('orbit action', False, str(exc)))
-        return
+        return ()
     cycled = [s for s, t in enumerate(action) if t != s]
     if len(cycled) != 3:
         checks.append(('single 3-cycle', False,
                        '%d slots move: %s' % (len(cycled), cycled)))
-        return
+        return ()
     a = cycled[0]
-    closed = action[action[action[a]]] == a
-    checks.append(('single 3-cycle', closed,
-                   'slots (%d %d %d)' % (a, action[a], action[action[a]])))
-    allowed = {p for s in cycled for p in orbit.slots[s].positions}
-    stray = sorted(moved - allowed)
-    checks.append(('rest id', not stray,
-                   'stickers outside the cycled slots move: %s' % stray[:8]
-                   if stray else 'no sticker outside the cycled slots moves'))
+    slots = (a, action[a], action[action[a]])
+    checks.append(('single 3-cycle', action[slots[2]] == a,
+                   'slots (%d %d %d)' % slots))
+    _rest_id(orbit, cycled, moved, 'cycled slots', checks)
+    return slots
 
 
 def _check_orientation_pair(atlas, perm, moved, after, descriptor, checks):
@@ -136,11 +145,8 @@ def _check_orientation_pair(atlas, perm, moved, after, descriptor, checks):
              else 'two flips')
     checks.append(('family permutation id', perm_id, 'perm fixed'))
     checks.append((label, good, 'slots %s' % sorted(touched)))
-    allowed = {p for s in touched for p in orbit.slots[s].positions}
-    stray = sorted(moved - allowed)
-    checks.append(('rest id', not stray,
-                   'stickers outside the pair move: %s' % stray[:8]
-                   if stray else 'no sticker outside the pair moves'))
+    _rest_id(orbit, touched, moved, 'pair', checks)
+    return tuple(sorted(touched, key=lambda s: (touched[s], s)))
 
 
 def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
@@ -154,7 +160,7 @@ def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
         action = atlas.slot_action(perm, 'coupled', descriptor.key)
     except (ValueError, KeyError) as exc:
         checks.append(('orbit action', False, str(exc)))
-        return
+        return ()
     sign = permutation_sign(action)
     checks.append(('odd permutation on the orbit', sign == -1,
                    'sign %+d' % sign))
@@ -163,13 +169,15 @@ def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
     checks.append(('state stays solvable', report.valid,
                    'first law holds' if report.valid
                    else str(report.failing())))
+    return ()
 
 
 def verify_cycle_structure(spec, sequence, descriptor):
     '''Check a word against a descriptor, returning an EffectReport.
 
     The report carries one (label, passed, detail) triple per check, so
-    a failure names the actual observed effect.
+    a failure names the actual observed effect, and the slots the effect
+    acts on.
     '''
     atlas = build_atlas(spec)
     perm = sequence_permutation(spec, sequence)
@@ -177,30 +185,33 @@ def verify_cycle_structure(spec, sequence, descriptor):
     after = apply_sequence(solved_state(spec), sequence)
     checks = []
     if descriptor.kind == 'three_cycle':
-        _check_three_cycle(atlas, perm, moved, descriptor, checks)
+        slots = _check_three_cycle(atlas, perm, moved, descriptor, checks)
     elif descriptor.kind in ('twist_pair', 'flip_pair'):
-        _check_orientation_pair(atlas, perm, moved, after, descriptor, checks)
+        slots = _check_orientation_pair(
+            atlas, perm, moved, after, descriptor, checks)
     elif descriptor.kind == 'odd_permutation':
-        _check_odd_permutation(atlas, perm, moved, after, descriptor, checks)
+        slots = _check_odd_permutation(
+            atlas, perm, moved, after, descriptor, checks)
     else:
         raise ValueError('unknown effect kind %r' % (descriptor.kind,))
-    return EffectReport(ok=all(c[1] for c in checks), checks=tuple(checks))
+    return EffectReport(ok=all(c[1] for c in checks), checks=tuple(checks),
+                        slots=slots)
 
 
-def _named(name, spec, params, text, descriptor):
+def _named(name, spec, text, descriptor):
     sequence = parse_move_sequence(text, spec)
     report = verify_cycle_structure(spec, sequence, descriptor)
     if not report.ok:
         raise AssertionError(
             'word for %s fails its contract on n=%d: %s'
             % (name, spec.n, report.failing()))
-    return NamedMove(name, spec.n, params, sequence, descriptor)
+    return NamedMove(name, sequence, descriptor, report)
 
 
 def corner_three_cycle(spec):
     '''[[R:U],D]: 3-cycle on corners, identity elsewhere apart from the
     cycled corners' twists. Works on every cube size.'''
-    return _named('corner_three_cycle', spec, (), "[[R:U],D]",
+    return _named('corner_three_cycle', spec, "[[R:U],D]",
                   EffectDescriptor('three_cycle', 'corner'))
 
 
@@ -209,7 +220,7 @@ def single_edge_three_cycle(spec):
     only, since even cubes have no single-edge family.'''
     if spec.n % 2 == 0:
         raise EvenCube('a %d-cube has no single edges' % spec.n)
-    return _named('single_edge_three_cycle', spec, (), "[F,[R:S]]",
+    return _named('single_edge_three_cycle', spec, "[F,[R:S]]",
                   EffectDescriptor('three_cycle', 'single'))
 
 
@@ -235,7 +246,7 @@ def center_three_cycle(spec, i, j):
         descriptor = EffectDescriptor('three_cycle', 'center_corner', i)
     else:
         descriptor = EffectDescriptor('three_cycle', 'center_edge', (i, j))
-    return _named('center_three_cycle', spec, (i, j), text, descriptor)
+    return _named('center_three_cycle', spec, text, descriptor)
 
 
 def coupled_edge_three_cycle(spec, i):
@@ -245,8 +256,7 @@ def coupled_edge_three_cycle(spec, i):
         raise IndexOutOfRange(
             'orbit index %d is outside 2..%d on a %d-cube'
             % (i, half, spec.n))
-    return _named('coupled_edge_three_cycle', spec, (i,),
-                  "[[F',U],%dD]" % i,
+    return _named('coupled_edge_three_cycle', spec, "[[F',U],%dD]" % i,
                   EffectDescriptor('three_cycle', 'coupled', i))
 
 
@@ -268,7 +278,7 @@ def coupled_edge_parity_move(spec, i):
             % (i, half, spec.n))
     prefix = 'R2 ' + ' '.join('%dR2' % d for d in range(2, i + 1)) + ' B2'
     core = "U2 %dL U2 %dR' U2 %dR U2 F2 %dR F2 %dL'" % (i, i, i, i, i)
-    return _named('coupled_edge_parity_move', spec, (i,),
+    return _named('coupled_edge_parity_move', spec,
                   '[%s:%s]' % (prefix, core),
                   EffectDescriptor('odd_permutation', 'coupled', i))
 
@@ -276,7 +286,7 @@ def coupled_edge_parity_move(spec, i):
 def corner_twist_pair(spec):
     '''[[F,L']2,U]: every permutation identity, two corners twisted by
     +1 and -1. Works on every cube size.'''
-    return _named('corner_twist_pair', spec, (), "[[F,L']2,U]",
+    return _named('corner_twist_pair', spec, "[[F,L']2,U]",
                   EffectDescriptor('twist_pair', 'corner'))
 
 
@@ -285,7 +295,7 @@ def single_edge_flip_pair(spec):
     Odd cubes only.'''
     if spec.n % 2 == 0:
         raise EvenCube('a %d-cube has no single edges' % spec.n)
-    return _named('single_edge_flip_pair', spec, (), "[FEF2E2F,U]",
+    return _named('single_edge_flip_pair', spec, "[FEF2E2F,U]",
                   EffectDescriptor('flip_pair', 'single'))
 
 

@@ -12,7 +12,9 @@ setup carrying one of them onto the core's base slots; and applies the
 core conjugated by that setup. The loop ends when no targets remain.
 Core words move no sticker outside their own orbit, which is why later
 stages never disturb the families fixed earlier. stage_plan() builds
-and verifies each core word once per cube size.
+and verifies each core word once per cube size, and takes the core's
+base slots, the slots it moves or reorients, from the report that
+verified it.
 
 Placement picks its 3-cycles lowest index first: the unplaced piece
 with the smallest home is cycled home through a third, still-unplaced
@@ -47,7 +49,6 @@ from .cube_model import (
     apply_sequence,
     invert_sequence,
     legal_slab_moves,
-    sequence_permutation,
     solved_state,
     sticker_permutation,
 )
@@ -198,25 +199,6 @@ def _setup_search(spec, atlas, orbit, bases):
     return _SetupChain(spec, atlas, orbit, bases)
 
 
-def _cycle_bases(spec, atlas, core, orbit):
-    '''The slots a 3-cycle core moves, b0 -> b1 -> b2 from its lowest.'''
-    action = atlas.slot_action(
-        sequence_permutation(spec, core.sequence), orbit.family, orbit.key)
-    moved = [s for s, image in enumerate(action) if image != s]
-    b0 = min(moved)
-    return (b0, action[b0], action[action[b0]])
-
-
-def _orientation_bases(spec, atlas, core, orbit):
-    '''The two slots the core reorients, ordered by orientation value
-    (the +1 twist first), then by slot.'''
-    _, orientation = decompose(
-        apply_sequence(solved_state(spec), core.sequence),
-        atlas).orbit_fields(orbit)
-    return tuple(sorted((s for s, v in enumerate(orientation) if v),
-                        key=lambda s: (orientation[s], s)))
-
-
 def _run_sign_alignment(spec, atlas, state):
     parts = []
     for orbit in atlas.orbits:
@@ -356,8 +338,6 @@ def stage_plan(spec):
             if orbit.family != family:
                 continue
             core = word(spec, orbit.key)
-            bases = (_orientation_bases if field else _cycle_bases)(
-                spec, atlas, core, orbit)
             stages.append(Stage(
                 name if orbit.key is None else name % orbit.key,
                 lambda c, o=orbit, f=field,
@@ -365,7 +345,7 @@ def stage_plan(spec):
                     c.orbit_fields(o)[f] == ident,
                 functools.partial(
                     _run_orbit, spec, atlas, orbit=orbit, core=core,
-                    bases=bases,
+                    bases=core.report.slots,
                     targets=functools.partial(targets, atlas, orbit))))
     return tuple(stages)
 

@@ -1,7 +1,5 @@
 """Configuration tuple tests: marking scheme, decompose/compose round trips."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,14 +135,6 @@ def test_perm_convention_sends_home_to_current_slot():
     assert config.corner_perm[3] == 5
     assert config.corner_perm[5] == 4
     assert config.corner_perm[4] == 2
-
-
-def test_config_json_round_trip():
-    for n in (3, 4, 5):
-        spec = CubeSpec(n)
-        config = decompose(scrambled(spec, "R 2U' F2" if n > 3 else "R U' F2"))
-        data = json.loads(json.dumps(config.to_json_dict()))
-        assert ConfigTuple.from_json_dict(data) == config
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,12 @@ The geometry digests pin every slab move's sticker permutation, central
 slabs included, and every orbit atlas (slot positions and colours per
 orbit, plus the fixed face centres). They were recorded before the
 sticker geometry became one rotation rule.
+
+The verify-moves digests pin the text and JSON reports of every named
+word, and the oracle digests pin the chain build_bsgs produces (base,
+orbit sizes and strong generators) for the quarter-turn generators. Both
+were recorded before the named words began carrying their verification
+report and before the sift skipped identity transversal steps.
 """
 
 import contextlib
@@ -34,6 +40,7 @@ from cubology.cubology_law import (
     random_valid_configuration,
 )
 from cubology.decomposition import build_atlas
+from cubology.group_oracle import build_bsgs, generators
 
 GOLDEN = {
     (2, 'decompose'):
@@ -147,6 +154,43 @@ GEOMETRY_GOLDEN = {
         'a2e1f7cff763bf970ef1a431066c1c24e13db3182cca588a77d5db039627e27f',
 }
 
+# sha256 of `verify-moves --n N`, plain text and --json, per size.
+VERIFY_MOVES_GOLDEN = {
+    ('json', 2):
+        '96250a134a41bd05518abf37cb6101fb6b514f32e656f7591140a32381d54187',
+    ('json', 3):
+        'a4785746ca90978d213366c038c95bc924ef2af828da3b733957c331496894dd',
+    ('json', 4):
+        'b8fbacb34ddd07809cc3ad4e99a672b6540fc42d8e33e83a09d1c0f3dc6253c8',
+    ('json', 5):
+        '24fa7ef52a4a5704e33b41dc27cc6851fb3cc4efaa8b4d4e45a8dfd5c27fbda2',
+    ('json', 6):
+        'f170ca783f0e27bd15ae10005c2bd0080c000182127af0f3765a3320f270b787',
+    ('json', 7):
+        '2b24f120acbfa8ae5008e424d17545d949774f9d847b5d370d2f4cf9a0348b8a',
+    ('text', 2):
+        'dfd6cae0b413c8ccd2c5f981e468ec5d2145161287bc9c68b4eace6deb3e9297',
+    ('text', 3):
+        'a7941133e9ff6071f5680d98cc7402e2aa4ae440134c48a9127988412e965df7',
+    ('text', 4):
+        'cfff209a3ff002d0621d49306061c5457c7ec5c49609f918eb127a1c8bf0cdfb',
+    ('text', 5):
+        'f4c8323d4532a5d3a5648cabfbd434b7c4f9e901494641c33bf6ddd82bfa6e3c',
+    ('text', 6):
+        'fd61ef006bb2190bfa12d1d930a2308023b25916187cc1381bcf67cb7bbdc33c',
+    ('text', 7):
+        '335cea50b2e43305eaba95cb4492b1f21da87517ba903ae08322859191c024d3',
+}
+
+# sha256 of repr((base, orbit_sizes, strong_generators)) of the chain
+# build_bsgs grows from the quarter-turn generators, per size.
+BSGS_GOLDEN = {
+    2: '96e0357db78a27d19511bd26d561d78b4727ce682998f2ac20adb86717f3f7ea',
+    3: '0e4223783dae02b12ab043d934aedd33e99fc396294eee048462c14573ccfa5b',
+    4: '3af8b77808e437b655b3ccc60cc278948b4c5db9833ff4a9b9a089edce04dcd8',
+    5: '561184c1cf8016015ca8bdc5e90678936207cd21726f9358e9434ef50ac2fe0a',
+}
+
 SAMPLERS = {sampler.__name__: sampler
             for sampler in (random_configuration, random_valid_configuration)}
 
@@ -188,3 +232,22 @@ def test_geometry_matches_golden_digest(kind, n):
     for row in _geometry_rows(kind, n):
         digest.update(repr(row).encode())
     assert digest.hexdigest() == GEOMETRY_GOLDEN[(kind, n)]
+
+
+@pytest.mark.parametrize('form, n', sorted(VERIFY_MOVES_GOLDEN))
+def test_verify_moves_matches_golden_digest(form, n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(['verify-moves', '--n', str(n)]
+                    + (['--json'] if form == 'json' else []))
+    assert code == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == VERIFY_MOVES_GOLDEN[(form, n)]
+
+
+@pytest.mark.parametrize('n', sorted(BSGS_GOLDEN))
+def test_bsgs_chain_matches_golden_digest(n):
+    bsgs = build_bsgs(generators(CubeSpec(n)).permutations, 6 * n * n)
+    chain = (bsgs.base, bsgs.orbit_sizes, bsgs.strong_generators)
+    digest = hashlib.sha256(repr(chain).encode()).hexdigest()
+    assert digest == BSGS_GOLDEN[n]

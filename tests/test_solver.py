@@ -176,6 +176,32 @@ def test_warm_solve_builds_no_named_words(monkeypatch):
     assert built == []
 
 
+def _reference_bases(spec, atlas, core, orbit):
+    '''The slots a core word acts on, derived from the word alone: a
+    3-cycle's slot action followed from its lowest moved slot, or a
+    pair's decomposed orientations sorted by (value, slot).'''
+    if core.expected_effect.kind == 'three_cycle':
+        action = atlas.slot_action(sequence_permutation(spec, core.sequence),
+                                   orbit.family, orbit.key)
+        b0 = min(s for s, image in enumerate(action) if image != s)
+        return (b0, action[b0], action[action[b0]])
+    _, values = decompose(apply_sequence(solved_state(spec), core.sequence),
+                          atlas).orbit_fields(orbit)
+    return tuple(sorted((s for s, v in enumerate(values) if v),
+                        key=lambda s: (values[s], s)))
+
+
+@pytest.mark.parametrize('n', range(2, 10))
+def test_stored_core_slots_match_the_words_own_effect(n):
+    spec = CubeSpec(n)
+    atlas = build_atlas(spec)
+    for stage in stage_plan(spec)[1:]:
+        args = stage.run.keywords
+        core, orbit = args['core'], args['orbit']
+        assert args['bases'] == core.report.slots
+        assert core.report.slots == _reference_bases(spec, atlas, core, orbit)
+
+
 def _find_by_full_realization(chain, wanted):
     '''Realize every wanted key in full, composing whole slot actions
     level by level, and keep the first of least length.'''
