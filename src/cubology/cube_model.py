@@ -9,7 +9,8 @@ A move is a clockwise quarter/half/anticlockwise turn of one slab of
 cells, named by the face it is viewed from and its depth from that face
 (depth 1 is the face layer itself). Depths run up to floor(n/2); on odd
 cubes the central slab (n+1)/2 is also addressable, and the letters
-M, E, S alias the central slabs that turn like L, D and F.
+M, E, S alias the central slabs that turn like L, D and F. A move word
+is a tuple of Moves, applied left to right.
 
 Move notation grammar accepted by the parser:
 
@@ -102,29 +103,6 @@ class Move:
             raise IllegalDepth(
                 f'depth {self.depth} of face {self.face} does not exist on a '
                 f'{spec.n}x{spec.n}x{spec.n} cube')
-
-
-@dataclass(frozen=True)
-class MoveSequence:
-    '''Immutable list of moves, applied left to right.'''
-
-    moves: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, 'moves', tuple(self.moves))
-
-    def __iter__(self):
-        return iter(self.moves)
-
-    def __len__(self):
-        return len(self.moves)
-
-    def __add__(self, other):
-        return MoveSequence(self.moves + tuple(other))
-
-    @staticmethod
-    def of(*moves):
-        return MoveSequence(tuple(moves))
 
 
 @dataclass(frozen=True)
@@ -305,7 +283,7 @@ def apply_sequence(state, sequence):
 
 
 def invert_sequence(sequence):
-    return MoveSequence(tuple(m.inverse() for m in reversed(tuple(sequence))))
+    return tuple(m.inverse() for m in reversed(tuple(sequence)))
 
 
 def sequence_permutation(spec, sequence):
@@ -427,7 +405,7 @@ class _Scanner:
 
 
 def parse_move_sequence(text, spec=None):
-    '''Parse move text into a flat MoveSequence (groups are expanded).
+    '''Parse move text into a flat tuple of Moves (groups are expanded).
 
     With a spec, slab depths are legality-checked (IllegalDepth) and the
     central letters M/E/S resolve; without one they are a ParseError.
@@ -437,7 +415,7 @@ def parse_move_sequence(text, spec=None):
     scanner.skip_ws()
     if not scanner.eof():
         scanner.fail(f'unexpected character {scanner.peek()!r}')
-    return MoveSequence(tuple(moves))
+    return tuple(moves)
 
 
 _SUFFIX = {1: '', 2: '2', 3: "'"}

@@ -28,10 +28,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .cube_model import CubeSpec, legal_slab_moves, sticker_permutation
+from .cube_model import legal_slab_moves, sticker_permutation
 from .decomposition import (
     ConfigTuple,
-    ShapeMismatch,
     build_atlas,
     compose,
     decompose,
@@ -57,13 +56,9 @@ class ValidityReport:
         return tuple(c for c in self.conditions if not c.ok)
 
 
-def check_validity(config, atlas=None):
+def check_validity(config):
     '''Evaluate every applicable law condition on a ConfigTuple.'''
-    if not isinstance(config, ConfigTuple):
-        raise ShapeMismatch('expected a ConfigTuple')
-    if atlas is None:
-        atlas = build_atlas(CubeSpec(config.n))
-    validate_shape(config, atlas)
+    atlas = validate_shape(config)
     odd = config.n % 2 == 1
     corner_sign = permutation_sign(config.corner_perm)
     conditions = []
@@ -154,7 +149,7 @@ def random_configuration(spec, seed=None):
                 orientation = tuple(rng.randrange(orbit.turns)
                                     for _ in orbit.slots)
             config.set_orbit_fields(orbit, perm, orientation)
-    return compose(config, atlas)
+    return compose(config)
 
 
 def random_valid_configuration(spec, seed=None):
@@ -194,7 +189,7 @@ def random_valid_configuration(spec, seed=None):
             values = [rng.randrange(orbit.turns) for _ in range(size - 1)]
             orientation = tuple(values) + (-sum(values) % orbit.turns,)
         config.set_orbit_fields(orbit, perm, orientation)
-    return compose(config, atlas)
+    return compose(config)
 
 
 def _random_perm(rng, size):

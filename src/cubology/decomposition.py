@@ -13,11 +13,13 @@ never mix under slab moves:
 
 build_atlas() works the orbits out from the move engine and cross-checks
 them against orbit closure under the legal slab moves. It returns an
-OrbitAtlas whose `orbits` tuple holds one Orbit record per orbit, in the
-order corners, single edges, wings by depth, diagonal centres by depth,
-off-diagonal centres by label. An Orbit names its family and key (the
-depth or label) and lists its slots; a Slot lists its sticker positions
-and the colours its home piece shows there, reference sticker first.
+OrbitAtlas, cached per cube size, whose `orbits` tuple holds one Orbit
+record per orbit, in the order corners, single edges, wings by depth,
+diagonal centres by depth, off-diagonal centres by label. An Orbit names
+its family and key (the depth or label) and lists its slots; a Slot
+lists its sticker positions and the colours its home piece shows there,
+reference sticker first. decompose() and compose() read the atlas of the
+cube they are given.
 
 decompose() cuts a state into a ConfigTuple: one permutation per orbit
 plus an orientation vector for every orbit whose slots hold more than
@@ -80,11 +82,6 @@ def orbit_name(family, key=None):
 
 class NotAConfiguration(ValueError):
     '''The sticker state is not any reassembly of the cube's pieces.'''
-
-    def __init__(self, message, family=None, slot=None):
-        super().__init__(message)
-        self.family = family
-        self.slot = slot
 
 
 class ShapeMismatch(ValueError):
@@ -191,8 +188,9 @@ class Orbit:
 class OrbitAtlas:
     '''Catalogue of piece orbits and their slots for one cube size.
 
-    `orbits` is the one table; the per-family attributes are views of
-    it kept for readers that want one family.
+    `orbits` is the one table; orbit(family, key) looks one up, and the
+    key tuples list the wing depths, diagonal centre depths and
+    off-diagonal centre labels the cube has.
     '''
 
     def __init__(self, spec, orbits, fixed_centers):
@@ -200,17 +198,12 @@ class OrbitAtlas:
         self.orbits = tuple(orbits)
         self.fixed_centers = fixed_centers
         self._by_name = {(o.family, o.key): o for o in self.orbits}
-        slots_of = {}
-        for orbit in self.orbits:
-            slots_of.setdefault(orbit.family, {})[orbit.key] = orbit.slots
-        self.corners = slots_of['corner'][None]
-        self.single_edges = slots_of.get('single', {}).get(None)
-        self.coupled = slots_of.get('coupled', {})
-        self.center_corners = slots_of.get('center_corner', {})
-        self.center_edges = slots_of.get('center_edge', {})
-        self.coupled_orbit_indices = tuple(self.coupled)
-        self.center_corner_indices = tuple(self.center_corners)
-        self.center_edge_labels = tuple(self.center_edges)
+
+        def keys(family):
+            return tuple(o.key for o in self.orbits if o.family == family)
+        self.coupled_orbit_indices = keys('coupled')
+        self.center_corner_indices = keys('center_corner')
+        self.center_edge_labels = keys('center_edge')
         self.center_classes = {}
         self.position_owner = {}
         for orbit in self.orbits:
@@ -534,29 +527,18 @@ class ConfigTuple:
         return self == identity_tuple(CubeSpec(self.n))
 
     def to_json_dict(self):
-        return {
-            'n': self.n,
-            'corner_perm': list(self.corner_perm),
-            'corner_twists': list(self.corner_twists),
-            'single_edge_perm': (
-                None if self.single_edge_perm is None
-                else list(self.single_edge_perm)),
-            'single_edge_flips': (
-                None if self.single_edge_flips is None
-                else list(self.single_edge_flips)),
-            'coupled_perms': {
-                str(i): list(perm)
-                for i, perm in sorted(self.coupled_perms.items())},
-            'coupled_orientations': {
-                str(i): list(bits)
-                for i, bits in sorted(self.coupled_orientations.items())},
-            'center_corner_perms': {
-                str(i): list(perm)
-                for i, perm in sorted(self.center_corner_perms.items())},
-            'center_edge_perms': {
-                '%d,%d' % label: list(perm)
-                for label, perm in sorted(self.center_edge_perms.items())},
-        }
+        '''JSON form: lists for tuples, keys 'i' and 'i,j' as strings.'''
+        document = {'n': self.n}
+        for name in filter(None, sum(_FIELDS.values(), ())):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                value = {('%d,%d' % key if isinstance(key, tuple)
+                          else str(key)): list(entry)
+                         for key, entry in sorted(value.items())}
+            elif value is not None:
+                value = list(value)
+            document[name] = value
+        return document
 
 
 def identity_tuple(spec):
@@ -595,13 +577,12 @@ def _check_permutation(perm, orbit):
         raise ShapeMismatch('%s images are not a permutation' % orbit.name)
 
 
-def validate_shape(config, atlas):
-    '''Raise ShapeMismatch unless the tuple fits the atlas exactly.'''
+def validate_shape(config):
+    '''Raise ShapeMismatch unless the tuple fits its cube exactly; returns
+    that cube's atlas.'''
     if not isinstance(config, ConfigTuple):
         raise ShapeMismatch('expected a ConfigTuple')
-    if config.n != atlas.spec.n:
-        raise ShapeMismatch('tuple is for n=%s, atlas for n=%d'
-                            % (config.n, atlas.spec.n))
+    atlas = build_atlas(CubeSpec(config.n))
     # Count the entries the tuple holds against those the atlas's orbits
     # fill, so that an entry for an orbit the cube lacks is caught too.
     held = 0
@@ -632,9 +613,10 @@ def validate_shape(config, atlas):
     if held != filled:
         raise ShapeMismatch('tuple holds entries for orbits a %d-cube lacks'
                             % atlas.spec.n)
+    return atlas
 
 
-def decompose(state, atlas=None):
+def decompose(state):
     '''Cut a sticker state into its canonical ConfigTuple.
 
     Raises NotAConfiguration when the stickers cannot be read as any
@@ -646,11 +628,7 @@ def decompose(state, atlas=None):
     by one swap inside the first colour class.
     '''
     spec = state.spec
-    if atlas is None:
-        atlas = build_atlas(spec)
-    if atlas.spec.n != spec.n:
-        raise ShapeMismatch('atlas is for n=%d, state for n=%d'
-                            % (atlas.spec.n, spec.n))
+    atlas = build_atlas(spec)
     counts = state.color_counts()
     share = spec.sticker_count // 6
     for color in COLORS:
@@ -664,8 +642,7 @@ def decompose(state, atlas=None):
         if stickers[position] != color:
             raise NotAConfiguration(
                 'immobile centre at position %d shows %s, expected %s'
-                % (position, stickers[position], color),
-                family='fixed_center')
+                % (position, stickers[position], color))
 
     config = ConfigTuple(spec.n)
     required = None
@@ -706,13 +683,11 @@ def _read_cubies(stickers, orbit):
             else:
                 problem = '%r, not one of its pieces' % (shown,)
             raise NotAConfiguration(
-                'slot %d of the %s holds %s' % (current, orbit.name, problem),
-                family=orbit.family, slot=current)
+                'slot %d of the %s holds %s' % (current, orbit.name, problem))
         home, o = reading
         if perm[home] is not None:
             raise NotAConfiguration(
-                'piece %d of the %s appears twice' % (home, orbit.name),
-                family=orbit.family, slot=current)
+                'piece %d of the %s appears twice' % (home, orbit.name))
         perm[home] = current
         orientation[current] = o
     return tuple(perm), tuple(orientation)
@@ -732,14 +707,12 @@ def _read_wings(stickers, orbit):
         if shown[0] == shown[1]:
             raise NotAConfiguration(
                 'slot %d of the %s shows %r twice'
-                % (current, orbit.name, shown[0]),
-                family='coupled', slot=current)
+                % (current, orbit.name, shown[0]))
         key = frozenset(shown)
         if key not in home_by_pair:
             raise NotAConfiguration(
                 'slot %d of the %s shows %r, not a wing piece'
-                % (current, orbit.name, shown),
-                family='coupled', slot=current)
+                % (current, orbit.name, shown))
         shown_by_pair.setdefault(key, []).append(current)
     perm = [None] * len(slots)
     bits = [0] * len(slots)
@@ -748,8 +721,7 @@ def _read_wings(stickers, orbit):
         if len(currents) != 2:
             raise NotAConfiguration(
                 'wing pair %r appears %d times in the %s, expected 2'
-                % (sorted(key), len(currents), orbit.name),
-                family='coupled', slot=currents[0] if currents else None)
+                % (sorted(key), len(currents), orbit.name))
         lead_colors = {slots[h].colors[0]: h for h in homes}
         straight = {c: stickers[slots[c].positions[0]] for c in currents}
         if set(straight.values()) == set(lead_colors):
@@ -779,8 +751,7 @@ def _assign_centers(stickers, atlas, orbit, required_sign):
         if len(currents) != len(homes):
             raise NotAConfiguration(
                 '%s has %d stickers of colour %s, expected %d'
-                % (orbit.name, len(currents), color, len(homes)),
-                family='center', slot=currents[0] if currents else None)
+                % (orbit.name, len(currents), color, len(homes)))
         for home, current in zip(homes, sorted(currents)):
             perm[home] = current
     if permutation_sign(perm) != required_sign:
@@ -790,13 +761,9 @@ def _assign_centers(stickers, atlas, orbit, required_sign):
     return tuple(perm)
 
 
-def compose(config, atlas=None):
+def compose(config):
     '''Reassemble the sticker state described by a ConfigTuple.'''
-    if atlas is None:
-        if not isinstance(config, ConfigTuple):
-            raise ShapeMismatch('expected a ConfigTuple')
-        atlas = build_atlas(CubeSpec(config.n))
-    validate_shape(config, atlas)
+    atlas = validate_shape(config)
     stickers = [None] * atlas.spec.sticker_count
     for position, color in atlas.fixed_centers or ():
         stickers[position] = color

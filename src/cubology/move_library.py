@@ -3,10 +3,11 @@
 Each builder returns a NamedMove: a word in the slice-move grammar plus a
 descriptor of what it is supposed to do (one orbit touched, a stated cycle
 type there, identity everywhere else). The descriptor is re-verified on
-construction for the requested cube size and the NamedMove keeps the
-report that verified it, so holding a NamedMove is holding a checked fact
-about that cube. The report names the slots the effect acts on, and the
-solver reads its base slots from there.
+construction for the requested cube size, a word that fails it raises
+BrokenWord, and the NamedMove keeps the report that verified it, so
+holding a NamedMove is holding a checked fact about that cube. The
+report names the slots the effect acts on, and the solver reads its base
+slots from there.
 
 Cycle verification runs on the raw sticker permutation of the word rather
 than on the canonical ConfigTuple. Centre orbits carry four stickers of
@@ -22,7 +23,6 @@ relabeling is harmless on corners and single edges.
 from dataclasses import dataclass
 
 from .cube_model import (
-    MoveSequence,
     apply_sequence,
     invert_sequence,
     parse_move_sequence,
@@ -48,6 +48,10 @@ class OddCube(ValueError):
 
 class IndexOutOfRange(ValueError):
     '''A slice index does not name an interior orbit of this cube.'''
+
+
+class BrokenWord(ValueError):
+    '''A named word fails the contract its descriptor states.'''
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,11 @@ class EffectReport:
 
 @dataclass(frozen=True)
 class NamedMove:
-    '''A verified word: its name, its sequence, the effect it promises
+    '''A verified word: its name, its move tuple, the effect it promises
     and the report that verified that effect on construction.'''
 
     name: str
-    sequence: MoveSequence
+    sequence: tuple
     expected_effect: EffectDescriptor
     report: EffectReport
 
@@ -136,7 +140,7 @@ def _check_three_cycle(atlas, perm, moved, descriptor, checks):
 
 def _check_orientation_pair(atlas, perm, moved, after, descriptor, checks):
     orbit = atlas.orbit(descriptor.family)
-    slot_perm, orientation = decompose(after, atlas).orbit_fields(orbit)
+    slot_perm, orientation = decompose(after).orbit_fields(orbit)
     perm_id = slot_perm == tuple(range(len(slot_perm)))
     touched = {s: v for s, v in enumerate(orientation) if v}
     # Two slots whose orientations cancel: +1 and -1 twists, or two flips.
@@ -150,8 +154,9 @@ def _check_orientation_pair(atlas, perm, moved, after, descriptor, checks):
 
 
 def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
-    frozen = {p for slot in atlas.corners + (atlas.single_edges or ())
-              for p in slot.positions}
+    frozen = {p for orbit in atlas.orbits
+              if orbit.family in ('corner', 'single')
+              for slot in orbit.slots for p in slot.positions}
     stray = sorted(moved & frozen)
     checks.append(('corners and single edges fixed', not stray,
                    'sticker positions %s move' % stray[:8]
@@ -164,8 +169,7 @@ def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
     sign = permutation_sign(action)
     checks.append(('odd permutation on the orbit', sign == -1,
                    'sign %+d' % sign))
-    config = decompose(after, atlas)
-    report = check_validity(config, atlas)
+    report = check_validity(decompose(after))
     checks.append(('state stays solvable', report.valid,
                    'first law holds' if report.valid
                    else str(report.failing())))
@@ -202,7 +206,7 @@ def _named(name, spec, text, descriptor):
     sequence = parse_move_sequence(text, spec)
     report = verify_cycle_structure(spec, sequence, descriptor)
     if not report.ok:
-        raise AssertionError(
+        raise BrokenWord(
             'word for %s fails its contract on n=%d: %s'
             % (name, spec.n, report.failing()))
     return NamedMove(name, sequence, descriptor, report)
@@ -300,13 +304,12 @@ def single_edge_flip_pair(spec):
 
 
 def conjugate_setup(setup, core):
-    '''setup then core then setup inverted. Conjugation carries a cycle to
-    a cycle of the same type in the same orbit, so the core's descriptor
-    stays valid for the result (re-check with verify_cycle_structure when
-    it matters).'''
-    sequence = core.sequence if isinstance(core, NamedMove) else core
-    setup = MoveSequence(tuple(setup))
-    return setup + sequence + invert_sequence(setup)
+    '''setup then core then setup inverted, as one move tuple.
+    Conjugation carries a cycle to a cycle of the same type in the same
+    orbit, so the core's descriptor stays valid for the result (re-check
+    with verify_cycle_structure when it matters).'''
+    setup = tuple(setup)
+    return setup + tuple(core) + invert_sequence(setup)
 
 
 def all_named_moves(spec):

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from .cube_model import (
     Move,
-    MoveSequence,
     apply_move,
     apply_sequence,
     invert_sequence,
@@ -99,11 +98,11 @@ class Stage:
 @dataclass(frozen=True)
 class SolveTrace:
     '''Stage-by-stage record of one solve: (name, sequence, tuple after
-    the stage) per stage, plus the concatenated total sequence.'''
+    the stage) per stage, plus the concatenated total move tuple.'''
 
     n: int
     stages: tuple
-    total: MoveSequence
+    total: tuple
 
 
 class _SetupChain:
@@ -181,7 +180,7 @@ class _SetupChain:
                 best, best_length = key, length
         if best is None:
             raise AssertionError('a cycle was requested with no targets')
-        return best, MoveSequence(sum(self._pieces(best), ()))
+        return best, sum(self._pieces(best), ())
 
     def _pieces(self, key):
         '''The chain words carrying key onto the bases, one per level:
@@ -199,7 +198,7 @@ def _setup_search(spec, atlas, orbit, bases):
     return _SetupChain(spec, atlas, orbit, bases)
 
 
-def _run_sign_alignment(spec, atlas, state):
+def _run_sign_alignment(atlas, state):
     parts = []
     for orbit in atlas.orbits:
         if orbit.family not in ('corner', 'coupled'):
@@ -210,7 +209,7 @@ def _run_sign_alignment(spec, atlas, state):
                 else Move('R', orbit.key, 1)
             state = apply_move(state, move)
             parts.append(move)
-    return MoveSequence(tuple(parts)), state
+    return tuple(parts), state
 
 
 def _run_orbit(spec, atlas, state, orbit, core, bases, targets):
@@ -223,9 +222,10 @@ def _run_orbit(spec, atlas, state, orbit, core, bases, targets):
     while True:
         wanted = targets(state)
         if not wanted:
-            return MoveSequence(tuple(parts)), state
+            return tuple(parts), state
         key, setup = search.find(wanted)
-        word = conjugate_setup(setup, inverse_core if wanted[key] else core)
+        word = conjugate_setup(
+            setup, inverse_core if wanted[key] else core.sequence)
         state = apply_sequence(state, word)
         parts.extend(word)
 
@@ -242,7 +242,7 @@ def _cycle_targets(s, h, t_choices):
     return wanted
 
 
-def _perm_targets(atlas, orbit, state):
+def _perm_targets(orbit, state):
     perm, _ = read_orbit(state.stickers, orbit)
     support = [s for s, image in enumerate(perm) if image != s]
     if not support:
@@ -257,7 +257,7 @@ def _perm_targets(atlas, orbit, state):
     return _cycle_targets(slot, home, t_choices)
 
 
-def _center_targets(atlas, orbit, state):
+def _center_targets(orbit, state):
     shown = [state.stickers[slot.positions[0]] for slot in orbit.slots]
     homes = [slot.colors[0] for slot in orbit.slots]
     wrong = [k for k in range(24) if shown[k] != homes[k]]
@@ -276,7 +276,7 @@ def _center_targets(atlas, orbit, state):
     return _cycle_targets(s, h, t_choices)
 
 
-def _orientation_targets(atlas, orbit, state):
+def _orientation_targets(orbit, state):
     '''Pairs (a, b) for the first misoriented slot a. The twist core
     turns the slot on its first base by +1 and the one on its second by
     -1, so a's twist of +1 is undone by (b, a) forward or (a, b)
@@ -331,7 +331,7 @@ def stage_plan(spec):
     atlas = build_atlas(spec)
     stages = [Stage('sign_alignment',
                     lambda c: _signs_aligned(c, atlas),
-                    lambda state: _run_sign_alignment(spec, atlas, state))]
+                    lambda state: _run_sign_alignment(atlas, state))]
     identity = identity_tuple(spec)
     for family, name, targets, word, field in _PLAN:
         for orbit in atlas.orbits:
@@ -346,7 +346,7 @@ def stage_plan(spec):
                 functools.partial(
                     _run_orbit, spec, atlas, orbit=orbit, core=core,
                     bases=core.report.slots,
-                    targets=functools.partial(targets, atlas, orbit))))
+                    targets=functools.partial(targets, orbit))))
     return tuple(stages)
 
 
@@ -355,20 +355,19 @@ def stage_names(spec):
 
 
 def _checked(state):
-    '''The state's atlas and tuple; NotSolvable unless it obeys the law.'''
-    atlas = build_atlas(state.spec)
-    config = decompose(state, atlas)
-    report = check_validity(config, atlas)
+    '''The state's tuple; NotSolvable unless it obeys the law.'''
+    config = decompose(state)
+    report = check_validity(config)
     if not report.valid:
         raise NotSolvable(report)
-    return atlas, config
+    return config
 
 
-def _run_stage(stage, state, atlas):
+def _run_stage(stage, state):
     '''Run one stage and check its postcondition; returns (sequence,
     state after the stage, its tuple).'''
     sequence, state = stage.run(state)
-    config = decompose(state, atlas)
+    config = decompose(state)
     if not stage.done(config):
         raise AssertionError(
             'stage %s missed its postcondition' % stage.name)
@@ -383,23 +382,22 @@ def solve(state):
     not a reassembly at all.
     '''
     spec = state.spec
-    atlas, _ = _checked(state)
+    _checked(state)
     entries = []
     total = []
     for stage in stage_plan(spec):
-        sequence, state, config = _run_stage(stage, state, atlas)
+        sequence, state, config = _run_stage(stage, state)
         entries.append((stage.name, sequence, config))
         total.extend(sequence)
     if state != solved_state(spec):
         raise AssertionError('pipeline finished without solving the cube')
-    return SolveTrace(n=spec.n, stages=tuple(entries),
-                      total=MoveSequence(tuple(total)))
+    return SolveTrace(n=spec.n, stages=tuple(entries), total=tuple(total))
 
 
 def solve_stage(state, stage_name):
     '''Run one named stage, checking every earlier stage is already
     done; returns (sequence, state after the stage).'''
-    atlas, config = _checked(state)
+    config = _checked(state)
     plan = stage_plan(state.spec)
     names = [stage.name for stage in plan]
     if stage_name not in names:
@@ -411,7 +409,7 @@ def solve_stage(state, stage_name):
             raise StageOrderViolation(
                 'stage %s runs after %s, which is not done'
                 % (stage_name, earlier.name))
-    sequence, state, _ = _run_stage(plan[index], state, atlas)
+    sequence, state, _ = _run_stage(plan[index], state)
     return sequence, state
 
 
@@ -427,4 +425,4 @@ def peephole(sequence):
                 out.append(Move(move.face, move.depth, turns))
         else:
             out.append(move)
-    return MoveSequence(tuple(out))
+    return tuple(out)

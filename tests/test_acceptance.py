@@ -9,7 +9,6 @@ from math import factorial
 
 from cubology.cube_model import (
     CubeSpec,
-    MoveSequence,
     apply_move,
     apply_sequence,
     legal_slab_moves,
@@ -70,7 +69,7 @@ def conjugate_family(spec, core, depth):
     if depth >= 2:
         setups += [(a, b) for a in alphabet for b in alphabet]
     sequences = [core.sequence]
-    sequences += [conjugate_setup(MoveSequence(s), core) for s in setups]
+    sequences += [conjugate_setup(s, core.sequence) for s in setups]
     return [sequence_permutation(spec, q) for q in sequences]
 
 
@@ -101,15 +100,14 @@ def test_criterion_3_law_is_move_invariant():
     checked = 0
     for n in range(2, 8):
         spec = CubeSpec(n)
-        atlas = build_atlas(spec)
         moves = legal_slab_moves(spec, False, (1, 3))
         for seed in range(states_per_size):
             state = random_configuration(spec, seed=seed * 6 + n)
             before = [c.ok for c in
-                      check_validity(decompose(state, atlas), atlas).conditions]
+                      check_validity(decompose(state)).conditions]
             for move in moves:
                 after = [c.ok for c in check_validity(
-                    decompose(apply_move(state, move), atlas), atlas).conditions]
+                    decompose(apply_move(state, move))).conditions]
                 assert after == before, (n, seed, move)
                 checked += 1
     verdict(3, True,
@@ -164,7 +162,7 @@ def test_criterion_6_subgroup_certification():
     assert single_slots == 239_500_800  # |A12|
 
     corner_positions = sorted(
-        q for slot in atlas3.corners for q in slot.positions)
+        q for slot in atlas3.orbit('corner').slots for q in slot.positions)
     corner_index = {q: i for i, q in enumerate(corner_positions)}
     twists = subgroup_order(
         conjugate_family(spec3, corner_twist_pair(spec3), 1),
@@ -173,7 +171,7 @@ def test_criterion_6_subgroup_certification():
     assert twists == 2_187  # 3^7
 
     edge_positions = sorted(
-        q for slot in atlas3.single_edges
+        q for slot in atlas3.orbit('single').slots
         for q in slot.positions)
     edge_index = {q: i for i, q in enumerate(edge_positions)}
     flips = subgroup_order(

@@ -59,7 +59,7 @@ def test_validate_flags_unsolvable_states(capsys, monkeypatch):
     # rotate the three stickers of one corner in place: a twisted reassembly
     from cubology.cube_model import CubeSpec
     from cubology.decomposition import build_atlas
-    a, b, c = build_atlas(CubeSpec(2)).corners[0].positions
+    a, b, c = build_atlas(CubeSpec(2)).orbit('corner').slots[0].positions
     s = data['stickers']
     s[a], s[b], s[c] = s[c], s[a], s[b]
     code, out, _ = run(capsys, ['validate', '--n', '2', '--state-file', '-'],
@@ -103,7 +103,7 @@ def test_solve_rejects_unsolvable_input_with_domain_error(capsys, monkeypatch):
     data = json.loads(doc)
     from cubology.cube_model import CubeSpec
     from cubology.decomposition import build_atlas
-    a, b, c = build_atlas(CubeSpec(2)).corners[0].positions
+    a, b, c = build_atlas(CubeSpec(2)).orbit('corner').slots[0].positions
     s = data['stickers']
     s[a], s[b], s[c] = s[c], s[a], s[b]
     code, _, err = run(capsys, ['solve', '--n', '2', '--state-file', '-'],
@@ -187,6 +187,22 @@ def test_verify_moves_all_pass(capsys):
     assert code == 0
     assert 'FAIL' not in out
     assert 'corner_three_cycle' in out
+
+
+def test_verify_moves_reports_a_broken_word_as_a_domain_error(
+        capsys, monkeypatch):
+    from cubology import move_library
+    monkeypatch.setattr(
+        move_library, 'corner_twist_pair',
+        lambda spec: move_library._named(
+            'corner_twist_pair', spec, 'R U',
+            move_library.EffectDescriptor('twist_pair', 'corner')))
+    code, out, err = run(capsys, ['verify-moves', '--n', '3'])
+    assert code == 1
+    assert out == ''
+    assert err.startswith('BrokenWord: word for corner_twist_pair fails its '
+                          'contract on n=3: ')
+    assert 'Traceback' not in err
 
 
 def test_render_plain_and_ansi(capsys):

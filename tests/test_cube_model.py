@@ -10,7 +10,6 @@ from cubology.cube_model import (
     CubeState,
     IllegalDepth,
     Move,
-    MoveSequence,
     ParseError,
     apply_move,
     apply_sequence,
@@ -43,7 +42,7 @@ def moves_for(spec, rng_turns=(1, 2, 3)):
 def spec_and_sequence(draw, max_len=12):
     spec = draw(specs())
     moves = draw(st.lists(moves_for(spec), max_size=max_len))
-    return spec, MoveSequence(tuple(moves))
+    return spec, tuple(moves)
 
 
 def test_sticker_index_layout():
@@ -120,7 +119,7 @@ def test_move_inverse_and_quarter_turn_order():
     assert m.inverse() == Move('U', 2, 3)
     assert Move('U', 2, 2).inverse() == Move('U', 2, 2)
     spec = CubeSpec(5)
-    four = MoveSequence((Move('L', 2, 1),) * 4)
+    four = (Move('L', 2, 1),) * 4
     assert apply_sequence(solved_state(spec), four) == solved_state(spec)
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from cubology.cube_model import (
     CubeSpec,
-    MoveSequence,
     apply_sequence,
     legal_slab_moves,
     parse_move_sequence,
@@ -72,7 +71,7 @@ def scrambled(spec, text):
 
 def random_word(spec, rng, length):
     alphabet = legal_slab_moves(spec, False, (1, 2, 3))
-    return MoveSequence(tuple(rng.choice(alphabet) for _ in range(length)))
+    return tuple(rng.choice(alphabet) for _ in range(length))
 
 
 def test_edge_marking_golden():
@@ -87,8 +86,7 @@ def test_outer_turns_flip_every_single_edge_they_move(n):
     # slab moves and flips none.
     spec = CubeSpec(n)
     for move in legal_slab_moves(spec):
-        config = decompose(apply_sequence(solved_state(spec),
-                                          MoveSequence.of(move)))
+        config = decompose(apply_sequence(solved_state(spec), (move,)))
         moved = {slot for home, slot in enumerate(config.single_edge_perm)
                  if slot != home}
         flipped = {slot for slot, flip in enumerate(config.single_edge_flips)
@@ -223,16 +221,17 @@ def test_compose_rejects_non_permutation():
 
 def test_atlas_orbit_inventory():
     atlas = build_atlas(CubeSpec(6))
-    assert len(atlas.corners) == 8
-    assert atlas.single_edges is None
-    assert sorted(atlas.coupled) == [2, 3]
-    assert sorted(atlas.center_corners) == [2, 3]
-    assert sorted(atlas.center_edges) == [(2, 3), (3, 2)]
+    assert len(atlas.orbit('corner').slots) == 8
+    with pytest.raises(ValueError):
+        atlas.orbit('single')
+    assert atlas.coupled_orbit_indices == (2, 3)
+    assert atlas.center_corner_indices == (2, 3)
+    assert atlas.center_edge_labels == ((2, 3), (3, 2))
     atlas = build_atlas(CubeSpec(7))
-    assert len(atlas.single_edges) == 12
-    assert sorted(atlas.coupled) == [2, 3]
-    assert sorted(atlas.center_corners) == [2, 3]
-    assert sorted(atlas.center_edges) == [(2, 3), (2, 4), (3, 2), (3, 4)]
-    for size_map in (atlas.coupled, atlas.center_corners):
-        for slots in size_map.values():
-            assert len(slots) == 24
+    assert len(atlas.orbit('single').slots) == 12
+    assert atlas.coupled_orbit_indices == (2, 3)
+    assert atlas.center_corner_indices == (2, 3)
+    assert atlas.center_edge_labels == ((2, 3), (2, 4), (3, 2), (3, 4))
+    for family in ('coupled', 'center_corner'):
+        for key in (2, 3):
+            assert len(atlas.orbit(family, key).slots) == 24

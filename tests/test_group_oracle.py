@@ -65,7 +65,7 @@ def test_bsgs_membership_separates_reachable_from_not():
     assert bsgs.contains(sequence_permutation(spec, macro.sequence))
     # twisting one corner in place is a reassembly outside the move group
     atlas = build_atlas(spec)
-    a, b, c = atlas.corners[0].positions
+    a, b, c = atlas.orbit('corner').slots[0].positions
     twist = list(range(spec.sticker_count))
     twist[a], twist[b], twist[c] = b, c, a
     assert not bsgs.contains(tuple(twist))

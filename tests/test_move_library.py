@@ -4,7 +4,6 @@ import pytest
 
 from cubology.cube_model import (
     CubeSpec,
-    MoveSequence,
     apply_sequence,
     parse_move_sequence,
     sequence_permutation,
@@ -201,7 +200,7 @@ def test_conjugated_macro_keeps_its_cycle_structure():
     core = coupled_edge_three_cycle(spec, 2)
     for setup_text in ('R', "2U F'", "2R 2U"):
         setup = parse_move_sequence(setup_text, spec)
-        moved = conjugate_setup(setup, core)
+        moved = conjugate_setup(setup, core.sequence)
         report = verify_cycle_structure(spec, moved, core.expected_effect)
         assert report.ok, (setup_text, report.failing())
 

@@ -15,7 +15,6 @@ from cubology.cli import main
 from cubology.cube_model import (
     CubeSpec,
     CubeState,
-    MoveSequence,
     apply_move,
     apply_sequence,
     legal_slab_moves,
@@ -185,8 +184,8 @@ def _reference_bases(spec, atlas, core, orbit):
                                    orbit.family, orbit.key)
         b0 = min(s for s, image in enumerate(action) if image != s)
         return (b0, action[b0], action[action[b0]])
-    _, values = decompose(apply_sequence(solved_state(spec), core.sequence),
-                          atlas).orbit_fields(orbit)
+    _, values = decompose(apply_sequence(
+        solved_state(spec), core.sequence)).orbit_fields(orbit)
     return tuple(sorted((s for s, v in enumerate(values) if v),
                         key=lambda s: (values[s], s)))
 
@@ -215,7 +214,7 @@ def _find_by_full_realization(chain, wanted):
             action = [step[a] for a in action]
         if best is None or len(word) < len(best[1]):
             best = (key, word)
-    return best[0], MoveSequence(best[1])
+    return best
 
 
 @pytest.mark.parametrize('n', range(4, 8))
