@@ -14,6 +14,7 @@ codes: 0 success (and verdicts that hold), 1 domain errors (reported as
 '''
 
 import argparse
+import decimal
 import json
 import os
 import random
@@ -55,6 +56,13 @@ def _schema(command):
 
 def _emit(document):
     print(json.dumps(document, indent=2))
+
+
+def _exact(count):
+    '''All decimal digits of an exact count. str() of an int refuses more
+    digits than the interpreter's limit (4,300 by default); Decimal has
+    no such limit, and the limit stays in force for reading documents.'''
+    return str(decimal.Decimal(count))
 
 
 def _require_n(args):
@@ -164,9 +172,9 @@ def _cmd_count(args):
         value = exact[args.what](spec.n)
         if args.json:
             _emit({'schema': _schema('count'), 'n': spec.n,
-                   'what': args.what, 'value': str(value)})
+                   'what': args.what, 'value': _exact(value)})
         else:
-            print(value)
+            print(_exact(value))
         return 0
     if args.what == 'bound':
         result = gods_number_lower_bound(spec.n, args.precision)
@@ -176,7 +184,7 @@ def _cmd_count(args):
         _emit({'schema': _schema('count'), 'n': spec.n, 'what': args.what,
                'value': str(result.ceiling), 'bound': str(result.bound),
                'precision': result.precision,
-               's_phys': str(result.s_phys),
+               's_phys': _exact(result.s_phys),
                'basic_move_count': result.basic_move_count})
     else:
         print('%d (bound %s at %d digits)'
@@ -201,14 +209,14 @@ def _cmd_order(args):
     if args.json:
         _emit({'schema': _schema('order'), 'n': spec.n,
                'method': args.method,
-               'formula': None if formula is None else str(formula),
-               'oracle': None if oracle is None else str(oracle),
+               'formula': None if formula is None else _exact(formula),
+               'oracle': None if oracle is None else _exact(oracle),
                'match': match})
     else:
         if formula is not None:
-            print('formula: %d' % formula)
+            print('formula: %s' % _exact(formula))
         if oracle is not None:
-            print('oracle:  %d' % oracle)
+            print('oracle:  %s' % _exact(oracle))
         if match is not None:
             print('MATCH' if match else 'MISMATCH')
     return 0 if match in (True, None) else 1
@@ -226,7 +234,7 @@ def _cmd_bound(args):
         _emit({'schema': _schema('bound'), 'n': spec.n, 'kind': kind,
                'ceiling': result.ceiling, 'bound': str(result.bound),
                'precision': result.precision,
-               's_phys': str(result.s_phys),
+               's_phys': _exact(result.s_phys),
                'basic_move_count': result.basic_move_count})
     else:
         print('n=%d: no solver beats %d moves in the worst case'

@@ -222,7 +222,7 @@ def orbit_class_count(spec):
         perm = sticker_permutation(spec, move)
         bits = 0
         for k, orbit in enumerate(atlas.orbits):
-            action = atlas.slot_action(perm, orbit.family, orbit.key)
+            action = atlas.slot_action(perm, orbit)
             if permutation_sign(action) < 0:
                 bits |= 1 << k
         vectors.append(bits)

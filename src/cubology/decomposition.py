@@ -11,8 +11,16 @@ never mix under slab moves:
   * for each label (i, j) with i != j, 24 off-diagonal centre facelets,
   * on odd cubes, 6 immobile face centres.
 
-build_atlas() works the orbits out from the move engine and cross-checks
-them against orbit closure under the legal slab moves. It returns an
+build_atlas() classifies every sticker by one rule, its fold: the
+sticker's (row, col) on its own face, quarter-turned about the face
+centre until it lies in rows 0..n//2-1 and columns 0..(n+1)//2-1. The
+immobile face centre of an odd cube never gets there. A cell with three
+stickers is a corner; two stickers with equal folds are a single edge;
+two stickers folding to (0, d-1) and (d-1, 0) are a wing at depth d; one
+sticker folding to (r, c) is in diagonal centre orbit r+1 when r = c and
+in off-diagonal centre orbit (r+1, c+1) otherwise. The one cross-check
+against the move engine is that the stickers sharing a fold are exactly
+the sticker orbits of the legal slab moves. The atlas is an
 OrbitAtlas, cached per cube size, whose `orbits` tuple holds one Orbit
 record per orbit, in the order corners, single edges, wings by depth,
 diagonal centres by depth, off-diagonal centres by label. An Orbit names
@@ -36,10 +44,10 @@ corner is viewed from outside. Single edges: one facelet of each edge
 slot is marked, the one on the face whose axis comes first in the cycle
 x -> y -> z -> x (U/D over F/B, F/B over L/R, L/R over U/D), so that
 every outer face turn flips all four edges it moves; the marked facelet
-comes first. Coupled wings: the 48 wing positions of a depth
-split into two classes that no slab move ever exchanges; the sticker on
-the leading class comes first, so a wing bit of 1 says the occupant sits
-with its leading sticker on the wrong class. Sticker colours cannot
+comes first. Coupled wings: the sticker folding into row 0 comes first;
+the two folds of a depth are the two sticker classes no slab move
+exchanges, so a wing bit of 1 says the occupant sits with its leading
+sticker on the trailing class. Sticker colours cannot
 distinguish a wing from its mirror twin, so decompose() resolves each
 twin pair canonically: bits are zeroed where possible and ties send the
 lower home to the lower slot. Centre facelets of one colour are
@@ -54,7 +62,6 @@ from dataclasses import dataclass, field
 
 from .cube_model import (
     COLORS,
-    FACE_COLOR,
     FACE_NORMAL,
     FACES,
     CubeSpec,
@@ -225,19 +232,19 @@ class OrbitAtlas:
             raise ValueError('no %s orbit %r on a %d-cube'
                              % (family, key, self.spec.n)) from None
 
-    def slot_action(self, perm, family, key=None):
-        '''Slot permutation induced by a sticker permutation.
+    def slot_action(self, perm, orbit):
+        '''Slot permutation induced by a sticker permutation on one orbit.
 
         Returns images indexed by slot: the piece in slot a moves to
         slot action[a]. The sticker permutation must preserve the
         orbit, which holds for every legal non-central slab move.
         '''
-        orbit = self.orbit(family, key)
         images = []
         for slot in orbit.slots:
             owner, slot_id = self.position_owner[perm[slot.positions[0]]]
             if owner is not orbit:
-                raise ValueError('permutation leaves family %s' % family)
+                raise ValueError('permutation leaves family %s'
+                                 % orbit.family)
             images.append(slot_id)
         return tuple(images)
 
@@ -267,192 +274,82 @@ def _orbit_components(spec):
     return list(components.values())
 
 
+def _fold(n, index):
+    '''A sticker's (row, col) on its face, quarter-turned about the face
+    centre into rows 0..n//2-1 and columns 0..(n+1)//2-1; None for an
+    immobile face centre, which no turn brings there.'''
+    row, col = divmod(index % (n * n), n)
+    for _ in range(4):
+        if row < n // 2 and col < (n + 1) // 2:
+            return row, col
+        row, col = col, n - 1 - row
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def build_atlas(spec):
     '''Build (and cache) the orbit catalogue for one cube size.'''
     n = spec.n
-    solved = solved_state(spec)
-    half = n // 2
+    colors = solved_state(spec).stickers
+    folds = [_fold(n, index) for index in range(spec.sticker_count)]
+    # Stickers sharing a fold must be exactly the orbits of the legal
+    # slab moves; each immobile centre is an orbit of its own.
+    fold_classes = {}
+    for index, fold in enumerate(folds):
+        fold_classes.setdefault(fold or index, []).append(index)
+    if sorted(fold_classes.values()) != sorted(_orbit_components(spec)):
+        raise AssertionError('folded positions differ from the move orbits')
 
-    def slot(positions):
-        return Slot(tuple(positions),
-                    tuple(solved.stickers[p] for p in positions))
+    def face(p):
+        return FACES[p // (n * n)]
 
+    marks = _edge_marking()
     cells = {}
     for index in range(spec.sticker_count):
-        cell, _ = sticker_position(spec, index)
-        cells.setdefault(cell, []).append((index, FACES[index // (n * n)]))
-
-    corner_raw = []
-    single_raw = []
-    coupled_raw = {}
-    center_raw = []
-    fixed_raw = []
-    for cell, stickers in cells.items():
-        extremes = [axis for axis in range(3) if abs(cell[axis]) == n - 1]
-        if len(extremes) == 3:
-            corner_raw.append((cell, stickers))
-        elif len(extremes) == 2:
-            free_axis = ({0, 1, 2} - set(extremes)).pop()
-            t = cell[free_axis]
-            if t == 0:
-                single_raw.append((cell, stickers))
-            else:
-                depth = (n + 1 - abs(t)) // 2
-                coupled_raw.setdefault(depth, []).append((cell, stickers))
-        elif len(extremes) == 1:
-            (index, face), = stickers
-            if cell.count(0) == 2:
-                fixed_raw.append((index, face))
-            else:
-                row, col = divmod(index % (n * n), n)
-                center_raw.append((index, face, row, col))
+        cells.setdefault(sticker_position(spec, index)[0], []).append(index)
+    slots = {}
+    fixed_centers = []
+    for stickers in cells.values():
+        folded = [folds[p] for p in stickers]
+        if len(stickers) == 3:
+            # The U/D sticker first, then the other two clockwise.
+            first, a, b = sorted(stickers, key=lambda p: face(p) not in 'UD')
+            if _det3(*(FACE_NORMAL[face(p)] for p in (first, a, b))) != -1:
+                a, b = b, a
+            name, positions = ('corner', None), (first, a, b)
+        elif len(stickers) == 2 and folded[0] == folded[1]:
+            marked = marks[frozenset(map(face, stickers))]
+            name = ('single', None)
+            positions = sorted(stickers, key=lambda p: face(p) != marked)
+        elif len(stickers) == 2:
+            # A wing's lead sticker folds into row 0, to (0, depth - 1).
+            positions = sorted(stickers, key=lambda p: folds[p][0])
+            name = ('coupled', folds[positions[0]][1] + 1)
+        elif folded[0] is None:
+            fixed_centers.append((stickers[0], colors[stickers[0]]))
+            continue
         else:
-            raise AssertionError('sticker on no face')
+            row, col = folded[0]
+            name = (('center_corner', row + 1) if row == col
+                    else ('center_edge', (row + 1, col + 1)))
+            positions = stickers
+        slots.setdefault(name, []).append(
+            Slot(tuple(positions), tuple(colors[p] for p in positions)))
 
-    corners = []
-    for cell, stickers in corner_raw:
-        primary = None
-        others = []
-        for index, face in stickers:
-            if face in ('U', 'D'):
-                primary = (index, face)
-            else:
-                others.append((index, face))
-        if primary is None or len(others) != 2:
-            raise AssertionError('corner without a U/D facelet')
-        n0 = FACE_NORMAL[primary[1]]
-        na = FACE_NORMAL[others[0][1]]
-        nb = FACE_NORMAL[others[1][1]]
-        if _det3(n0, na, nb) == -1:
-            corners.append(slot((primary[0], others[0][0], others[1][0])))
-        else:
-            corners.append(slot((primary[0], others[1][0], others[0][0])))
-    corners.sort(key=lambda s: s.positions[0])
-    orbits = [Orbit('corner', None, tuple(corners))]
-
-    if n % 2:
-        marks = _edge_marking()
-        built = []
-        for cell, stickers in single_raw:
-            pair = {face: index for index, face in stickers}
-            marked_face = marks[frozenset(pair)]
-            other_face = next(f for f in pair if f != marked_face)
-            built.append(slot((pair[marked_face], pair[other_face])))
-        built.sort(key=lambda s: s.positions[0])
-        orbits.append(Orbit('single', None, tuple(built)))
-
-    components = _orbit_components(spec)
-    component_of = {}
-    for comp_id, members in enumerate(components):
-        for pos in members:
-            component_of[pos] = comp_id
-
-    for depth in sorted(coupled_raw):
-        raw = coupled_raw[depth]
-        positions = sorted(p for _, stickers in raw for p, _ in stickers)
-        comp_ids = {component_of[p] for p in positions}
-        if len(comp_ids) != 2:
-            raise AssertionError(
-                'wing positions at depth %d split into %d orbit classes'
-                % (depth, len(comp_ids)))
-        sizes = {cid: len(components[cid]) for cid in comp_ids}
-        if set(sizes.values()) != {24}:
-            raise AssertionError('wing orbit classes are not 24+24')
-        lead_comp = component_of[min(positions)]
-        built = []
-        for cell, stickers in raw:
-            (ia, fa), (ib, fb) = stickers
-            if component_of[ia] == lead_comp and component_of[ib] != lead_comp:
-                built.append(slot((ia, ib)))
-            elif component_of[ib] == lead_comp and component_of[ia] != lead_comp:
-                built.append(slot((ib, ia)))
-            else:
-                raise AssertionError('wing with both stickers in one class')
-        built.sort(key=lambda s: s.positions[0])
-        by_pair = {}
-        for wing in built:
-            by_pair.setdefault(frozenset(wing.colors), []).append(wing)
-        for key, twins in by_pair.items():
-            if (len(twins) != 2
-                    or twins[0].colors[0] == twins[1].colors[0]):
-                raise AssertionError(
-                    'wing twins of %r are not mirror images' % sorted(key))
-        orbits.append(Orbit('coupled', depth, tuple(built)))
-
-    center_components = {}
-    for index, face, row, col in center_raw:
-        center_components.setdefault(component_of[index], []).append(
-            (index, face, row, col))
-    center_corners = {}
-    center_edges = {}
-    for members in center_components.values():
-        if len(members) != 24:
-            raise AssertionError('centre orbit of size %d' % len(members))
-        front = [(row, col) for _, face, row, col in members if face == 'F']
-        if len(front) != 4:
-            raise AssertionError('centre orbit without 4 front members')
-        in_quadrant = [
-            (row, col) for row, col in front
-            if row + 1 <= n // 2 and col + 1 <= (n + 1) // 2
-        ]
-        if len(in_quadrant) != 1:
-            raise AssertionError('centre orbit label is ambiguous')
-        row, col = in_quadrant[0]
-        slots = tuple(slot((index,))
-                      for index in sorted(m[0] for m in members))
-        if row == col:
-            if row + 1 in center_corners:
-                raise AssertionError('duplicate diagonal centre label')
-            center_corners[row + 1] = slots
-        else:
-            label = (row + 1, col + 1)
-            if label in center_edges:
-                raise AssertionError('duplicate centre label %r' % (label,))
-            center_edges[label] = slots
-
-    expected_cc = set(range(2, half + 1))
-    if set(center_corners) != expected_cc:
-        raise AssertionError('diagonal centre labels %r, expected %r'
-                             % (sorted(center_corners), sorted(expected_cc)))
-    expected_ce = {
-        (i, j)
-        for i in range(2, half + 1)
-        for j in range(2, (n + 1) // 2 + 1)
-        if i != j
-    }
-    if set(center_edges) != expected_ce:
-        raise AssertionError('off-diagonal centre labels %r, expected %r'
-                             % (sorted(center_edges), sorted(expected_ce)))
-    if set(coupled_raw) != expected_cc:
-        raise AssertionError('wing depths %r, expected %r'
-                             % (sorted(coupled_raw), sorted(expected_cc)))
-    orbits += [Orbit('center_corner', i, center_corners[i])
-               for i in sorted(center_corners)]
-    orbits += [Orbit('center_edge', label, center_edges[label])
-               for label in sorted(center_edges)]
-
-    fixed_centers = None
-    if n % 2:
-        fixed_raw.sort()
-        fixed_centers = tuple(
-            (index, FACE_COLOR[face]) for index, face in fixed_raw)
-        for index, _ in fixed_centers:
-            if len(components[component_of[index]]) != 1:
-                raise AssertionError('face centre is not immobile')
-
-    atlas = OrbitAtlas(spec, orbits, fixed_centers)
-
-    covered = sum(len(s.positions) for o in orbits for s in o.slots)
-    fixed_count = len(fixed_centers or ())
-    if (covered + fixed_count != spec.sticker_count
-            or len(atlas.position_owner) != covered):
-        raise AssertionError('orbit sizes do not cover the cube')
-    for members in components:
-        owners = {atlas.position_owner.get(pos, (None,))[0]
-                  for pos in members}
-        if len(owners) != 1:
-            raise AssertionError('a move orbit crosses family boundaries')
+    order = list(FAMILY_WORDS)
+    orbits = []
+    for family, key in sorted(slots, key=lambda k: (order.index(k[0]), k[1])):
+        orbit = Orbit(family, key, tuple(
+            sorted(slots[family, key], key=lambda s: s.positions)))
+        if family == 'coupled':
+            shown = {s.colors for s in orbit.slots}
+            if len(shown) != len(orbit.slots) or any(
+                    lead == trail or (trail, lead) not in shown
+                    for lead, trail in shown):
+                raise AssertionError('wing twins of %s are not mirror images'
+                                     % orbit.name)
+        orbits.append(orbit)
+    atlas = OrbitAtlas(spec, orbits, tuple(fixed_centers) or None)
     for classes in atlas.center_classes.values():
         if sorted(classes) != sorted(COLORS) or any(
                 len(ids) != 4 for ids in classes.values()):

@@ -121,7 +121,7 @@ def _rest_id(orbit, slots, moved, where, checks):
 def _check_three_cycle(atlas, perm, moved, descriptor, checks):
     try:
         orbit = atlas.orbit(descriptor.family, descriptor.key)
-        action = atlas.slot_action(perm, descriptor.family, descriptor.key)
+        action = atlas.slot_action(perm, orbit)
     except (ValueError, KeyError) as exc:
         checks.append(('orbit action', False, str(exc)))
         return ()
@@ -162,7 +162,8 @@ def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
                    'sticker positions %s move' % stray[:8]
                    if stray else 'all fixed'))
     try:
-        action = atlas.slot_action(perm, 'coupled', descriptor.key)
+        orbit = atlas.orbit('coupled', descriptor.key)
+        action = atlas.slot_action(perm, orbit)
     except (ValueError, KeyError) as exc:
         checks.append(('orbit action', False, str(exc)))
         return ()

@@ -124,8 +124,7 @@ class _SetupChain:
         self.identity = bytes(range(size))
         alphabet = []
         for move in legal_slab_moves(spec, False, (1, 2, 3)):
-            action = atlas.slot_action(
-                sticker_permutation(spec, move), orbit.family, orbit.key)
+            action = atlas.slot_action(sticker_permutation(spec, move), orbit)
             if bytes(action) != self.identity:
                 # Composition runs through bytes.translate, so store
                 # each action as a full translation table.

@@ -153,12 +153,12 @@ def test_criterion_6_subgroup_certification():
 
     corner_slots = subgroup_order(
         conjugate_family(spec3, corner_three_cycle(spec3), 1),
-        restriction=lambda p: atlas3.slot_action(p, 'corner'))
+        restriction=lambda p: atlas3.slot_action(p, atlas3.orbit('corner')))
     assert corner_slots == 20_160  # |A8|
 
     single_slots = subgroup_order(
         conjugate_family(spec3, single_edge_three_cycle(spec3), 2),
-        restriction=lambda p: atlas3.slot_action(p, 'single'))
+        restriction=lambda p: atlas3.slot_action(p, atlas3.orbit('single')))
     assert single_slots == 239_500_800  # |A12|
 
     corner_positions = sorted(
@@ -179,18 +179,17 @@ def test_criterion_6_subgroup_certification():
         restriction=lambda p: tuple(edge_index[p[q]] for q in edge_positions))
     assert flips == 2_048  # 2^11
 
+    wings = atlas4.orbit('coupled', 2)
     coupled_cycles = conjugate_family(
         spec4, coupled_edge_three_cycle(spec4, 2), 2)
     coupled_slots = subgroup_order(
-        coupled_cycles,
-        restriction=lambda p: atlas4.slot_action(p, 'coupled', 2))
+        coupled_cycles, restriction=lambda p: atlas4.slot_action(p, wings))
     assert coupled_slots == F24 // 2  # |A24|
 
     with_parity = coupled_cycles + [sequence_permutation(
         spec4, coupled_edge_parity_move(spec4, 2).sequence)]
     full_wing_group = subgroup_order(
-        with_parity,
-        restriction=lambda p: atlas4.slot_action(p, 'coupled', 2))
+        with_parity, restriction=lambda p: atlas4.slot_action(p, wings))
     assert full_wing_group == F24  # |S24|
 
     verdict(6, True, 'A8, A12, 3^7, 2^11 at n=3 and A24, S24 at n=4, all exact')

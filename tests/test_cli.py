@@ -1,13 +1,16 @@
 """Command-line tests: exit codes, JSON schemas, piping."""
 
+import decimal
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from cubology.cli import main
+from cubology.counting import group_order, s_phys_size
 from cubology.cube_model import (
     CubeSpec,
     apply_sequence,
@@ -15,6 +18,12 @@ from cubology.cube_model import (
     render_net,
     solved_state,
 )
+
+
+# Child processes run this checkout's package, installed or not.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, 'src')),
+    os.environ.get('PYTHONPATH')])))
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -151,6 +160,23 @@ def test_count_prints_exact_decimals(capsys):
     assert out.strip() == str(3 * 2 ** 25)
 
 
+def test_counts_beyond_the_int_digit_limit_print_exactly(capsys):
+    def printed(argv, field=None):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        text = json.loads(out)[field] if field else out.strip()
+        assert text.isdigit() and len(text) > 4300
+        # int() refuses a string this long; Decimal reads it exactly.
+        return decimal.Decimal(text)
+
+    group = group_order(30)
+    assert printed(['count', '--n', '30', '--what', 'group']) == group
+    assert printed(['count', '--n', '30', '--what', 'group', '--json'],
+                   'value') == group
+    assert printed(['bound', '--n', '34', '--json'],
+                   's_phys') == s_phys_size(34)
+
+
 def test_count_bound_carries_a_precision_note(capsys):
     code, out, _ = run(capsys, ['count', '--n', '2', '--what', 'bound'])
     assert code == 0
@@ -240,7 +266,7 @@ def test_real_process_pipe_round_trip():
         '%(py)s -m cubology.cli solve --n 3 --state-file -'
         % {'py': sys.executable})
     proc = subprocess.run(['sh', '-c', pipeline],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert 'verified: solved' in proc.stdout
 
@@ -309,7 +335,7 @@ def test_closed_pipe_leaves_no_traceback(command):
     proc = subprocess.run(
         ['sh', '-c', '%s -m cubology.cli %s | head -1'
          % (sys.executable, command)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout.count('\n') == 1
     assert proc.stderr == ''

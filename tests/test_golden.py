@@ -13,8 +13,10 @@ what it measures.
 
 The geometry digests pin every slab move's sticker permutation, central
 slabs included, and every orbit atlas (slot positions and colours per
-orbit, plus the fixed face centres). They were recorded before the
-sticker geometry became one rotation rule.
+orbit, plus the fixed face centres). Those for n=2..9 were recorded
+before the sticker geometry became one rotation rule, those for
+n=10..13 before the atlas classified stickers by their folded face
+position.
 
 The verify-moves digests pin the text and JSON reports of every named
 word, and the oracle digests pin the chain build_bsgs produces (base,
@@ -152,6 +154,14 @@ GEOMETRY_GOLDEN = {
         '54869e5efea614751ea637e0ae259061e3a38244ca9e6233d330233e3ad81c17',
     ('atlas', 9):
         'a2e1f7cff763bf970ef1a431066c1c24e13db3182cca588a77d5db039627e27f',
+    ('atlas', 10):
+        '5737fa6350983364a8ba13284786d90d01e096eab1c041379144f80f003347c2',
+    ('atlas', 11):
+        'edffb4e0b833749603f473e67e8aa716c193698371c03783fe76a190c4be4d7f',
+    ('atlas', 12):
+        '9ac7202bbeabaa449e13e550b22e356387410a4d1307c50d4d0b483c021b0ea9',
+    ('atlas', 13):
+        'ed907c3697064059110e89f7f685909791d5268eeae9346b4237ec306e3774e5',
 }
 
 # sha256 of `verify-moves --n N`, plain text and --json, per size.

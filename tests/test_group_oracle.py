@@ -81,8 +81,9 @@ def test_subgroup_order_with_a_slot_restriction():
     spec = CubeSpec(3)
     atlas = build_atlas(spec)
     perm = sticker_permutation(spec, Move('R', 1, 1))
+    corners = atlas.orbit('corner')
     corners_only = subgroup_order(
-        [perm], restriction=lambda p: atlas.slot_action(p, 'corner'))
+        [perm], restriction=lambda p: atlas.slot_action(p, corners))
     assert corners_only == 4
 
 

@@ -32,7 +32,7 @@ NAMED_MOVE_COUNTS = {2: 2, 3: 4, 4: 5, 5: 7, 6: 10, 7: 12}
 def slot_cycle(spec, named, family, key=None):
     atlas = build_atlas(spec)
     action = atlas.slot_action(
-        sequence_permutation(spec, named.sequence), family, key)
+        sequence_permutation(spec, named.sequence), atlas.orbit(family, key))
     return {s: t for s, t in enumerate(action) if t != s}
 
 

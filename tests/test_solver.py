@@ -181,7 +181,7 @@ def _reference_bases(spec, atlas, core, orbit):
     pair's decomposed orientations sorted by (value, slot).'''
     if core.expected_effect.kind == 'three_cycle':
         action = atlas.slot_action(sequence_permutation(spec, core.sequence),
-                                   orbit.family, orbit.key)
+                                   orbit)
         b0 = min(s for s, image in enumerate(action) if image != s)
         return (b0, action[b0], action[action[b0]])
     _, values = decompose(apply_sequence(
@@ -237,7 +237,7 @@ def test_setup_choice_matches_full_realization(n):
             assert found == _find_by_full_realization(chain, wanted)
             key, word = found
             action = atlas.slot_action(sequence_permutation(spec, word),
-                                       orbit.family, orbit.key)
+                                       orbit)
             assert tuple(action[slot] for slot in key) == bases
 
 
