@@ -14,20 +14,12 @@ codes: 0 success (and verdicts that hold), 1 domain errors (reported as
 '''
 
 import argparse
-import decimal
 import json
 import os
 import random
 import sys
 
-from .counting import (
-    gods_number_lower_bound,
-    group_order,
-    orbit_count,
-    s_conf_size,
-    s_phys_size,
-    tuned_lower_bound,
-)
+from .counting import count_digits, gods_number_lower_bound, tuned_lower_bound
 from .cube_model import (
     CubeSpec,
     apply_sequence,
@@ -56,13 +48,6 @@ def _schema(command):
 
 def _emit(document):
     print(json.dumps(document, indent=2))
-
-
-def _exact(count):
-    '''All decimal digits of an exact count. str() of an int refuses more
-    digits than the interpreter's limit (4,300 by default); Decimal has
-    no such limit, and the limit stays in force for reading documents.'''
-    return str(decimal.Decimal(count))
 
 
 def _require_n(args):
@@ -166,15 +151,13 @@ def _cmd_solve(args):
 
 def _cmd_count(args):
     spec = _require_n(args)
-    exact = {'s_conf': s_conf_size, 'orbits': orbit_count,
-             'group': group_order, 's_phys': s_phys_size}
-    if args.what in exact:
-        value = exact[args.what](spec.n)
+    if args.what not in ('bound', 'tuned-bound'):
+        value = count_digits(args.what, spec.n)
         if args.json:
             _emit({'schema': _schema('count'), 'n': spec.n,
-                   'what': args.what, 'value': _exact(value)})
+                   'what': args.what, 'value': value})
         else:
-            print(_exact(value))
+            print(value)
         return 0
     if args.what == 'bound':
         result = gods_number_lower_bound(spec.n, args.precision)
@@ -184,7 +167,7 @@ def _cmd_count(args):
         _emit({'schema': _schema('count'), 'n': spec.n, 'what': args.what,
                'value': str(result.ceiling), 'bound': str(result.bound),
                'precision': result.precision,
-               's_phys': _exact(result.s_phys),
+               's_phys': count_digits('s_phys', spec.n),
                'basic_move_count': result.basic_move_count})
     else:
         print('%d (bound %s at %d digits)'
@@ -202,21 +185,19 @@ def _cmd_order(args):
     spec = _require_n(args)
     formula = oracle = None
     if args.method in ('formula', 'both'):
-        formula = group_order(spec.n)
+        formula = count_digits('group', spec.n)
     if args.method in ('oracle', 'both'):
-        oracle = schreier_sims_order(generators(spec))
+        oracle = str(schreier_sims_order(generators(spec)))
     match = formula == oracle if args.method == 'both' else None
     if args.json:
         _emit({'schema': _schema('order'), 'n': spec.n,
-               'method': args.method,
-               'formula': None if formula is None else _exact(formula),
-               'oracle': None if oracle is None else _exact(oracle),
-               'match': match})
+               'method': args.method, 'formula': formula,
+               'oracle': oracle, 'match': match})
     else:
         if formula is not None:
-            print('formula: %s' % _exact(formula))
+            print('formula: %s' % formula)
         if oracle is not None:
-            print('oracle:  %s' % _exact(oracle))
+            print('oracle:  %s' % oracle)
         if match is not None:
             print('MATCH' if match else 'MISMATCH')
     return 0 if match in (True, None) else 1
@@ -234,7 +215,7 @@ def _cmd_bound(args):
         _emit({'schema': _schema('bound'), 'n': spec.n, 'kind': kind,
                'ceiling': result.ceiling, 'bound': str(result.bound),
                'precision': result.precision,
-               's_phys': _exact(result.s_phys),
+               's_phys': count_digits('s_phys', spec.n),
                'basic_move_count': result.basic_move_count})
     else:
         print('n=%d: no solver beats %d moves in the worst case'

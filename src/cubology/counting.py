@@ -1,10 +1,17 @@
 '''Exact counting of cube states and the pigeonhole move-count bound.
 
-Every count here is an exact Python integer; nothing is floated. The
-closed forms split by parity: odd cubes carry the single-edge family
-and the fixed centres, even cubes do not, and the number of 24-slot
-orbit families grows quadratically either way. Divisions in the closed
-forms are checked to leave no remainder.
+Every count is one row of non-negative exponents over a fixed tuple of
+integer factors (8!, 3, 12!, 2, 24!, 24!/24^6, 24^6/2, 24!/2). `_row`
+is the single statement of the closed forms and the only place the
+parity of n enters: odd cubes carry the single-edge family and the fixed
+centres, even cubes do not, and the number of 24-slot orbit families
+grows quadratically either way. The factors already hold the closed
+forms' quotients, so no count divides. Each row is read three ways: as
+an exact Python integer (the public counts), as exact decimal digits
+(`count_digits`, for printing counts far past the interpreter's
+int-to-str limit) and as an interval logarithm (the bounds below).
+The only float is the length estimate that sizes the decimal precision,
+and a trapped rounding would expose an estimate that fell short.
 
 The move-count bound is the pigeonhole argument: with 6n basic quarter
 turns, at most (6n)^k states are reachable within k turns, so any k
@@ -18,7 +25,8 @@ the raw powers.
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import factorial
+import decimal
+from math import factorial, log10, prod
 
 import mpmath
 from mpmath import iv
@@ -34,15 +42,19 @@ class BoundResult:
 
     bound is the real-valued log quotient at the stated precision (for
     the tuned variant, the integer it lands on); ceiling is the smallest
-    integer move count the argument rules out being beaten.
+    integer move count the argument rules out being beaten. s_phys, the
+    physical state count, is built only when read.
     '''
 
     n: int
-    s_phys: int
     basic_move_count: int
     precision: int
     bound: object
     ceiling: int
+
+    @property
+    def s_phys(self):
+        return s_phys_size(self.n)
 
 
 def _check(n):
@@ -50,49 +62,54 @@ def _check(n):
         raise ValueError('cube size must be an integer of at least 2')
 
 
-def _large_orbit_count(n):
-    '''Number of 24-slot orbit families (wings plus both centre kinds).'''
-    if n % 2:
-        return (n - 3) * (n + 1) // 4
-    return n * (n - 2) // 4
+_FACTORS = (factorial(8), 3, factorial(12), 2, factorial(24),
+            factorial(24) // 24 ** 6, 24 ** 6 // 2, factorial(24) // 2)
+
+
+def _row(count, n):
+    '''Exponents of _FACTORS whose product is the named count.
+
+    large is the number of 24-slot orbit families, wings plus both
+    centre kinds, and centres the number of centre orbits among them.
+    The moves reach only the even permutations of a centre orbit
+    (24!/2), and the 24^6/2 even shuffles of its six same-coloured
+    quadruples leave the picture unchanged (24!/24^6 physical fillings).
+    The orbits row is the quotient of the s_conf and group rows.
+    '''
+    _check(n)
+    odd = n % 2
+    if odd:
+        large, centres = (n - 3) * (n + 1) // 4, (n - 3) * (n - 1) // 4
+    else:
+        large, centres = n * (n - 2) // 4, (n - 2) ** 2 // 4
+    small = (1, 7, odd, 10 * odd)
+    rows = {
+        's_conf': (1, 8, odd, 12 * (n - 2), large, 0, 0, 0),
+        'orbits': (0, 1, 0, 12 * (n - 2) - 10 * odd + centres, 0, 0, 0, 0),
+        'group': small + (large - centres, 0, 0, centres),
+        'stabilizer': (0, 0, 0, 0, 0, 0, centres, 0),
+        's_phys': small + (large - centres, centres, 0, 0),
+    }
+    return rows[count]
+
+
+def _value(count, n):
+    return prod(factor ** k for factor, k in zip(_FACTORS, _row(count, n)))
 
 
 def s_conf_size(n):
     '''Number of reassemblies: states reachable with a screwdriver.'''
-    _check(n)
-    value = (factorial(8) * 3 ** 8
-             * 2 ** (12 * (n - 2))
-             * factorial(24) ** _large_orbit_count(n))
-    if n % 2:
-        value *= factorial(12)
-    return value
+    return _value('s_conf', n)
 
 
 def group_order(n):
     '''Number of move-reachable sticker states.'''
-    _check(n)
-    if n % 2:
-        q = (n - 3) // 2
-        numerator = (factorial(8) * 3 ** 7 * factorial(12) * 2 ** 11
-                     * factorial(24) ** _large_orbit_count(n))
-        quotient, remainder = divmod(numerator, 2 ** (q * q + q + 1))
-    else:
-        p = (n - 2) // 2
-        numerator = (factorial(8) * 3 ** 7
-                     * factorial(24) ** _large_orbit_count(n))
-        quotient, remainder = divmod(numerator, 2 ** (p * p))
-    assert remainder == 0, 'the group order formula divides exactly'
-    return quotient
+    return _value('group', n)
 
 
 def orbit_count(n):
     '''Number of reassembly classes the moves cannot mix.'''
-    _check(n)
-    if n % 2:
-        exponent = (n - 3) ** 2 // 4 + (n + 1) // 2 + 12 * (n - 3)
-    else:
-        exponent = (n - 2) ** 2 // 4 + 12 * (n - 2)
-    return 3 * 2 ** exponent
+    return _value('orbits', n)
 
 
 def stabilizer_order(n):
@@ -101,28 +118,33 @@ def stabilizer_order(n):
     Stickers of one colour inside a 24-slot centre orbit are mutually
     interchangeable; everything else is pinned down.
     '''
-    _check(n)
-    if n % 2:
-        exponent = (n - 3) * (n - 1) // 4
-    else:
-        exponent = (n - 2) ** 2 // 4
-    return (24 ** 6 // 2) ** exponent
+    return _value('stabilizer', n)
 
 
 def s_phys_size(n):
     '''Number of physically distinct valid configurations.'''
-    _check(n)
-    if n % 2:
-        numerator = (factorial(8) * 3 ** 7 * factorial(12) * 2 ** 10
-                     * factorial(24) ** _large_orbit_count(n))
-        exponent = (n - 3) * (n - 1) // 4
-    else:
-        numerator = (factorial(8) * 3 ** 7
-                     * factorial(24) ** _large_orbit_count(n))
-        exponent = (n - 2) ** 2 // 4
-    quotient, remainder = divmod(numerator, (24 ** 6) ** exponent)
-    assert remainder == 0, 'the physical count formula divides exactly'
-    return quotient
+    return _value('s_phys', n)
+
+
+def count_digits(count, n):
+    '''All decimal digits of the named count ('s_conf', 'orbits',
+    'group', 'stabilizer' or 's_phys').
+
+    str() of an int refuses more digits than the interpreter's limit
+    and converts in quadratic time; the product is formed in decimal
+    instead, at a precision above the row's digit count, with every
+    rounding trapped so that a short precision raises rather than
+    printing a wrong digit.
+    '''
+    row = _row(count, n)
+    digits = int(sum(k * log10(f) for f, k in zip(_FACTORS, row))) + 1
+    with decimal.localcontext() as context:
+        context.prec = digits + 20
+        context.Emax = decimal.MAX_EMAX
+        for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
+            context.traps[signal] = True
+        value = prod(decimal.Decimal(f) ** k for f, k in zip(_FACTORS, row))
+        return str(value)
 
 
 @contextmanager
@@ -135,22 +157,13 @@ def _interval_digits(precision):
         iv.dps = saved
 
 
-def _ln_s_phys(n):
-    '''Interval enclosure of ln of the physical state count, built from
-    factor logarithms so no huge integer is ever materialized.'''
-    value = iv.log(iv.mpf(factorial(8))) + 7 * iv.log(iv.mpf(3))
-    if n % 2:
-        value += iv.log(iv.mpf(factorial(12))) + 10 * iv.log(iv.mpf(2))
-        down = (n - 3) * (n - 1) // 4
-    else:
-        down = (n - 2) ** 2 // 4
-    value += _large_orbit_count(n) * iv.log(iv.mpf(factorial(24)))
-    value -= down * 6 * iv.log(iv.mpf(24))
-    return value
-
-
 def _bound_interval(n):
-    return _ln_s_phys(n) / iv.log(iv.mpf(6 * n)) - 1
+    '''Interval enclosure of ln(s_phys) / ln(6n) - 1, taken from the
+    row's factor logarithms so no huge integer is ever built.'''
+    ln_s_phys = sum((k * iv.log(iv.mpf(f))
+                     for f, k in zip(_FACTORS, _row('s_phys', n)) if k),
+                    iv.mpf(0))
+    return ln_s_phys / iv.log(iv.mpf(6 * n)) - 1
 
 
 def gods_number_lower_bound(n, precision=50):
@@ -161,7 +174,6 @@ def gods_number_lower_bound(n, precision=50):
     is base-invariant. precision is in significant decimal digits;
     raises PrecisionTooLow when the interval cannot pin the ceiling.
     '''
-    _check(n)
     with _interval_digits(precision):
         bound = _bound_interval(n)
         low = mpmath.mpf(bound.a)
@@ -173,9 +185,8 @@ def gods_number_lower_bound(n, precision=50):
         raise PrecisionTooLow(
             'ceiling ambiguous between %d and %d at %d digits'
             % (ceil_low, ceil_high, precision))
-    return BoundResult(n=n, s_phys=s_phys_size(n), basic_move_count=6 * n,
-                       precision=precision, bound=(low + high) / 2,
-                       ceiling=ceil_low)
+    return BoundResult(n=n, basic_move_count=6 * n, precision=precision,
+                       bound=(low + high) / 2, ceiling=ceil_low)
 
 
 def reduced_sequence_count(n, k):
@@ -194,21 +205,21 @@ def tuned_lower_bound(n, precision=50):
     reduced word count reaches the physical state count. Never weaker
     than the plain bound, since reduced words are scarcer than raw
     ones.'''
-    _check(n)
     target = s_phys_size(n)
     total = 1
+    term = 6 * n  # reduced_sequence_count(n, k + 1), as a running product
     k = 0
     while total < target:
         k += 1
-        total += reduced_sequence_count(n, k)
-    return BoundResult(n=n, s_phys=target, basic_move_count=6 * n,
-                       precision=precision, bound=mpmath.mpf(k), ceiling=k)
+        total += term
+        term *= 6 * n - 3
+    return BoundResult(n=n, basic_move_count=6 * n, precision=precision,
+                       bound=mpmath.mpf(k), ceiling=k)
 
 
 def normalized_bound_ratio(n, precision=30):
     '''The bound scaled by log2(n)/n^2, the quantity whose convergence
     exhibits the quadratic-over-log growth of the bound.'''
-    _check(n)
     with _interval_digits(precision):
         ratio = (_bound_interval(n) * iv.log(iv.mpf(n))
                  / iv.log(iv.mpf(2)) / (iv.mpf(n) ** 2))
@@ -217,4 +228,4 @@ def normalized_bound_ratio(n, precision=30):
 
 def normalized_bound_limit():
     '''The constant normalized_bound_ratio approaches as n grows.'''
-    return float(mpmath.log(factorial(24) / mpmath.mpf(24) ** 6, 2) / 4)
+    return float(mpmath.log(_FACTORS[5], 2) / 4)

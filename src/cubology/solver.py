@@ -410,18 +410,3 @@ def solve_stage(state, stage_name):
                 % (stage_name, earlier.name))
     sequence, state, _ = _run_stage(plan[index], state)
     return sequence, state
-
-
-def peephole(sequence):
-    '''Cancel adjacent turns of the same slab; cosmetic only, the state
-    reached is unchanged.'''
-    out = []
-    for move in sequence:
-        if out and out[-1].face == move.face and out[-1].depth == move.depth:
-            turns = (out[-1].quarter_turns + move.quarter_turns) % 4
-            out.pop()
-            if turns:
-                out.append(Move(move.face, move.depth, turns))
-        else:
-            out.append(move)
-    return tuple(out)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -175,6 +176,27 @@ def test_counts_beyond_the_int_digit_limit_print_exactly(capsys):
                    'value') == group
     assert printed(['bound', '--n', '34', '--json'],
                    's_phys') == s_phys_size(34)
+
+
+def test_large_counts_and_bounds_stay_fast(capsys):
+    # The digits are formed without converting the integer, so printing
+    # costs about as much as computing; str() of this many digits would
+    # be quadratic, so the check reads the length and the last 50 digits.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ['count', '--n', '400', '--what', 'group'])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    text = out.strip()
+    group = group_order(400)
+    low = 10 ** (len(text) - 1)
+    assert low <= group < 10 * low
+    assert int(text[-50:]) == group % 10 ** 50
+    # The bound's text output never builds the physical state count.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ['bound', '--n', '10000'])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert 'no solver beats 81150592 moves' in out
 
 
 def test_count_bound_carries_a_precision_note(capsys):

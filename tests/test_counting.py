@@ -130,6 +130,7 @@ def test_reduced_sequence_count_matches_enumeration():
 def test_tuned_bound_values_and_dominance():
     assert tuned_lower_bound(2).ceiling == 9
     assert tuned_lower_bound(3).ceiling == 17
+    assert tuned_lower_bound(100).ceiling == 13840
     for n in range(2, 13):
         assert tuned_lower_bound(n).ceiling >= \
             gods_number_lower_bound(n).ceiling

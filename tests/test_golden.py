@@ -23,11 +23,21 @@ word, and the oracle digests pin the chain build_bsgs produces (base,
 orbit sizes and strong generators) for the quarter-turn generators. Both
 were recorded before the named words began carrying their verification
 report and before the sift skipped identity transversal steps.
+
+The count digests pin `count --what W --json` for the four exact counts
+and for the plain bound, and `bound --json` with and without --tuned
+(tuned only up to n=60, where the step-by-step power sum still ran in
+well under a second). They were recorded before every count became one
+row of exponents evaluated as an integer, as printed digits and as a
+certified logarithm, so the printed digits and the bound's text stay
+byte-identical across that change. The outputs run to tens of thousands
+of digits, so the interpreter's int-to-str limit is lifted around them.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 
 import pytest
 
@@ -201,6 +211,236 @@ BSGS_GOLDEN = {
     5: '561184c1cf8016015ca8bdc5e90678936207cd21726f9358e9434ef50ac2fe0a',
 }
 
+# sha256 of `count --n N --what W --json`, per count and size.
+COUNT_GOLDEN = {
+    ('bound', 2):
+        'b70bd00b34abc01284eabaf870430791b08d38872b26563450962fcec1f5e48c',
+    ('bound', 3):
+        'b5d565d4aadd059329ab09c8191b19d645593318a9502a4a02f02d9ab93adf10',
+    ('bound', 4):
+        'fe10c04e10e6fdfccb78a4cc629ef1e4987efe270b94362e953a8ff632fc2637',
+    ('bound', 5):
+        'da644a4dd7f9e8a9b80f24ccb158d5ce880001a9b746eba0e4f7869d4e28db0b',
+    ('bound', 6):
+        'cde535e8f0148103f2d074c4d0536fafa3a947ed88b692e7a58bde2667c3bf00',
+    ('bound', 7):
+        'd9cf3cef35ce69b615e846dc16f3922e8186b1c2ad5f17b8dc3c6740818e5af7',
+    ('bound', 8):
+        '8fd0d88c397d451ac56a8cb19652b61da8437c046bf6d872dfd35f5cbc316b61',
+    ('bound', 9):
+        'dbc2f030d04e24e5ce303cc9973806abbf9f5edc00945c3a7d776e3bc16a087a',
+    ('bound', 10):
+        '7ab43a456a05e38ba8cd8efe1c5b89dc29a7d1c7db3dd61ffe13b200b92b3cea',
+    ('bound', 11):
+        'ff0e36f95cbabcd5b33b1b13d50a8d0148f0f75e1823abd55fb92f2f2e54bb86',
+    ('bound', 12):
+        '622fab4f385505892e5b20d3d6c75002f58b1f6aebae4b5cf704a9e2fc9027d1',
+    ('bound', 13):
+        'b627604239cc9359e80a5d841971aec665d0aa2d40bee7c2b2b93a8ed17eed35',
+    ('bound', 20):
+        '626eec899850e7c926a38e2cd7394ca7479aaa62a51216c7928aedeb54475ab9',
+    ('bound', 34):
+        '8d18bfbc611da746b4879512a395f4c911d04d8ee8d5193f51b138db189761ee',
+    ('bound', 60):
+        'fe0c9e322bfbb327c4d00b14525439790bea02c19571f923a79c93b5f2b38990',
+    ('bound', 100):
+        '83a31046c19a15ad16dd426ec17a0b357f0f5ce8955ef51fb346e25a23f98f41',
+    ('group', 2):
+        'fb579b61fb6a6017d82ec65cd5a22de624c0ac2e4013fad4d803f18513d0cb47',
+    ('group', 3):
+        'e09b580fc294edd75868ea709414fe970c1f825a034e0291d4e7ff8966903237',
+    ('group', 4):
+        '3f23d6c239ee46246ac7baccf783be7a6a5fa82b328605f2e6042588541e44f7',
+    ('group', 5):
+        'd3cfb2e4cc8ab467be5e3660a7fe41cc20e0745427eb83b00500750d6e34a154',
+    ('group', 6):
+        'ceac78b730fb3221ae9cd2aecf8361267510b07ab67c5d55406f84bdba96de4f',
+    ('group', 7):
+        'a4b0d8ad42ade6baada608eaba5af3cb4956bd621cb7a1055fafa3f0e3c0dc82',
+    ('group', 8):
+        '1e81273146b8c942509dfe86a440bab88fe489814923e45d9b71743b5ce942d1',
+    ('group', 9):
+        'dd79778cd895d4230ff826fffb8c012a2916eaab14c8c46abaf4729cf4b466d8',
+    ('group', 10):
+        '5075b0381ec6641f49ae39c2a7b6d2d28a98b72fe8f2c059b697bc8ab1498810',
+    ('group', 11):
+        '1389de061a023b09a1ed21b740569be4a8d4b22a97668c85e2773b2197a02fe4',
+    ('group', 12):
+        'fd8d5044e476e36748b0803c9a6837fc8ee04318f1acae47484bdca34c7c66bc',
+    ('group', 13):
+        '270933cccfde0bb9f19c4e80bea8ee3bd5af4032a0e1851ccc8f9d4d36fe2cbc',
+    ('group', 20):
+        '041885960548c91511f492a81c376a26a82bfe86babd3d8b301139f767a876a0',
+    ('group', 34):
+        '3e4579f75a9983107f3074173c8ea352d6ed03b9d60aac8499b07a11211641db',
+    ('group', 60):
+        '1ca49fb9ee585c87cc52ea34562546f5e84ce26c879a03b10c5aa82c4ac14e8c',
+    ('group', 100):
+        '1019164e8fa7d5bf21f5d2f0cf9cb50ce1fe4eac1bbee7982e9dc959fc8dc678',
+    ('orbits', 2):
+        'cae1b10ea21cc4c57557efc17fa79b556ffca7461c40fb238b052cbe73237378',
+    ('orbits', 3):
+        '0b5fe05c68c84a15fd974f2f7d74d33cfb8bb3321b74ba396e14fef54d0b6891',
+    ('orbits', 4):
+        '09513fabe225dc25ac8c624642bae973e4194ae4a3c30f36bdf86e95e7ef82c5',
+    ('orbits', 5):
+        '59b7eba19e91d7d1876b7c6c608a4f722a3dced3d39423e545b3b6c88337dd98',
+    ('orbits', 6):
+        '52a3ef0ad4190dd2de81ba2a86c6fe4aac2f59c727858f5494903b7153e04dc7',
+    ('orbits', 7):
+        'ab53c8ca423eb2e2e452cf74bfe1197429a724fbbcdcc791009f844e6147f886',
+    ('orbits', 8):
+        '6728a97907fb9a0b9a1382b4371393b7e8f84db214b8177688d93d23f5193e6d',
+    ('orbits', 9):
+        '01d12285270035323a7440811abcac2c1df41c8d81347237e0d7cc08f00c2a5c',
+    ('orbits', 10):
+        '3023847b995eb01e238d73eb4db6c7108c2bcf30a058b3786916240ba3bccb74',
+    ('orbits', 11):
+        '8b788b09c3ac2945c3bfa4956dad334ce10d3bdc6eb769aa37b763105f5d5165',
+    ('orbits', 12):
+        '81f821a89fcad1b0f56cd3005de3b3bc3d3cb0755cd3bea5fee03204904b3c93',
+    ('orbits', 13):
+        '11be3fb59145ed9a0cf179a5535065dacf3df6e37b1ed58af7adf68bd3830ed9',
+    ('orbits', 20):
+        'f588cf5541e4a5170c67cd623fd6ebaf5a70fbd355a894752d434c3aedab7507',
+    ('orbits', 34):
+        '53eb132e0bf8b249e848ded051cf5c1af2e96c84a0f41cfffebbf598c9afa552',
+    ('orbits', 60):
+        'e818126dad0ace1ab43ad7431fd31ad0ff6b395d7864b93349dadf53967a8379',
+    ('orbits', 100):
+        '36efd05ae5f19fd16baa480b54fbbce16fe7011c0d0ddd00f0b9b81363b87ffd',
+    ('s_conf', 2):
+        '91d556be5f7906aebaddf09f2c1b99c1f33de24200de0b064b8f4a84e89de550',
+    ('s_conf', 3):
+        '46e745d7ab05b1f0ea24f39ecab4dcfb1fbd93d40713938bd08d6caa1f237cb8',
+    ('s_conf', 4):
+        '225ca82a09191c81caf48eadd4d3b5cd73746422ce746693df6f254922a18b0f',
+    ('s_conf', 5):
+        'e39705fcd466c60207a726b3947e1c64d1e7044e23dc1e5da1ff0e9cf59ecdb2',
+    ('s_conf', 6):
+        'abeb87c19eba2bc8ee1bd810bedc0e2b9cba3b10b1351c95fe27c6ce2669c333',
+    ('s_conf', 7):
+        '7d6f1373ff6c37b253097626fdac47698bd34c4a8c3e7da2463cce78e7598dc0',
+    ('s_conf', 8):
+        'd72fcd3daec12596b00ae7bce036881f03b9d6cce00bb6c449f69b17ba662e53',
+    ('s_conf', 9):
+        '192701d445ff4ffb76150c367aaa42ab8a3f5663e0f4c9b54a16c8e8ea271d21',
+    ('s_conf', 10):
+        '03b6a06a595f003118c13cef2f009f76f56161b9c73e06098aee5f3fcdf3e07d',
+    ('s_conf', 11):
+        '6f4ff93985af0813597be5346f2829385bf678f76f33b84a512aa80b623c9719',
+    ('s_conf', 12):
+        '21f2ec08a41aa0ca2efc59c1256442d8b3fd06ce0b940c764650cde0b2b0b027',
+    ('s_conf', 13):
+        '5032cc0012b2ab06663094210f6132320573d79b2f854cf97ffeb6f3b85a6a66',
+    ('s_conf', 20):
+        '3b3accacd6a884a0677a233e1d7c599fd27dadf49bd0f8d87ec50feb8e49f83b',
+    ('s_conf', 34):
+        '038aa430836808f59add4d49f7bd1aa4ad94a5dbfdb233141e103a99133a080b',
+    ('s_conf', 60):
+        '0828357dc7e5242f2a41498ca9aee189c75f7c04808e4a0cc38df00ea1743494',
+    ('s_conf', 100):
+        'f6e4d8a45f10d2b21055ef1dd0774fe01455d7f8afa17b3944a0b6f416238d7a',
+    ('s_phys', 2):
+        '0b4dcc8865e9e8337ce090e27f65963f279fa54a7fcc531c17f4bb3dbd33ac07',
+    ('s_phys', 3):
+        '3d804d650fea174831bfdc5c4bdb713e7ee8ec46be004990a6cd41943d15551f',
+    ('s_phys', 4):
+        'bdb004e08fe427fd3f525491a54c47e8356b650f7211433b8fcb736bb59f305e',
+    ('s_phys', 5):
+        'd6066163be37625b6d5406eaaef2bb73577916f485df1f6362c6f1018ad2ddf9',
+    ('s_phys', 6):
+        '4e49ac6c91248866ef9901feffd76ba41ea7ac7bd9f0b830c3b3114e246a1e48',
+    ('s_phys', 7):
+        '4aee84c19af8587b23c3ffcca8fa3b3dcb0c1c825866865e27f30b09b87f9bb4',
+    ('s_phys', 8):
+        'dd3991d979a791fbc80cb5acaf8ddc2983e2c60283f39f1265c36a22728417f8',
+    ('s_phys', 9):
+        'fc02e90a3378a248dc439669ff9aa82386bff92fcc22bdc1e169c9b013bf0858',
+    ('s_phys', 10):
+        'b17988546fd726dea1fb25e1f002d2b9ded2051454973e18c78a319fa50445a2',
+    ('s_phys', 11):
+        '12a8b2e04a987ca7904fe99e5f7b27c374f3a27e943927298f13f58fcdd35235',
+    ('s_phys', 12):
+        '00b888ad843868b8d3012d26a193c6b11f42fe9fd3d6a7412687619c9f0b9968',
+    ('s_phys', 13):
+        '51f1ba0fd89f80a400993d5bc40872c95e70054302cb873361ef28ff58221933',
+    ('s_phys', 20):
+        'aae4ab78e767fb0384c679f837482f5daa8504e1bddea6e7225e79f648d259bf',
+    ('s_phys', 34):
+        'cb34ba957536757f898b28bcb05874e06b4136ee2c918f373b2e126d092bf6f5',
+    ('s_phys', 60):
+        '008553b4ac0fda6d6563dd990fd0799f2f639693b41d66e0307d8da70e9f4e5b',
+    ('s_phys', 100):
+        'aaee752c21f5bece5fc9ed8a741265f233a088e6d94d3c5cf30240a0ef628dc8',
+}
+
+# sha256 of `bound --n N --json`, plain and --tuned, per size.
+BOUND_GOLDEN = {
+    ('plain', 2):
+        '6f11d5287a2fade6a00aa5606f291f495a3b3266855157c6450133c8a1544f34',
+    ('plain', 3):
+        '9ad1373d7f17bb0df4e6986ba0ff368da75d9c33f1b1e1d7ee8c66124e1a4b68',
+    ('plain', 4):
+        '3f5112899ea4a09b0fbbdedac3c16557dedd69a8ed619409578967bbb311baf2',
+    ('plain', 5):
+        'b18b07cf2e7d6df9bb0d23fd33dbcc904fac34ba591b8012e460941276bca740',
+    ('plain', 6):
+        '5986726b171387c5281d9e47182ab8a82e66c94aa3b89b0ed0644caa2941af0d',
+    ('plain', 7):
+        'f552fc74d42c2a16197a01435e3c02265de58abd75313971f252053faee8def9',
+    ('plain', 8):
+        '864a20fa5ae2ec641b2b270c3fb16d667f5145ccfcea8f797f406d5e4072d638',
+    ('plain', 9):
+        '2c49593092bcd34033d68bfd4ff70dab5f16597259edb7f8108f105b62b54d28',
+    ('plain', 10):
+        '4875b3410b725e23a8d2d0355a2cb42708a451ab638d74377d5b75c9563e6b6a',
+    ('plain', 11):
+        '570c9ce869e1d12b0bf5797418f8696f2ee912e2b2e52f05bc09147bbfc3ccd0',
+    ('plain', 12):
+        '970ba64de3e25e3bfedf603ed94443288a189b5cb666beb1f6752ddc697fa167',
+    ('plain', 13):
+        'e19ac838a79df6a04e69a92492a2993d5bbf4e4d631e445b5e5188835829af5d',
+    ('plain', 20):
+        'a09fbed865528ed1dd22cb147fc4ed8de2b444242f006a184a1f759b3e473919',
+    ('plain', 34):
+        '0b20af726d65e00cc2b8e87212d6508de214167ddfbc1b2b4b68c819f208f902',
+    ('plain', 60):
+        'feb2069f4802f113ae38f9834bb970b53d2aa23f1080f0c8629d599f7acf9b41',
+    ('plain', 100):
+        'cad583ae97435fb6fb5a4a5d768f897278e47339488acce5dc0eb6d48fbaa32a',
+    ('tuned', 2):
+        '32c5343ee0e2c5b23eda4a92e80324367a9a87dfcdc114525cbbb6a25a533c43',
+    ('tuned', 3):
+        '866ecd314bb64799b1110503b029138839c4ddbe86986a6961466fbbac0688f0',
+    ('tuned', 4):
+        '961bd629005cd8a6d867a61dcd205f9b417d37062d0f9dc5dc155e727d5f7c69',
+    ('tuned', 5):
+        '638668b30217751c7cb4c531a1f0490a5f9b49f47c131168e04fc8dc4f9a3b6d',
+    ('tuned', 6):
+        'd7ab34cff0e7cfb4e720ff1351941ac7f3950c6a110b139a2b6d1a10d8b68cb3',
+    ('tuned', 7):
+        'c3c4c8f2d7de7cca13decb9a9b3eb343bbb03ec9ad5b75da9bd2eb0606dd0481',
+    ('tuned', 8):
+        'f0b2891b04f8de53c85ba92c9049acfc957d59b7b3a60549c9a1346bca780c08',
+    ('tuned', 9):
+        'c3995629542c3fa45cb34c032331dbc7aea763b820aadcb84edf69c73148de5e',
+    ('tuned', 10):
+        '69c28ca4d32d85f65313358e6c12385a38fc5166f13d720d8360d70636afdd2d',
+    ('tuned', 11):
+        '6f09efbbdb1a6ab47f1be929ceee17d8e1f36e91299dea02a6ea336dc4b06767',
+    ('tuned', 12):
+        '544d0460dcd1d4a812c921a7c2b8e092ba4fd8ad2245aeaf56fe8c8e0fd02d12',
+    ('tuned', 13):
+        '85d2f0234dc9f5031a0e9dcbdb79e3acc0fc896f3d4fbc56f98d496ebabead82',
+    ('tuned', 20):
+        '6239032fc35273ec5b1c0ca6e00d080f5b49533ee3a68a17e35f0a52b81e44da',
+    ('tuned', 34):
+        'bc2d2bbc4c038d07b6e1196d2e7182eb5a21a692af216b4845f9966e9547939a',
+    ('tuned', 60):
+        '2c4a4c7ed20b0eb05b2c719b01cb6499d8a9952258c9321d1ad4412c27587f3b',
+}
+
 SAMPLERS = {sampler.__name__: sampler
             for sampler in (random_configuration, random_valid_configuration)}
 
@@ -261,3 +501,34 @@ def test_bsgs_chain_matches_golden_digest(n):
     chain = (bsgs.base, bsgs.orbit_sizes, bsgs.strong_generators)
     digest = hashlib.sha256(repr(chain).encode()).hexdigest()
     assert digest == BSGS_GOLDEN[n]
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _cli_digest(argv):
+    out = io.StringIO()
+    with _unlimited_int_digits(), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize('what, n', sorted(COUNT_GOLDEN))
+def test_count_matches_golden_digest(what, n):
+    digest = _cli_digest(['count', '--n', str(n), '--what', what, '--json'])
+    assert digest == COUNT_GOLDEN[(what, n)]
+
+
+@pytest.mark.parametrize('kind, n', sorted(BOUND_GOLDEN))
+def test_bound_matches_golden_digest(kind, n):
+    digest = _cli_digest(['bound', '--n', str(n), '--json']
+                         + (['--tuned'] if kind == 'tuned' else []))
+    assert digest == BOUND_GOLDEN[(kind, n)]

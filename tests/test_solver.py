@@ -18,7 +18,6 @@ from cubology.cube_model import (
     apply_move,
     apply_sequence,
     legal_slab_moves,
-    parse_move_sequence,
     sequence_permutation,
     solved_state,
     state_to_json_dict,
@@ -29,7 +28,6 @@ from cubology.solver import (
     NotSolvable,
     StageOrderViolation,
     _setup_search,
-    peephole,
     solve,
     solve_stage,
     stage_names,
@@ -138,22 +136,6 @@ def test_solve_stage_rejects_unknown_names():
 def test_solve_stage_rejects_unsolvable_states():
     with pytest.raises(NotSolvable):
         solve_stage(twisted_corner(CubeSpec(3)), 'sign_alignment')
-
-
-def test_peephole_merges_and_cancels():
-    spec = CubeSpec(3)
-    seq = parse_move_sequence("R R U U' F2 F2 L", spec)
-    slim = peephole(seq)
-    assert slim == parse_move_sequence('R2 L', spec)
-
-
-def test_peephole_preserves_the_permutation():
-    spec = CubeSpec(4)
-    state = random_valid_configuration(spec, seed=9)
-    trace = solve(state)
-    slim = peephole(trace.total)
-    assert len(slim) <= len(trace.total)
-    assert apply_sequence(state, slim) == solved_state(spec)
 
 
 @pytest.mark.parametrize('convert', [tuple, list])
