@@ -10,8 +10,9 @@ forms' quotients, so no count divides. Each row is read three ways: as
 an exact Python integer (the public counts), as exact decimal digits
 (`count_digits`, for printing counts far past the interpreter's
 int-to-str limit) and as an interval logarithm (the bounds below).
-The only float is the length estimate that sizes the decimal precision,
-and a trapped rounding would expose an estimate that fell short.
+The only floats are two estimates checked exactly afterwards: the length
+that sizes the decimal precision, where a trapped rounding would expose
+an estimate that fell short, and the tuned bound's starting k.
 
 The move-count bound is the pigeonhole argument: with 6n basic quarter
 turns, at most (6n)^k states are reachable within k turns, so any k
@@ -26,7 +27,7 @@ the raw powers.
 from contextlib import contextmanager
 from dataclasses import dataclass
 import decimal
-from math import factorial, log10, prod
+from math import ceil, factorial, log, log10, prod
 
 import mpmath
 from mpmath import iv
@@ -206,13 +207,20 @@ def tuned_lower_bound(n, precision=50):
     than the plain bound, since reduced words are scarcer than raw
     ones.'''
     target = s_phys_size(n)
-    total = 1
-    term = 6 * n  # reduced_sequence_count(n, k + 1), as a running product
-    k = 0
-    while total < target:
+    ratio = 6 * n - 3
+
+    def reached(k):
+        # 1 + sum of reduced_sequence_count(n, j) for j = 1..k: a
+        # geometric sum with ratio 6n-3, so 6n-4 divides r^k - 1.
+        return 1 + 6 * n * ((ratio ** k - 1) // (ratio - 1))
+
+    # Logarithms place k within a step; the exact sums then settle it.
+    k = max(0, ceil((log(target) + log(ratio - 1) - log(6 * n))
+                    / log(ratio)))
+    while reached(k) < target:
         k += 1
-        total += term
-        term *= 6 * n - 3
+    while k and reached(k - 1) >= target:
+        k -= 1
     return BoundResult(n=n, basic_move_count=6 * n, precision=precision,
                        bound=mpmath.mpf(k), ceiling=k)
 

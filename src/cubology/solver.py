@@ -25,12 +25,16 @@ through a correctly placed slot of the matching colour class, which
 fixes all three at once. Orientation pairs the first misoriented slot
 with each other one.
 
-Setup words come from a transversal chain per orbit: a short
+Setup words come from a transversal chain per orbit class: a short
 breadth-first pass over single slab moves records, for every slot, a
 word carrying it onto the first base slot, then one onto the second
 while the first stays put, and so on. Any requested slot tuple is then
-reached by chaining one word per level, so the pass runs once per cube
-size and later solves pay only dictionary lookups. Each pass scores
+reached by chaining one word per level. The pass runs over symbols
+(face, depth rank, quarter turns), each depth named by its rank among
+the depths acting on the orbit, so every orbit whose moves then act
+alike shares one pass, across all cube sizes: nine passes serve every
+orbit up to n=17. Each orbit reads the class words back with its own
+depths, and later solves pay only dictionary lookups. Each pass scores
 every wanted tuple by the summed length of its chained words, following
 only where the earlier words send the tuple's remaining slots, and
 realizes just the first shortest one. Targets are read from the worked
@@ -108,64 +112,16 @@ class SolveTrace:
 class _SetupChain:
     '''Transversal chain carrying arbitrary slot tuples onto the bases.
 
-    One breadth-first pass over slab-move slot actions fills one level
-    per base slot: level 0 holds, for every slot x, a word moving x to
-    the first base; level 1 holds words doing so for the second base
-    while fixing the first; and so on. The pass stops as soon as every
-    level is full, which only needs a shallow ball, so construction is
-    bounded once per orbit and every later query is a few dictionary
-    lookups with a guaranteed answer. Chained words are a little longer
-    than true shortest setups; the cycles they conjugate stay exact.
+    Level 0 holds, for every slot x, a word moving x to the first base
+    and the slot action of that word; level 1 holds words doing so for
+    the second base while fixing the first; and so on. Every query is a
+    few dictionary lookups with a guaranteed answer. Chained words are a
+    little longer than true shortest setups; the cycles they conjugate
+    stay exact.
     '''
 
-    def __init__(self, spec, atlas, orbit, bases):
-        self.bases = tuple(bases)
-        size = len(orbit.slots)
-        self.identity = bytes(range(size))
-        alphabet = []
-        for move in legal_slab_moves(spec, False, (1, 2, 3)):
-            action = atlas.slot_action(sticker_permutation(spec, move), orbit)
-            if bytes(action) != self.identity:
-                # Composition runs through bytes.translate, so store
-                # each action as a full translation table.
-                alphabet.append(
-                    (move, bytes(action) + bytes(range(size, 256))))
-        self.levels = self._build(alphabet, size)
-
-    def _build(self, alphabet, size):
-        bases = self.bases
-        levels = [{base: ((), self.identity)} for base in bases]
-        missing = sum(size - depth for depth in range(len(bases))) \
-            - len(bases)
-        seen = {self.identity}
-        frontier = deque([(self.identity, ())])
-        while missing:
-            if not frontier:
-                raise AssertionError(
-                    'setup alphabet exhausted before the transversal chain '
-                    'was complete')
-            action, word = frontier.popleft()
-            if len(word) >= MAX_SETUP_DEPTH:
-                raise AssertionError(
-                    'setup search needed a word longer than %d moves'
-                    % MAX_SETUP_DEPTH)
-            for move, table in alphabet:
-                child = action.translate(table)
-                if child in seen:
-                    continue
-                seen.add(child)
-                grown = word + (move,)
-                frontier.append((child, grown))
-                for depth, base in enumerate(bases):
-                    if depth and any(
-                            child[bases[j]] != bases[j]
-                            for j in range(depth)):
-                        break
-                    source = child.index(base)
-                    if source not in levels[depth]:
-                        levels[depth][source] = (grown, child)
-                        missing -= 1
-        return levels
+    def __init__(self, levels):
+        self.levels = levels
 
     def find(self, wanted):
         '''Shortest chained word carrying one of the wanted preimage
@@ -193,8 +149,77 @@ class _SetupChain:
 
 
 @functools.lru_cache(maxsize=None)
+def _class_levels(alphabet, bases, size):
+    '''The chain levels of one orbit class, as words over the class's
+    symbols. alphabet holds (symbol, translation table) pairs; one
+    breadth-first pass over them fills every level and stops as soon as
+    all are full, which only needs a shallow ball.'''
+    identity = bytes(range(size))
+    levels = [{base: ((), identity)} for base in bases]
+    missing = sum(size - depth for depth in range(len(bases))) - len(bases)
+    seen = {identity}
+    frontier = deque([(identity, ())])
+    while missing:
+        if not frontier:
+            raise AssertionError(
+                'setup alphabet exhausted before the transversal chain '
+                'was complete')
+        action, word = frontier.popleft()
+        if len(word) >= MAX_SETUP_DEPTH:
+            raise AssertionError(
+                'setup search needed a word longer than %d moves'
+                % MAX_SETUP_DEPTH)
+        for symbol, table in alphabet:
+            child = action.translate(table)
+            if child in seen:
+                continue
+            seen.add(child)
+            grown = word + (symbol,)
+            frontier.append((child, grown))
+            for depth, base in enumerate(bases):
+                if depth and any(
+                        child[bases[j]] != bases[j] for j in range(depth)):
+                    break
+                source = child.index(base)
+                if source not in levels[depth]:
+                    levels[depth][source] = (grown, child)
+                    missing -= 1
+    return levels
+
+
+@functools.lru_cache(maxsize=None)
 def _setup_search(spec, atlas, orbit, bases):
-    return _SetupChain(spec, atlas, orbit, bases)
+    '''The orbit's setup chain: the chain of its class, with each
+    symbol (face, depth rank, q) read back as this orbit's slab move.
+
+    The alphabet is every slab move acting on the orbit, in
+    legal_slab_moves order. A move's depth is replaced by its rank among
+    the depths that act on the orbit, so every orbit whose moves then
+    act alike, of any cube size, shares one breadth-first pass; the
+    ranks keep the depth order, so the words are those a pass over this
+    orbit's own moves would find.'''
+    size = len(orbit.slots)
+    identity = bytes(range(size))
+    acting = []
+    for move in legal_slab_moves(spec, False, (1, 2, 3)):
+        action = bytes(atlas.slot_action(sticker_permutation(spec, move),
+                                         orbit))
+        if action != identity:
+            acting.append((move, action))
+    depths = sorted({move.depth for move, _ in acting})
+    alphabet = []
+    relabel = {}
+    for move, action in acting:
+        symbol = (move.face, depths.index(move.depth), move.quarter_turns)
+        relabel[symbol] = move
+        # Composition runs through bytes.translate, so store each action
+        # as a full translation table.
+        alphabet.append((symbol, action + bytes(range(size, 256))))
+    levels = _class_levels(tuple(alphabet), tuple(bases), size)
+    return _SetupChain([
+        {slot: (tuple(map(relabel.__getitem__, word)), action)
+         for slot, (word, action) in level.items()}
+        for level in levels])
 
 
 def _run_sign_alignment(atlas, state):

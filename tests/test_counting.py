@@ -136,6 +136,26 @@ def test_tuned_bound_values_and_dominance():
             gods_number_lower_bound(n).ceiling
 
 
+def step_walk_tuned_ceiling(n):
+    """Smallest k whose running sum of reduced_sequence_count(n, j),
+    j = 0..k, reaches the physical state count, found one step at a
+    time; each term is the last one times 6n-3."""
+    target = s_phys_size(n)
+    total = reduced_sequence_count(n, 0)
+    term = reduced_sequence_count(n, 1)
+    k = 0
+    while total < target:
+        k += 1
+        total += term
+        term *= 6 * n - 3
+    return k
+
+
+@pytest.mark.parametrize('n', range(2, 61))
+def test_tuned_bound_matches_step_walk(n):
+    assert tuned_lower_bound(n).ceiling == step_walk_tuned_ceiling(n)
+
+
 def test_normalized_ratio_converges_from_below():
     limit = normalized_bound_limit()
     assert limit == pytest.approx(12.881971, abs=1e-5)

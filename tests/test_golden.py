@@ -3,9 +3,12 @@
 The digests were recorded from the CLI before the orbit table replaced the
 per-family dispatch (n=2..7), before the solver's stage runners became
 one loop (n=8, 9), and before the solve loop gathered stickers through one
-cached itemgetter and scored setup keys by length (n=12, 16). They pin the canonical choices of decompose (wing
-twins, the centre sign swap) and the solver's setup-chain search order,
-so any change to either shows up here.
+cached itemgetter and scored setup keys by length (n=12, 16), and before
+one setup chain began serving every orbit of a class (n=13, 15, whose
+many off-diagonal centre orbits exercise the i>j and central-column
+classes). They pin the canonical choices of decompose (wing twins, the
+centre sign swap) and the solver's setup-chain search order, so any
+change to either shows up here.
 
 The sampler digests pin the states the two random samplers draw per seed.
 The benchmark draws its inputs from them, so a changed draw would change
@@ -89,6 +92,10 @@ GOLDEN = {
         'fbafc74ff0846202bc2a7c4d82779415eb2a184f197ec7e4e0903f2df949e18a',
     (12, 'solve'):
         'ea100fc76f0642b33c54bdd7d8145c3cc91f39a2273ab0fd286b0b0783bf0f1f',
+    (13, 'solve'):
+        'd3b4770884ad62864062922870a8a195c7f6dab061faf75fde5339fb91b5625d',
+    (15, 'solve'):
+        '9c6f7f0b9b4ea64d055a9d57b46d0b43dbb5af65c894f4d9ce66bd9ace36b6ed',
     (16, 'solve'):
         'ba59fa94b18ab0d591ab4dac4f27368e599c7c7b94654d2c6e5c90aaa2a059e5',
 }

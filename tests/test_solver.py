@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubology import move_library
+from cubology import move_library, solver
 from cubology.cli import main
 from cubology.cube_model import (
     CubeSpec,
@@ -199,7 +199,7 @@ def _find_by_full_realization(chain, wanted):
     return best
 
 
-@pytest.mark.parametrize('n', range(4, 8))
+@pytest.mark.parametrize('n', range(2, 12))
 def test_setup_choice_matches_full_realization(n):
     spec = CubeSpec(n)
     atlas = build_atlas(spec)
@@ -221,6 +221,48 @@ def test_setup_choice_matches_full_realization(n):
             action = atlas.slot_action(sequence_permutation(spec, word),
                                        orbit)
             assert tuple(action[slot] for slot in key) == bases
+
+
+def _orbit_class(n, stage_name, key):
+    """The setup class an orbit stage is expected to share: one per
+    corner and single-edge stage, one for diagonal centres, one for
+    wings, and three for off-diagonal centres (i < j, i > j, and j the
+    central column)."""
+    if key is None:
+        return stage_name
+    family = stage_name.split('_placement')[0]
+    if family != 'center_edge':
+        return family
+    i, j = key
+    if 2 * j == n + 1:
+        return 'center_edge central column'
+    return 'center_edge i<j' if i < j else 'center_edge i>j'
+
+
+def test_one_setup_pass_per_orbit_class(monkeypatch):
+    _setup_search.cache_clear()
+    solver._class_levels.cache_clear()
+    class_levels = solver._class_levels
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return class_levels(*args)
+
+    monkeypatch.setattr(solver, '_class_levels', recording)
+    keys = {}
+    for n in range(2, 14):
+        spec = CubeSpec(n)
+        atlas = build_atlas(spec)
+        for stage in stage_plan(spec)[1:]:
+            args = stage.run.keywords
+            _setup_search(spec, atlas, args['orbit'], args['bases'])
+            label = _orbit_class(n, stage.name, args['orbit'].key)
+            keys.setdefault(label, set()).add(calls[-1])
+    assert class_levels.cache_info().misses == 9
+    assert len(keys) == 9
+    assert all(len(class_keys) == 1 for class_keys in keys.values())
+    assert len(set().union(*keys.values())) == 9
 
 
 @st.composite

@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+'''Solver performance snapshot, written as BENCH_<label>.json.
+
+    python3 tools/bench.py --label L [--out DIR]
+
+Run it from the root of a checkout; it imports cubology from the
+checkout's src/. It records:
+
+* cold solve at n = 4, 9, 13: one fresh interpreter per size solves the
+  seeded valid state (seed n) and reports the solve's wall seconds, the
+  part of them spent building setup chains, the orbit chains built and
+  the breadth-first passes that filled them;
+* warm solve at n = 3, 5, 7, 9: after one solve has built the size's
+  stage plan and chains, the median and worst wall seconds over seeds
+  0..7, and the median ratio of solution length to the certified lower
+  bound gods_number_lower_bound(n).ceiling;
+* the speed of perfbench/run.py's reference(), a fixed pure-Python
+  workload sharing no code with the program, in iterations per second,
+  measured before and after the solves, so that files written on
+  different days, when the host runs at a different speed, can be
+  put on one scale;
+* the git sha, whether tracked files differ from it, the Python
+  version and the processor count.
+
+Compare two heads by running both alternately in one session; the host's
+speed drifts too much for files from different days to compare in raw
+seconds.
+'''
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, 'src'))
+sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
+
+COLD_SIZES = (4, 9, 13)
+WARM_SIZES = (3, 5, 7, 9)
+WARM_SEEDS = range(8)
+REF_ITERATIONS = 20000
+
+
+def cold_solve(n):
+    '''Solve seed n's valid state in this fresh interpreter, timing the
+    setup chains it builds on the way.'''
+    from cubology import solver
+    from cubology.cube_model import CubeSpec
+    from cubology.cubology_law import random_valid_configuration
+
+    spec = CubeSpec(n)
+    state = random_valid_configuration(spec, seed=n)
+    chains = solver._setup_search
+    spent = 0.0
+
+    def timed(*args):
+        nonlocal spent
+        start = time.perf_counter()
+        try:
+            return chains(*args)
+        finally:
+            spent += time.perf_counter() - start
+
+    solver._setup_search = timed
+    start = time.perf_counter()
+    solver.solve(state)
+    elapsed = time.perf_counter() - start
+    # A head without shared class chains runs one pass per orbit chain.
+    passes = getattr(solver, '_class_levels', chains).cache_info().misses
+    return {'solve_s': elapsed, 'chain_build_s': spent,
+            'chains_built': chains.cache_info().misses,
+            'breadth_first_passes': passes}
+
+
+def warm_solves(n):
+    from cubology.counting import gods_number_lower_bound
+    from cubology.cube_model import CubeSpec
+    from cubology.cubology_law import random_valid_configuration
+    from cubology.solver import solve
+
+    spec = CubeSpec(n)
+    solve(random_valid_configuration(spec, seed=n))
+    ceiling = gods_number_lower_bound(n).ceiling
+    seconds, ratios = [], []
+    for seed in WARM_SEEDS:
+        state = random_valid_configuration(spec, seed=seed)
+        start = time.perf_counter()
+        trace = solve(state)
+        seconds.append(time.perf_counter() - start)
+        ratios.append(len(trace.total) / ceiling)
+    return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
+            'moves_per_bound': statistics.median(ratios),
+            'bound_ceiling': ceiling}
+
+
+def reference_speed():
+    '''Fastest of three runs of perfbench's reference(), iterations/s.'''
+    from run import reference
+    best = 0.0
+    for _ in range(3):
+        start = time.perf_counter()
+        reference(REF_ITERATIONS)
+        best = max(best, REF_ITERATIONS / (time.perf_counter() - start))
+    return best
+
+
+def git(*args):
+    try:
+        return subprocess.run(
+            ['git', *args], cwd=ROOT, capture_output=True, text=True,
+            check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument('--label')
+    parser.add_argument('--out', default=ROOT)
+    parser.add_argument('--cold', type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.cold is not None:
+        print(json.dumps(cold_solve(args.cold)))
+        return 0
+    if not args.label:
+        parser.error('--label is required')
+    speed_before = reference_speed()
+    cold = {}
+    for n in COLD_SIZES:
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), '--cold', str(n)],
+            capture_output=True, text=True, check=True).stdout
+        cold[str(n)] = json.loads(out)
+    warm = {str(n): warm_solves(n) for n in WARM_SIZES}
+    result = {
+        'label': args.label,
+        'git_sha': git('rev-parse', 'HEAD'),
+        # True when tracked files differ from that commit, as they do
+        # when a change is measured before it is committed.
+        'git_dirty': bool(git('status', '--porcelain',
+                              '--untracked-files=no')),
+        'python': platform.python_version(),
+        'nproc': os.cpu_count(),
+        'reference_iterations_per_s': {
+            'before': speed_before, 'after': reference_speed()},
+        'cold_solve': cold,
+        'warm_solve': warm,
+    }
+    path = os.path.join(args.out, 'BENCH_%s.json' % args.label)
+    with open(path, 'w') as handle:
+        json.dump(result, handle, indent=2, sort_keys=True)
+        handle.write('\n')
+    print(path)
+    return 0
+
+
+if __name__ == '__main__':
+    sys.exit(main())
