@@ -286,6 +286,21 @@ def invert_sequence(sequence):
     return tuple(m.inverse() for m in reversed(tuple(sequence)))
 
 
+def sequence_gather(spec, sequence):
+    '''A whole sequence composed into one gather: applied to a state's
+    stickers it lists those of apply_sequence(state, sequence).'''
+    # The labels 0..N-1 carried through the sequence are its source map.
+    return operator.itemgetter(*_carry(spec, _labels(spec.sticker_count),
+                                       sequence))
+
+
+@functools.lru_cache(maxsize=None)
+def _labels(count):
+    '''0..count-1 as one shared tuple, so that every composed gather of a
+    cube size holds the same label objects rather than its own copies.'''
+    return tuple(range(count))
+
+
 def sequence_permutation(spec, sequence):
     '''Destination map of a whole sequence, composed left to right.'''
     # Carrying the labels 0..N-1 leaves at each index the label of the

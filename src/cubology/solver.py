@@ -34,12 +34,16 @@ reached by chaining one word per level. The pass runs over symbols
 the depths acting on the orbit, so every orbit whose moves then act
 alike shares one pass, across all cube sizes: nine passes serve every
 orbit up to n=17. Each orbit reads the class words back with its own
-depths, and later solves pay only dictionary lookups. Each pass scores
-every wanted tuple by the summed length of its chained words, following
-only where the earlier words send the tuple's remaining slots, and
-realizes just the first shortest one. Targets are read from the worked
-orbit's stickers alone; the full decomposition runs only for the stage
-postconditions.
+depths, and later solves pay only table lookups. Each chain also keeps
+its levels as flat tables indexed by slot, the length of each slot's
+word and that word's slot action, so a pass scores every wanted tuple
+inline, as the summed length of its chained words, following only
+where the earlier words send the tuple's remaining slots, and realizes
+just the first shortest one. stage_plan() also composes each core word
+and its inverse into one sticker gather, so a conjugate costs its setup
+moves, one gather and the setup undone. Targets are read from the
+worked orbit's stickers alone; the full decomposition runs only for the
+stage postconditions.
 '''
 
 import functools
@@ -47,11 +51,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cube_model import (
+    CubeState,
     Move,
     apply_move,
     apply_sequence,
     invert_sequence,
     legal_slab_moves,
+    sequence_gather,
     solved_state,
     sticker_permutation,
 )
@@ -65,7 +71,6 @@ from .decomposition import (
 )
 from .move_library import (
     center_three_cycle,
-    conjugate_setup,
     corner_three_cycle,
     corner_twist_pair,
     coupled_edge_three_cycle,
@@ -115,37 +120,57 @@ class _SetupChain:
     Level 0 holds, for every slot x, a word moving x to the first base
     and the slot action of that word; level 1 holds words doing so for
     the second base while fixing the first; and so on. Every query is a
-    few dictionary lookups with a guaranteed answer. Chained words are a
+    few table lookups with a guaranteed answer. Chained words are a
     little longer than true shortest setups; the cycles they conjugate
     stay exact.
     '''
 
     def __init__(self, levels):
         self.levels = levels
+        # The same levels as flat tables indexed by slot: per level, the
+        # length of each slot's word and that word's slot action.
+        size = len(levels[0])
+        self.lengths, self.actions = [], []
+        for level in levels:
+            lengths, actions = [0] * size, [None] * size
+            for slot, (word, action) in level.items():
+                lengths[slot], actions[slot] = len(word), action
+            self.lengths.append(lengths)
+            self.actions.append(actions)
 
     def find(self, wanted):
         '''Shortest chained word carrying one of the wanted preimage
-        tuples onto the bases. Every key is scored by the summed length
-        of its chain pieces, and only the winner, the first key of least
-        length, is realized as a word.'''
-        best = best_length = None
-        for key in wanted:
-            length = sum(map(len, self._pieces(key)))
-            if best is None or length < best_length:
-                best, best_length = key, length
+        tuples onto the bases, as (key, word). Each key is scored inline
+        from the flat tables: the summed length of its level words, each
+        looked up at the slot the earlier words carry the key's next
+        slot to. Only the winner, the first key of least length, is
+        realized as a word.'''
+        best = None
+        best_length = MAX_SETUP_DEPTH * len(self.levels) + 1
+        if len(self.levels) == 3:
+            (l0, l1, l2), (a0, a1, _) = self.lengths, self.actions
+            for key in wanted:
+                a, b, c = key
+                first = a0[a]
+                b = first[b]
+                length = l0[a] + l1[b] + l2[a1[b][first[c]]]
+                if length < best_length:
+                    best, best_length = key, length
+        else:
+            (l0, l1), (a0, _) = self.lengths, self.actions
+            for key in wanted:
+                a, b = key
+                length = l0[a] + l1[a0[a][b]]
+                if length < best_length:
+                    best, best_length = key, length
         if best is None:
             raise AssertionError('a cycle was requested with no targets')
-        return best, sum(self._pieces(best), ())
-
-    def _pieces(self, key):
-        '''The chain words carrying key onto the bases, one per level:
-        each moves the key's next slot, from where the earlier words left
-        it, onto its base. Only the images of the key's remaining slots
-        are tracked.'''
+        word, key = (), best
         for level in self.levels:
             piece, action = level[key[0]]
-            yield piece
+            word += piece
             key = [action[slot] for slot in key[1:]]
+        return best, word
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,14 +201,15 @@ def _class_levels(alphabet, bases, size):
             seen.add(child)
             grown = word + (symbol,)
             frontier.append((child, grown))
-            for depth, base in enumerate(bases):
-                if depth and any(
-                        child[bases[j]] != bases[j] for j in range(depth)):
-                    break
+            # A level takes the child only while it fixes every earlier
+            # base, and child fixes a base exactly when its source is it.
+            for level, base in zip(levels, bases):
                 source = child.index(base)
-                if source not in levels[depth]:
-                    levels[depth][source] = (grown, child)
+                if source not in level:
+                    level[source] = (grown, child)
                     missing -= 1
+                if source != base:
+                    break
     return levels
 
 
@@ -236,33 +262,35 @@ def _run_sign_alignment(atlas, state):
     return tuple(parts), state
 
 
-def _run_orbit(spec, atlas, state, orbit, core, bases, targets):
+def _run_orbit(spec, atlas, state, orbit, core, bases, targets, gathers):
     '''Conjugate the core by chained setups until targets(state) is
     empty. targets maps each wanted preimage tuple to whether the
-    inverse core, not the core, produces the wanted effect.'''
+    inverse core, not the core, produces the wanted effect; gathers
+    holds the core and its inverse, each composed into one gather.'''
     search = _setup_search(spec, atlas, orbit, bases)
-    inverse_core = invert_sequence(core.sequence)
+    words = (core.sequence, invert_sequence(core.sequence))
     parts = []
     while True:
         wanted = targets(state)
         if not wanted:
             return tuple(parts), state
         key, setup = search.find(wanted)
-        word = conjugate_setup(
-            setup, inverse_core if wanted[key] else core.sequence)
-        state = apply_sequence(state, word)
-        parts.extend(word)
+        inverted = wanted[key]
+        undo = invert_sequence(setup)
+        state = apply_sequence(state, setup)
+        state = apply_sequence(
+            CubeState(state.n, gathers[inverted](state.stickers)), undo)
+        parts += setup + words[inverted] + undo
 
 
 def _cycle_targets(s, h, t_choices):
     '''Preimage tuples realizing the slot cycle s -> h -> t -> s for any
-    t of the choices.'''
+    t of the choices. s, h and the choices are distinct slots, so no
+    key repeats.'''
     wanted = {}
     for t in t_choices:
-        for key, inverted in (((s, h, t), False), ((h, t, s), False),
-                              ((t, s, h), False), ((s, t, h), True),
-                              ((t, h, s), True), ((h, s, t), True)):
-            wanted.setdefault(key, inverted)
+        wanted[s, h, t] = wanted[h, t, s] = wanted[t, s, h] = False
+        wanted[s, t, h] = wanted[t, h, s] = wanted[h, s, t] = True
     return wanted
 
 
@@ -362,6 +390,8 @@ def stage_plan(spec):
             if orbit.family != family:
                 continue
             core = word(spec, orbit.key)
+            gathers = (sequence_gather(spec, core.sequence),
+                       sequence_gather(spec, invert_sequence(core.sequence)))
             stages.append(Stage(
                 name if orbit.key is None else name % orbit.key,
                 lambda c, o=orbit, f=field,
@@ -369,7 +399,7 @@ def stage_plan(spec):
                     c.orbit_fields(o)[f] == ident,
                 functools.partial(
                     _run_orbit, spec, atlas, orbit=orbit, core=core,
-                    bases=core.report.slots,
+                    bases=core.report.slots, gathers=gathers,
                     targets=functools.partial(targets, orbit))))
     return tuple(stages)
 

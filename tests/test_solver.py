@@ -223,6 +223,39 @@ def test_setup_choice_matches_full_realization(n):
             assert tuple(action[slot] for slot in key) == bases
 
 
+@pytest.mark.parametrize('n', range(2, 12))
+def test_setup_choice_on_live_targets_matches_full_realization(n):
+    spec = CubeSpec(n)
+    atlas = build_atlas(spec)
+    checked = 0
+    for seed in range(3):
+        state = random_valid_configuration(spec, seed=seed + 100 * n)
+        for stage in stage_plan(spec):
+            args = getattr(stage.run, 'keywords', None)
+            wanted = args and args['targets'](state)
+            if wanted:
+                chain = _setup_search(spec, atlas, args['orbit'],
+                                      args['bases'])
+                assert chain.find(wanted) == \
+                    _find_by_full_realization(chain, wanted)
+                checked += 1
+            _, state = stage.run(state)
+        assert state == solved_state(spec)
+    assert checked
+
+
+@pytest.mark.parametrize('n', range(2, 10))
+def test_composed_cores_match_move_by_move_application(n):
+    spec = CubeSpec(n)
+    for seed in range(3):
+        state = random_valid_configuration(spec, seed=seed + 100 * n)
+        for name in stage_names(spec):
+            sequence, after = solve_stage(state, name)
+            assert apply_sequence(state, sequence) == after
+            state = after
+        assert state == solved_state(spec)
+
+
 def _orbit_class(n, stage_name, key):
     """The setup class an orbit stage is expected to share: one per
     corner and single-edge stage, one for diagonal centres, one for

@@ -10,10 +10,11 @@ checkout's src/. It records:
   seeded valid state (seed n) and reports the solve's wall seconds, the
   part of them spent building setup chains, the orbit chains built and
   the breadth-first passes that filled them;
-* warm solve at n = 3, 5, 7, 9: after one solve has built the size's
+* warm solve at n = 3, 4, 5, 7, 9: after one solve has built the size's
   stage plan and chains, the median and worst wall seconds over seeds
-  0..7, and the median ratio of solution length to the certified lower
-  bound gods_number_lower_bound(n).ceiling;
+  0..7, the share of the solve seconds spent choosing setups in
+  _SetupChain.find, and the median ratio of solution length to the
+  certified lower bound gods_number_lower_bound(n).ceiling;
 * the speed of perfbench/run.py's reference(), a fixed pure-Python
   workload sharing no code with the program, in iterations per second,
   measured before and after the solves, so that files written on
@@ -41,9 +42,20 @@ sys.path.insert(0, os.path.join(ROOT, 'src'))
 sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
 
 COLD_SIZES = (4, 9, 13)
-WARM_SIZES = (3, 5, 7, 9)
+WARM_SIZES = (3, 4, 5, 7, 9)
 WARM_SEEDS = range(8)
 REF_ITERATIONS = 20000
+
+
+def timed(function, spent):
+    '''function wrapped to append each call's wall seconds to spent.'''
+    def wrapper(*args):
+        start = time.perf_counter()
+        try:
+            return function(*args)
+        finally:
+            spent.append(time.perf_counter() - start)
+    return wrapper
 
 
 def cold_solve(n):
@@ -56,44 +68,42 @@ def cold_solve(n):
     spec = CubeSpec(n)
     state = random_valid_configuration(spec, seed=n)
     chains = solver._setup_search
-    spent = 0.0
-
-    def timed(*args):
-        nonlocal spent
-        start = time.perf_counter()
-        try:
-            return chains(*args)
-        finally:
-            spent += time.perf_counter() - start
-
-    solver._setup_search = timed
+    spent = []
+    solver._setup_search = timed(chains, spent)
     start = time.perf_counter()
     solver.solve(state)
     elapsed = time.perf_counter() - start
     # A head without shared class chains runs one pass per orbit chain.
     passes = getattr(solver, '_class_levels', chains).cache_info().misses
-    return {'solve_s': elapsed, 'chain_build_s': spent,
+    return {'solve_s': elapsed, 'chain_build_s': sum(spent),
             'chains_built': chains.cache_info().misses,
             'breadth_first_passes': passes}
 
 
 def warm_solves(n):
+    from cubology import solver
     from cubology.counting import gods_number_lower_bound
     from cubology.cube_model import CubeSpec
     from cubology.cubology_law import random_valid_configuration
-    from cubology.solver import solve
 
     spec = CubeSpec(n)
-    solve(random_valid_configuration(spec, seed=n))
+    solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
+    find = solver._SetupChain.find
+    in_find = []
+    solver._SetupChain.find = timed(find, in_find)
     seconds, ratios = [], []
-    for seed in WARM_SEEDS:
-        state = random_valid_configuration(spec, seed=seed)
-        start = time.perf_counter()
-        trace = solve(state)
-        seconds.append(time.perf_counter() - start)
-        ratios.append(len(trace.total) / ceiling)
+    try:
+        for seed in WARM_SEEDS:
+            state = random_valid_configuration(spec, seed=seed)
+            start = time.perf_counter()
+            trace = solver.solve(state)
+            seconds.append(time.perf_counter() - start)
+            ratios.append(len(trace.total) / ceiling)
+    finally:
+        solver._SetupChain.find = find
     return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
+            'find_share': sum(in_find) / sum(seconds),
             'moves_per_bound': statistics.median(ratios),
             'bound_ceiling': ceiling}
 
