@@ -126,12 +126,6 @@ class CubeState:
         n = self.n
         return self.stickers[FACE_ORDINAL[face] * n * n + row * n + col]
 
-    def color_counts(self):
-        counts = {}
-        for ch in self.stickers:
-            counts[ch] = counts.get(ch, 0) + 1
-        return counts
-
 
 def sticker_index(n, face, row, col):
     return FACE_ORDINAL[face] * n * n + row * n + col

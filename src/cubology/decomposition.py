@@ -55,9 +55,21 @@ interchangeable as well, so decompose() assigns them in sorted order and
 then, if needed, swaps one pair in the first colour class to land the
 permutation sign demanded by the first law; states that admit a legal
 tuple therefore receive one.
+
+Reading tables. Each Orbit builds once the tables decompose() reads it
+through: getters[k], one operator.itemgetter reading the k-th sticker
+of every slot in one call; for wings, home_of (the home whose unturned
+colours a slot shows) and twin (each home's mirror twin); for centres,
+the homes in stable colour order and the sorted home colours. A wing
+orbit is read in one pass over its slots and a centre orbit by one
+stable argsort of its colours. Only a read that fails scans the orbit
+again, to name its first fault: wing slot faults in slot order, then
+wing pair counts in home order, and for centres the first colour in
+sorted order whose count is wrong.
 '''
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from .cube_model import (
@@ -178,6 +190,35 @@ class Orbit:
         return orbit_name(self.family, self.key)
 
     @functools.cached_property
+    def getters(self):
+        '''getters[k](stickers): the k-th sticker of every slot, in slot
+        order, read by one call.'''
+        return tuple(operator.itemgetter(*positions) for positions
+                     in zip(*(slot.positions for slot in self.slots)))
+
+    @functools.cached_property
+    def home_of(self):
+        '''Colours a home piece shows unturned, mapped to that home.'''
+        return {slot.colors: home for home, slot in enumerate(self.slots)}
+
+    @functools.cached_property
+    def twin(self):
+        '''Wings: each home's mirror twin, the home showing its colours
+        reversed.'''
+        return tuple(self.home_of[slot.colors[::-1]] for slot in self.slots)
+
+    @functools.cached_property
+    def homes_by_color(self):
+        '''Centres: the homes in stable colour order.'''
+        return tuple(sorted(range(len(self.slots)),
+                            key=lambda home: self.slots[home].colors[0]))
+
+    @functools.cached_property
+    def home_colors(self):
+        '''Centres: the home colours, sorted.'''
+        return sorted(slot.colors[0] for slot in self.slots)
+
+    @functools.cached_property
     def readings(self):
         '''Colours a slot shows, in position order, mapped to (home slot,
         orientation) of the piece showing them; only meaningful for
@@ -211,15 +252,8 @@ class OrbitAtlas:
         self.coupled_orbit_indices = keys('coupled')
         self.center_corner_indices = keys('center_corner')
         self.center_edge_labels = keys('center_edge')
-        self.center_classes = {}
         self.position_owner = {}
         for orbit in self.orbits:
-            if orbit.turns == 1:
-                classes = {}
-                for slot_id, slot in enumerate(orbit.slots):
-                    classes.setdefault(slot.colors[0], []).append(slot_id)
-                self.center_classes[orbit.key] = {
-                    color: tuple(ids) for color, ids in classes.items()}
             for slot_id, slot in enumerate(orbit.slots):
                 for pos in slot.positions:
                     self.position_owner[pos] = (orbit, slot_id)
@@ -348,13 +382,10 @@ def build_atlas(spec):
                     for lead, trail in shown):
                 raise AssertionError('wing twins of %s are not mirror images'
                                      % orbit.name)
-        orbits.append(orbit)
-    atlas = OrbitAtlas(spec, orbits, tuple(fixed_centers) or None)
-    for classes in atlas.center_classes.values():
-        if sorted(classes) != sorted(COLORS) or any(
-                len(ids) != 4 for ids in classes.values()):
+        if orbit.turns == 1 and orbit.home_colors != sorted(COLORS * 4):
             raise AssertionError('centre orbit colours are not 6 x 4')
-    return atlas
+        orbits.append(orbit)
+    return OrbitAtlas(spec, orbits, tuple(fixed_centers) or None)
 
 
 def _det3(a, b, c):
@@ -526,15 +557,14 @@ def decompose(state):
     '''
     spec = state.spec
     atlas = build_atlas(spec)
-    counts = state.color_counts()
+    stickers = state.stickers
     share = spec.sticker_count // 6
     for color in COLORS:
-        if counts.get(color, 0) != share:
-            raise NotAConfiguration(
-                'colour %s appears %d times, expected %d'
-                % (color, counts.get(color, 0), share))
+        count = stickers.count(color)
+        if count != share:
+            raise NotAConfiguration('colour %s appears %d times, expected %d'
+                                    % (color, count, share))
 
-    stickers = state.stickers
     for position, color in atlas.fixed_centers or ():
         if stickers[position] != color:
             raise NotAConfiguration(
@@ -551,7 +581,7 @@ def decompose(state):
                 required = required_center_signs(
                     atlas, config.corner_perm, config.coupled_perms)
             config.set_orbit_fields(orbit, _assign_centers(
-                stickers, atlas, orbit, required[orbit.key]))
+                stickers, orbit, required[orbit.key]))
         else:
             config.set_orbit_fields(orbit, *read_orbit(stickers, orbit))
     return config
@@ -571,8 +601,8 @@ def _read_cubies(stickers, orbit):
     readings = orbit.readings
     perm = [None] * len(orbit.slots)
     orientation = [0] * len(orbit.slots)
-    for current, slot in enumerate(orbit.slots):
-        shown = tuple([stickers[p] for p in slot.positions])
+    shown_by_slot = zip(*[get(stickers) for get in orbit.getters])
+    for current, shown in enumerate(shown_by_slot):
         reading = readings.get(shown)
         if reading is None:
             if any(set(shown) == set(s.colors) for s in orbit.slots):
@@ -593,67 +623,66 @@ def _read_cubies(stickers, orbit):
 def _read_wings(stickers, orbit):
     '''Permutation and orientation bits of a wing orbit, with mirror
     twins resolved canonically.'''
-    slots = orbit.slots
-    home_by_pair = {}
-    for home, slot in enumerate(slots):
-        home_by_pair.setdefault(frozenset(slot.colors), []).append(home)
-    shown_by_pair = {}
-    for current, slot in enumerate(slots):
-        lead, trail = slot.positions
-        shown = (stickers[lead], stickers[trail])
-        if shown[0] == shown[1]:
-            raise NotAConfiguration(
-                'slot %d of the %s shows %r twice'
-                % (current, orbit.name, shown[0]))
-        key = frozenset(shown)
-        if key not in home_by_pair:
-            raise NotAConfiguration(
-                'slot %d of the %s shows %r, not a wing piece'
-                % (current, orbit.name, shown))
-        shown_by_pair.setdefault(key, []).append(current)
-    perm = [None] * len(slots)
-    bits = [0] * len(slots)
-    for key, homes in home_by_pair.items():
-        currents = shown_by_pair.get(key, [])
-        if len(currents) != 2:
-            raise NotAConfiguration(
-                'wing pair %r appears %d times in the %s, expected 2'
-                % (sorted(key), len(currents), orbit.name))
-        lead_colors = {slots[h].colors[0]: h for h in homes}
-        straight = {c: stickers[slots[c].positions[0]] for c in currents}
-        if set(straight.values()) == set(lead_colors):
-            for current, color in straight.items():
-                perm[lead_colors[color]] = current
-        else:
-            # Both slots show the same leading colour: one occupant
-            # must sit with its leading sticker on the trailing
-            # class. Send the lower home to the lower slot.
-            for home, current in zip(sorted(homes), sorted(currents)):
-                perm[home] = current
-                if slots[home].colors[0] != straight[current]:
-                    bits[current] = 1
+    home_of, twin = orbit.home_of, orbit.twin
+    perm = [None] * len(twin)
+    bits = [0] * len(twin)
+    leads, trails = (get(stickers) for get in orbit.getters)
+    for current, shown in enumerate(zip(leads, trails)):
+        home = home_of.get(shown)
+        if home is None:
+            raise _wing_fault(stickers, orbit)
+        if perm[home] is None:
+            perm[home] = current
+            continue
+        other = twin[home]
+        if perm[other] is not None:
+            raise _wing_fault(stickers, orbit)
+        # Two slots show home's colours unturned, so one of them holds
+        # the twin turned over: the lower home takes the lower slot, and
+        # the slot holding the twin gets the bit.
+        low, high = sorted((home, other))
+        perm[low], perm[high] = perm[home], current
+        bits[perm[other]] = 1
     return tuple(perm), tuple(bits)
 
 
-def _assign_centers(stickers, atlas, orbit, required_sign):
-    classes = atlas.center_classes[orbit.key]
-    current_by_color = {}
-    for current, slot in enumerate(orbit.slots):
-        current_by_color.setdefault(
-            stickers[slot.positions[0]], []).append(current)
-    perm = [None] * len(orbit.slots)
-    for color in sorted(classes):
-        homes = classes[color]
-        currents = current_by_color.get(color, [])
-        if len(currents) != len(homes):
-            raise NotAConfiguration(
-                '%s has %d stickers of colour %s, expected %d'
-                % (orbit.name, len(currents), color, len(homes)))
-        for home, current in zip(homes, sorted(currents)):
-            perm[home] = current
+def _wing_fault(stickers, orbit):
+    '''The NotAConfiguration naming the first fault of a wing orbit that
+    cannot be read: slot faults in slot order, then pair counts in home
+    order.'''
+    shown = list(zip(*[get(stickers) for get in orbit.getters]))
+    for current, (lead, trail) in enumerate(shown):
+        if lead == trail:
+            return NotAConfiguration('slot %d of the %s shows %r twice'
+                                     % (current, orbit.name, lead))
+        if (lead, trail) not in orbit.home_of:
+            return NotAConfiguration(
+                'slot %d of the %s shows %r, not a wing piece'
+                % (current, orbit.name, (lead, trail)))
+    for slot in orbit.slots:
+        count = shown.count(slot.colors) + shown.count(slot.colors[::-1])
+        if count != 2:
+            return NotAConfiguration(
+                'wing pair %r appears %d times in the %s, expected 2'
+                % (sorted(slot.colors), count, orbit.name))
+
+
+def _assign_centers(stickers, orbit, required_sign):
+    shown = orbit.getters[0](stickers)
+    homes = orbit.home_colors
+    if sorted(shown) != homes:
+        for color in sorted(set(homes)):
+            count, expected = shown.count(color), homes.count(color)
+            if count != expected:
+                raise NotAConfiguration(
+                    '%s has %d stickers of colour %s, expected %d'
+                    % (orbit.name, count, color, expected))
+    perm = [None] * len(shown)
+    currents = sorted(range(len(shown)), key=shown.__getitem__)
+    for home, current in zip(orbit.homes_by_color, currents):
+        perm[home] = current
     if permutation_sign(perm) != required_sign:
-        first_color = sorted(classes)[0]
-        a, b = classes[first_color][0], classes[first_color][1]
+        a, b = orbit.homes_by_color[:2]
         perm[a], perm[b] = perm[b], perm[a]
     return tuple(perm)
 

@@ -310,7 +310,7 @@ def _perm_targets(orbit, state):
 
 
 def _center_targets(orbit, state):
-    shown = [state.stickers[slot.positions[0]] for slot in orbit.slots]
+    shown = orbit.getters[0](state.stickers)
     homes = [slot.colors[0] for slot in orbit.slots]
     wrong = [k for k in range(24) if shown[k] != homes[k]]
     if not wrong:

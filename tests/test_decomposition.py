@@ -1,10 +1,15 @@
 """Configuration tuple tests: marking scheme, decompose/compose round trips."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubology.cube_model import (
+    COLORS,
     CubeSpec,
+    CubeState,
     apply_sequence,
     legal_slab_moves,
     parse_move_sequence,
@@ -20,6 +25,10 @@ from cubology.decomposition import (
     decompose,
     identity_tuple,
     permutation_sign,
+)
+from cubology.cubology_law import (
+    random_configuration,
+    random_valid_configuration,
 )
 
 # Which face of each single-edge piece carries the mark. Chosen once and
@@ -235,3 +244,133 @@ def test_atlas_orbit_inventory():
     for family in ('coupled', 'center_corner'):
         for key in (2, 3):
             assert len(atlas.orbit(family, key).slots) == 24
+
+
+# sha256 over what decompose makes of sampled states and deterministic
+# corruptions of them (repr of the tuple, or the error's name and
+# message), per size; recorded before decompose read its orbits through
+# per-orbit tables, so the tuples and every fault message, in the same
+# precedence, stay byte-identical.
+DECOMPOSE_DIGEST = {
+    2: '4a7f5ba67880c41280375fb8da60ff91bad9cc85e77fb3ac4141bbb338db61a1',
+    3: 'b4f4aaea5258282a88554fb9f6305cc63710e0ee77c39b0cb9fc4a27b02b51c5',
+    4: '08c5c403a4f124410790466749ad4e34efcbfc0e59af85864dca9e24525aa189',
+    5: '901c1ffc9e530ae5733f1ef428654f35a39d3a06d8e4a0a709caf7f6d800637b',
+    6: '0c995468f4d4ba675f2afa971fb5b5b1857bd06bb559963e2c2c563e0fb40b9e',
+    7: 'd42fadb0754c3852a0b763cbd321f16c55e9cca674b1b1792675924db7248f94',
+    8: '63a4960c040ba51c226153c992477e6cdbd33436990d225f899ca75c3c9cfaf2',
+    9: 'a4f5e783d6fffcdfff87f02e8908e0f57c653bcafd6c184bc114b804b358e28e',
+    10: '678fe4b051c75705aa16cb8b4657cdc49164b738c4d256f207042890e8fd9eb5',
+    11: '825a79755e1ae6e9c8dcf25ac03cfd5eb8bcc27bc073d664b808a4e2d26708c7',
+}
+
+
+def _corruptions(state, seed):
+    '''One to three random sticker swaps of the state and, every 7th
+    seed, one sticker repainted.'''
+    rng = random.Random(seed * 100 + state.n)
+    stickers = list(state.stickers)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(len(stickers)), 2)
+        stickers[a], stickers[b] = stickers[b], stickers[a]
+    yield CubeState(state.n, ''.join(stickers))
+    if seed % 7 == 0:
+        stickers = list(state.stickers)
+        p = rng.randrange(len(stickers))
+        stickers[p] = rng.choice([c for c in COLORS if c != stickers[p]])
+        yield CubeState(state.n, ''.join(stickers))
+
+
+def _outcome(state):
+    try:
+        return repr(decompose(state))
+    except NotAConfiguration as error:
+        return type(error).__name__ + str(error)
+
+
+@pytest.mark.parametrize('n', sorted(DECOMPOSE_DIGEST))
+def test_decompose_outputs_and_errors_match_digest(n):
+    spec = CubeSpec(n)
+    digest = hashlib.sha256()
+    for sampler in (random_configuration, random_valid_configuration):
+        for seed in range(60):
+            state = sampler(spec, seed)
+            for case in (state, *_corruptions(state, seed)):
+                digest.update(_outcome(case).encode())
+    assert digest.hexdigest() == DECOMPOSE_DIGEST[n]
+
+
+def _swapped(state, *pairs):
+    stickers = list(state.stickers)
+    for a, b in pairs:
+        stickers[a], stickers[b] = stickers[b], stickers[a]
+    return CubeState(state.n, ''.join(stickers))
+
+
+def _showing(state, orbit, color):
+    '''A position of a one-sticker orbit that shows the colour.'''
+    return next(slot.positions[0] for slot in orbit.slots
+                if state.stickers[slot.positions[0]] == color)
+
+
+def _fault_cases():
+    '''(state, message) for four faults that keep every colour count,
+    each built on the solved 5-cube by swapping stickers with a later
+    orbit.'''
+    solved = solved_state(CubeSpec(5))
+    atlas = build_atlas(solved.spec)
+    wings = atlas.orbit('coupled', 2)
+    diagonal, last = atlas.orbit('center_corner', 2), atlas.orbits[-1]
+    lead, trail = wings.slots[0].colors
+    other = next(slot for slot in wings.slots
+                 if not set(slot.colors) & {lead, trail})
+    yield (_swapped(solved, (wings.slots[0].positions[1],
+                             _showing(solved, last, lead))),
+           "slot 0 of the coupled orbit 2 shows 'W' twice")
+    yield (_swapped(solved,
+                    (other.positions[0], _showing(solved, last, lead)),
+                    (other.positions[1], _showing(solved, last, trail))),
+           "wing pair ['B', 'W'] appears 3 times in the coupled orbit 2, "
+           'expected 2')
+    first = diagonal.slots[0]
+    foreign = next(slot.positions[0] for slot in last.slots
+                   if slot.colors[0] != first.colors[0])
+    yield (_swapped(solved, (first.positions[0], foreign)),
+           'diagonal centre orbit 2 has 5 stickers of colour O, expected 4')
+    yield (_swapped(solved, (atlas.fixed_centers[0][0],
+                             _showing(solved, diagonal, 'G'))),
+           'immobile centre at position 12 shows G, expected W')
+
+
+@pytest.mark.parametrize('case', range(4))
+def test_fault_messages_name_the_first_fault(case):
+    state, message = list(_fault_cases())[case]
+    with pytest.raises(NotAConfiguration) as error:
+        decompose(state)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize('n', range(4, 11))
+def test_wing_twins_showing_one_lead_colour(n):
+    # Flip one wing of a twin pair in place, so both twins' slots show
+    # the same lead colour. The canonical reading keeps each home in its
+    # own slot (the lower home on the lower slot) and puts the bit on
+    # the slot whose occupant leads with the other twin's colour.
+    spec = CubeSpec(n)
+    solved = solved_state(spec)
+    for orbit in build_atlas(spec).orbits:
+        if orbit.family != 'coupled':
+            continue
+        slots = orbit.slots
+        for home, slot in enumerate(slots):
+            twin = next(t for t, other in enumerate(slots)
+                        if other.colors == slot.colors[::-1])
+            if twin < home:
+                continue
+            for flipped in (home, twin):
+                state = _swapped(solved, slots[flipped].positions)
+                config = decompose(state)
+                perm, bits = config.orbit_fields(orbit)
+                assert perm == tuple(range(len(slots)))
+                assert [s for s, bit in enumerate(bits) if bit] == [flipped]
+                assert compose(config) == state

@@ -6,9 +6,12 @@ one loop (n=8, 9), and before the solve loop gathered stickers through one
 cached itemgetter and scored setup keys by length (n=12, 16), and before
 one setup chain began serving every orbit of a class (n=13, 15, whose
 many off-diagonal centre orbits exercise the i>j and central-column
-classes). They pin the canonical choices of decompose (wing twins, the
-centre sign swap) and the solver's setup-chain search order, so any
-change to either shows up here.
+classes). The decompose digests for n=11 and 13, which reach wings at
+depths 2..6 and 25 off-diagonal centre orbits, were recorded before
+decompose read each orbit through per-orbit tables. They pin the
+canonical choices of decompose (wing twins, the centre sign swap) and
+the solver's setup-chain search order, so any change to either shows up
+here.
 
 The sampler digests pin the states the two random samplers draw per seed.
 The benchmark draws its inputs from them, so a changed draw would change
@@ -90,8 +93,12 @@ GOLDEN = {
         'c587901341092b469546bbd954e43b21c671a1e6628b9fecd2f20e88700c2cf6',
     (9, 'solve'):
         'fbafc74ff0846202bc2a7c4d82779415eb2a184f197ec7e4e0903f2df949e18a',
+    (11, 'decompose'):
+        '99bc6a392cd8baa9c13dfca2c0c3b6aab648d220e39fcef1e77e2114e35052a0',
     (12, 'solve'):
         'ea100fc76f0642b33c54bdd7d8145c3cc91f39a2273ab0fd286b0b0783bf0f1f',
+    (13, 'decompose'):
+        'dd210464e1066ddb6b14517a9cbd39275f7f8853a3f58a5652c622474a3c5217',
     (13, 'solve'):
         'd3b4770884ad62864062922870a8a195c7f6dab061faf75fde5339fb91b5625d',
     (15, 'solve'):

@@ -12,9 +12,13 @@ checkout's src/. It records:
   the breadth-first passes that filled them;
 * warm solve at n = 3, 4, 5, 7, 9: after one solve has built the size's
   stage plan and chains, the median and worst wall seconds over seeds
-  0..7, the share of the solve seconds spent choosing setups in
-  _SetupChain.find, and the median ratio of solution length to the
+  0..7, the shares of the solve seconds spent choosing setups in
+  _SetupChain.find and decomposing states (the entry check and each
+  stage postcondition), and the median ratio of solution length to the
   certified lower bound gods_number_lower_bound(n).ceiling;
+* per-layer microseconds per call of decompose, compose and
+  check_validity at n = 3, 5, 7, 9, over the random_configuration
+  states of seeds 0..49: the median of seven passes over all of them;
 * the speed of perfbench/run.py's reference(), a fixed pure-Python
   workload sharing no code with the program, in iterations per second,
   measured before and after the solves, so that files written on
@@ -44,6 +48,9 @@ sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
 COLD_SIZES = (4, 9, 13)
 WARM_SIZES = (3, 4, 5, 7, 9)
 WARM_SEEDS = range(8)
+LAYER_SIZES = (3, 5, 7, 9)
+LAYER_SEEDS = range(50)
+LAYER_PASSES = 7
 REF_ITERATIONS = 20000
 
 
@@ -89,9 +96,10 @@ def warm_solves(n):
     spec = CubeSpec(n)
     solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
-    find = solver._SetupChain.find
-    in_find = []
+    find, decompose = solver._SetupChain.find, solver.decompose
+    in_find, in_decompose = [], []
     solver._SetupChain.find = timed(find, in_find)
+    solver.decompose = timed(decompose, in_decompose)
     seconds, ratios = [], []
     try:
         for seed in WARM_SEEDS:
@@ -101,11 +109,35 @@ def warm_solves(n):
             seconds.append(time.perf_counter() - start)
             ratios.append(len(trace.total) / ceiling)
     finally:
-        solver._SetupChain.find = find
+        solver._SetupChain.find, solver.decompose = find, decompose
     return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
             'find_share': sum(in_find) / sum(seconds),
+            'decompose_share': sum(in_decompose) / sum(seconds),
             'moves_per_bound': statistics.median(ratios),
             'bound_ceiling': ceiling}
+
+
+def layer_calls(n):
+    '''Microseconds per call of decompose, compose and check_validity at
+    size n, the median of LAYER_PASSES passes over fixed states.'''
+    from cubology.cube_model import CubeSpec
+    from cubology.cubology_law import check_validity, random_configuration
+    from cubology.decomposition import compose, decompose
+
+    states = [random_configuration(CubeSpec(n), seed) for seed in LAYER_SEEDS]
+    configs = [decompose(state) for state in states]
+    calls = {'decompose': (decompose, states), 'compose': (compose, configs),
+             'check_validity': (check_validity, configs)}
+    out = {}
+    for name, (function, inputs) in calls.items():
+        passes = []
+        for _ in range(LAYER_PASSES):
+            start = time.perf_counter()
+            for value in inputs:
+                function(value)
+            passes.append(time.perf_counter() - start)
+        out[name + '_us'] = 1e6 * statistics.median(passes) / len(inputs)
+    return out
 
 
 def reference_speed():
@@ -147,6 +179,7 @@ def main(argv=None):
             capture_output=True, text=True, check=True).stdout
         cold[str(n)] = json.loads(out)
     warm = {str(n): warm_solves(n) for n in WARM_SIZES}
+    layers = {str(n): layer_calls(n) for n in LAYER_SIZES}
     result = {
         'label': args.label,
         'git_sha': git('rev-parse', 'HEAD'),
@@ -160,6 +193,7 @@ def main(argv=None):
             'before': speed_before, 'after': reference_speed()},
         'cold_solve': cold,
         'warm_solve': warm,
+        'layer_us': layers,
     }
     path = os.path.join(args.out, 'BENCH_%s.json' % args.label)
     with open(path, 'w') as handle:
