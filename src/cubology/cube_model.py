@@ -126,6 +126,11 @@ class CubeState:
         n = self.n
         return self.stickers[FACE_ORDINAL[face] * n * n + row * n + col]
 
+    def __getitem__(self, index):
+        '''The sticker at an index, so that a state reads like its
+        sticker string or a mutable list of its stickers.'''
+        return self.stickers[index]
+
 
 def sticker_index(n, face, row, col):
     return FACE_ORDINAL[face] * n * n + row * n + col
@@ -286,6 +291,22 @@ def sequence_gather(spec, sequence):
     # The labels 0..N-1 carried through the sequence are its source map.
     return operator.itemgetter(*_carry(spec, _labels(spec.sticker_count),
                                        sequence))
+
+
+def local_gathers(spec, positions, sequence):
+    '''A sequence and its inverse composed into gathers over the
+    stickers at positions alone, which the sequence must carry among
+    themselves: applied to the tuple of those stickers, in the order of
+    positions, each lists the stickers it leaves there. Returns
+    (gather, inverse gather).'''
+    # Follow each listed sticker to where the sequence takes it.
+    ends = positions
+    for move in sequence:
+        perm = sticker_permutation(spec, move)
+        ends = [perm[position] for position in ends]
+    local = {position: i for i, position in enumerate(positions)}
+    images = [local[position] for position in ends]
+    return _gather(images), operator.itemgetter(*images)
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .cube_model import legal_slab_moves, sticker_permutation
 from .decomposition import (
     ConfigTuple,
+    _sign,
     build_atlas,
     compose,
     decompose,
@@ -58,17 +59,19 @@ class ValidityReport:
 
 def check_validity(config):
     '''Evaluate every applicable law condition on a ConfigTuple.'''
+    # validate_shape has checked every permutation, so the signs below
+    # skip checking them again.
     atlas = validate_shape(config)
     odd = config.n % 2 == 1
-    corner_sign = permutation_sign(config.corner_perm)
+    corner_sign = _sign(config.corner_perm)
     conditions = []
 
     tied = []
     if odd and config.single_edge_perm is not None:
-        tied.append(('single edges', permutation_sign(config.single_edge_perm)))
+        tied.append(('single edges', _sign(config.single_edge_perm)))
     for i in sorted(config.center_corner_perms):
         tied.append(('diagonal centres %d' % i,
-                     permutation_sign(config.center_corner_perms[i])))
+                     _sign(config.center_corner_perms[i])))
     if tied:
         bad = [name for name, sign in tied if sign != corner_sign]
         conditions.append(ConditionVerdict(
@@ -84,7 +87,7 @@ def check_validity(config):
             atlas, config.corner_perm, config.coupled_perms)
         bad = ['(%d, %d)' % label
                for label, perm in sorted(config.center_edge_perms.items())
-               if permutation_sign(perm) != required[label]]
+               if _sign(perm) != required[label]]
         conditions.append(ConditionVerdict(
             condition='center_edge_sign',
             ok=not bad,

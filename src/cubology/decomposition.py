@@ -110,23 +110,26 @@ class ShapeMismatch(ValueError):
 def permutation_sign(perm):
     '''Sign (+1 or -1) of a permutation given as an image sequence.'''
     perm = tuple(perm)
-    seen = sorted(perm)
-    if seen != list(range(len(perm))):
+    if sorted(perm) != list(range(len(perm))):
         raise ValueError('not a permutation: %r' % (perm,))
-    sign = 1
-    visited = [False] * len(perm)
+    return _sign(perm)
+
+
+def _sign(perm):
+    '''permutation_sign of a permutation the program built or already
+    checked, without checking it again: (-1) ** (size - cycles).'''
+    seen = bytearray(len(perm))
+    even = True
     for start in range(len(perm)):
-        if visited[start]:
+        if seen[start]:
             continue
-        length = 0
-        node = start
-        while not visited[node]:
-            visited[node] = True
+        # A cycle of length k is k - 1 transpositions.
+        node = perm[start]
+        while node != start:
+            seen[node] = 1
             node = perm[node]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+            even = not even
+    return 1 if even else -1
 
 
 def _edge_marking():
@@ -188,6 +191,12 @@ class Orbit:
     @property
     def name(self):
         return orbit_name(self.family, self.key)
+
+    @functools.cached_property
+    def positions(self):
+        '''Every sticker position of the orbit, slot by slot: the k-th
+        sticker of slot s is entry s * turns + k.'''
+        return tuple(p for slot in self.slots for p in slot.positions)
 
     @functools.cached_property
     def getters(self):
@@ -484,10 +493,11 @@ def required_center_signs(atlas, corner_perm, coupled_perms):
     A diagonal centre orbit must match the corner sign. An off-diagonal
     orbit (i, j) must match the corner sign times the wing permutation
     signs at depths i and j; a depth pointing at the central slab of an
-    odd cube carries no wings and contributes no factor.
+    odd cube carries no wings and contributes no factor. The
+    permutations are not checked again: they must be valid.
     '''
-    corner_sign = permutation_sign(corner_perm)
-    wing_signs = {i: permutation_sign(perm)
+    corner_sign = _sign(corner_perm)
+    wing_signs = {i: _sign(perm)
                   for i, perm in coupled_perms.items()}
     required = dict.fromkeys(atlas.center_corner_indices, corner_sign)
     for i, j in atlas.center_edge_labels:
@@ -681,7 +691,7 @@ def _assign_centers(stickers, orbit, required_sign):
     currents = sorted(range(len(shown)), key=shown.__getitem__)
     for home, current in zip(orbit.homes_by_color, currents):
         perm[home] = current
-    if permutation_sign(perm) != required_sign:
+    if _sign(perm) != required_sign:
         a, b = orbit.homes_by_color[:2]
         perm[a], perm[b] = perm[b], perm[a]
     return tuple(perm)

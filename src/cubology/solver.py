@@ -6,7 +6,7 @@ the corner permutation is odd, then one slab turn per coupled orbit
 whose permutation is odd. After that every family permutation is even,
 and every later stage runs one loop on one orbit, with a core word from
 the move library: a 3-cycle for placement, a twist or flip pair for
-orientation. Each pass reads the stage's targets from the state, the
+orientation. Each pass reads the stage's targets from the stickers, the
 slot tuples the core could be aimed at next; finds the shortest chained
 setup carrying one of them onto the core's base slots; and applies the
 core conjugated by that setup. The loop ends when no targets remain.
@@ -39,14 +39,25 @@ its levels as flat tables indexed by slot, the length of each slot's
 word and that word's slot action, so a pass scores every wanted tuple
 inline, as the summed length of its chained words, following only
 where the earlier words send the tuple's remaining slots, and realizes
-just the first shortest one. stage_plan() also composes each core word
-and its inverse into one sticker gather, so a conjugate costs its setup
-moves, one gather and the setup undone. Targets are read from the
-worked orbit's stickers alone; the full decomposition runs only for the
-stage postconditions.
+just the first shortest one.
+
+A conjugate rewrites only the worked orbit's stickers: the setup
+carries every other sticker away and the undo brings it back, while the
+core, as stage_plan() checks once per cube size, fixes every sticker
+outside its orbit. So a pass works in the orbit's own index space, its
+at most 48 stickers laid out slot by slot: it reads them from the
+stage's one sticker list with one itemgetter, runs them through one
+gather per chained level word, the core's gather and the level words'
+inverse gathers, and writes them back. Each level word's gathers and
+inverse word are built once, on first use, and the core's in
+stage_plan(); the emitted word is the setup, the core and the stored
+inverses in reverse. Targets are read from the same list, the worked
+orbit's stickers alone; a CubeState is built once per stage, and the
+full decomposition runs only for the stage postconditions.
 '''
 
 import functools
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,19 +65,19 @@ from .cube_model import (
     CubeState,
     Move,
     apply_move,
-    apply_sequence,
     invert_sequence,
     legal_slab_moves,
-    sequence_gather,
+    local_gathers,
+    sequence_permutation,
     solved_state,
     sticker_permutation,
 )
 from .cubology_law import check_validity
 from .decomposition import (
+    _sign,
     build_atlas,
     decompose,
     identity_tuple,
-    permutation_sign,
     read_orbit,
 )
 from .move_library import (
@@ -123,13 +134,22 @@ class _SetupChain:
     few table lookups with a guaranteed answer. Chained words are a
     little longer than true shortest setups; the cycles they conjugate
     stay exact.
+
+    The chain also works in its orbit's local index space: read takes
+    the orbit's stickers from a sticker sequence, listed slot by slot
+    as in positions, and piece() gives a level word with its inverse
+    and both as gathers over those local stickers.
     '''
 
-    def __init__(self, levels):
+    def __init__(self, spec, levels, positions):
+        self.spec = spec
         self.levels = levels
+        self.positions = positions
+        self.read = operator.itemgetter(*positions)
+        size = len(levels[0])
+        self._pieces = [[None] * size for _ in levels]
         # The same levels as flat tables indexed by slot: per level, the
         # length of each slot's word and that word's slot action.
-        size = len(levels[0])
         self.lengths, self.actions = [], []
         for level in levels:
             lengths, actions = [0] * size, [None] * size
@@ -138,13 +158,12 @@ class _SetupChain:
             self.lengths.append(lengths)
             self.actions.append(actions)
 
-    def find(self, wanted):
-        '''Shortest chained word carrying one of the wanted preimage
-        tuples onto the bases, as (key, word). Each key is scored inline
-        from the flat tables: the summed length of its level words, each
-        looked up at the slot the earlier words carry the key's next
-        slot to. Only the winner, the first key of least length, is
-        realized as a word.'''
+    def choose(self, wanted):
+        '''The first wanted preimage tuple whose chained word is
+        shortest, and the slot each level's word is looked up at. Each
+        key is scored inline from the flat tables: the summed length of
+        its level words, each looked up at the slot the earlier words
+        carry the key's next slot to.'''
         best = None
         best_length = MAX_SETUP_DEPTH * len(self.levels) + 1
         if len(self.levels) == 3:
@@ -165,12 +184,30 @@ class _SetupChain:
                     best, best_length = key, length
         if best is None:
             raise AssertionError('a cycle was requested with no targets')
-        word, key = (), best
-        for level in self.levels:
-            piece, action = level[key[0]]
-            word += piece
-            key = [action[slot] for slot in key[1:]]
-        return best, word
+        slots, rest = [], best
+        for actions in self.actions:
+            slots.append(rest[0])
+            action = actions[rest[0]]
+            rest = [action[slot] for slot in rest[1:]]
+        return best, slots
+
+    def find(self, wanted):
+        '''Shortest chained word carrying one of the wanted preimage
+        tuples onto the bases, as (key, word).'''
+        key, slots = self.choose(wanted)
+        return key, sum((level[slot][0] for level, slot
+                         in zip(self.levels, slots)), ())
+
+    def piece(self, depth, slot):
+        '''(word, inverse word, gather, inverse gather) of the level
+        word at slot, the gathers over the orbit's local stickers; built
+        on first use, since a solve needs only some of them.'''
+        table = self._pieces[depth]
+        if table[slot] is None:
+            word = self.levels[depth][slot][0]
+            table[slot] = (word, invert_sequence(word)) + local_gathers(
+                self.spec, self.positions, word)
+        return table[slot]
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,11 +278,11 @@ def _setup_search(spec, atlas, orbit, bases):
         # Composition runs through bytes.translate, so store each action
         # as a full translation table.
         alphabet.append((symbol, action + bytes(range(size, 256))))
-    levels = _class_levels(tuple(alphabet), tuple(bases), size)
-    return _SetupChain([
+    levels = [
         {slot: (tuple(map(relabel.__getitem__, word)), action)
          for slot, (word, action) in level.items()}
-        for level in levels])
+        for level in _class_levels(tuple(alphabet), tuple(bases), size)]
+    return _SetupChain(spec, levels, orbit.positions)
 
 
 def _run_sign_alignment(atlas, state):
@@ -254,7 +291,7 @@ def _run_sign_alignment(atlas, state):
         if orbit.family not in ('corner', 'coupled'):
             continue
         perm, _ = read_orbit(state.stickers, orbit)
-        if permutation_sign(perm) == -1:
+        if _sign(perm) == -1:
             move = Move('F', 1, 1) if orbit.key is None \
                 else Move('R', orbit.key, 1)
             state = apply_move(state, move)
@@ -262,25 +299,44 @@ def _run_sign_alignment(atlas, state):
     return tuple(parts), state
 
 
-def _run_orbit(spec, atlas, state, orbit, core, bases, targets, gathers):
-    '''Conjugate the core by chained setups until targets(state) is
-    empty. targets maps each wanted preimage tuple to whether the
-    inverse core, not the core, produces the wanted effect; gathers
-    holds the core and its inverse, each composed into one gather.'''
+def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
+    '''Conjugate the core by chained setups until targets(stickers),
+    read from the stage's one sticker list, is empty. targets maps each
+    wanted preimage tuple to whether the inverse core, not the core,
+    produces the wanted effect; cores holds the core word and its
+    inverse, each with its gather over the orbit's local stickers.'''
     search = _setup_search(spec, atlas, orbit, bases)
-    words = (core.sequence, invert_sequence(core.sequence))
+    stickers = list(state.stickers)
     parts = []
     while True:
-        wanted = targets(state)
+        wanted = targets(stickers)
         if not wanted:
-            return tuple(parts), state
-        key, setup = search.find(wanted)
-        inverted = wanted[key]
-        undo = invert_sequence(setup)
-        state = apply_sequence(state, setup)
-        state = apply_sequence(
-            CubeState(state.n, gathers[inverted](state.stickers)), undo)
-        parts += setup + words[inverted] + undo
+            return tuple(parts), CubeState(state.n, ''.join(stickers))
+        key, slots = search.choose(wanted)
+        parts += _conjugate(search, slots, cores[wanted[key]], stickers)
+
+
+def _conjugate(search, slots, core, stickers):
+    '''Apply setup + core + undo to the sticker list in place, where
+    the setup chains the level words at slots and core is a (word,
+    local gather) pair; returns that move word. Only the orbit's
+    stickers are read and written: the setup carries every other
+    sticker away and the undo brings it back, while the core, checked
+    in stage_plan, leaves it alone.'''
+    pieces = [search.piece(depth, slot) for depth, slot in enumerate(slots)]
+    local = search.read(stickers)
+    setup = undo = ()
+    for word, _, gather, _ in pieces:
+        local = gather(local)
+        setup += word
+    word, gather = core
+    local = gather(local)
+    for _, inverse, _, gather in reversed(pieces):
+        local = gather(local)
+        undo += inverse
+    for position, sticker in zip(search.positions, local):
+        stickers[position] = sticker
+    return setup + word + undo
 
 
 def _cycle_targets(s, h, t_choices):
@@ -294,8 +350,8 @@ def _cycle_targets(s, h, t_choices):
     return wanted
 
 
-def _perm_targets(orbit, state):
-    perm, _ = read_orbit(state.stickers, orbit)
+def _perm_targets(orbit, stickers):
+    perm, _ = read_orbit(stickers, orbit)
     support = [s for s, image in enumerate(perm) if image != s]
     if not support:
         return None
@@ -309,8 +365,8 @@ def _perm_targets(orbit, state):
     return _cycle_targets(slot, home, t_choices)
 
 
-def _center_targets(orbit, state):
-    shown = orbit.getters[0](state.stickers)
+def _center_targets(orbit, stickers):
+    shown = orbit.getters[0](stickers)
     homes = [slot.colors[0] for slot in orbit.slots]
     wrong = [k for k in range(24) if shown[k] != homes[k]]
     if not wrong:
@@ -328,13 +384,13 @@ def _center_targets(orbit, state):
     return _cycle_targets(s, h, t_choices)
 
 
-def _orientation_targets(orbit, state):
+def _orientation_targets(orbit, stickers):
     '''Pairs (a, b) for the first misoriented slot a. The twist core
     turns the slot on its first base by +1 and the one on its second by
     -1, so a's twist of +1 is undone by (b, a) forward or (a, b)
     inverted, and a twist of -1 the other way round. The flip core
     flips both slots and always runs forward.'''
-    _, values = read_orbit(state.stickers, orbit)
+    _, values = read_orbit(stickers, orbit)
     nonzero = [s for s, v in enumerate(values) if v]
     if not nonzero:
         return None
@@ -351,7 +407,7 @@ def _orientation_targets(orbit, state):
 
 
 def _signs_aligned(config, atlas):
-    return all(permutation_sign(config.orbit_fields(orbit)[0]) == 1
+    return all(_sign(config.orbit_fields(orbit)[0]) == 1
                for orbit in atlas.orbits)
 
 
@@ -390,8 +446,16 @@ def stage_plan(spec):
             if orbit.family != family:
                 continue
             core = word(spec, orbit.key)
-            gathers = (sequence_gather(spec, core.sequence),
-                       sequence_gather(spec, invert_sequence(core.sequence)))
+            # A pass rewrites only the orbit's stickers, which is exact
+            # only while the core moves no sticker outside the orbit.
+            perm = sequence_permutation(spec, core.sequence)
+            inside = set(orbit.positions)
+            if any(perm[p] != p for p in range(len(perm))
+                   if p not in inside):
+                raise AssertionError('the core word of the %s moves '
+                                     'stickers outside it' % orbit.name)
+            words = (core.sequence, invert_sequence(core.sequence))
+            gathers = local_gathers(spec, orbit.positions, core.sequence)
             stages.append(Stage(
                 name if orbit.key is None else name % orbit.key,
                 lambda c, o=orbit, f=field,
@@ -399,7 +463,8 @@ def stage_plan(spec):
                     c.orbit_fields(o)[f] == ident,
                 functools.partial(
                     _run_orbit, spec, atlas, orbit=orbit, core=core,
-                    bases=core.report.slots, gathers=gathers,
+                    bases=core.report.slots,
+                    cores=tuple(zip(words, gathers)),
                     targets=functools.partial(targets, orbit))))
     return tuple(stages)
 

@@ -17,6 +17,7 @@ from cubology.cube_model import (
     format_move_sequence,
     invert_sequence,
     legal_slab_moves,
+    local_gathers,
     parse_move_sequence,
     render_net,
     sequence_gather,
@@ -28,6 +29,7 @@ from cubology.cube_model import (
     sticker_permutation,
 )
 from cubology.cubology_law import random_configuration
+from cubology.decomposition import build_atlas
 
 R_TURN_ON_THREE = 'WWGWWGWWGOOOOOOOOOGGYGGYGGYRRRRRRRRRWBBWBBWBBYYBYYBYYB'
 
@@ -165,6 +167,21 @@ def test_sequence_gather_applies_the_whole_sequence(pair, seed):
     source = gather(range(spec.sticker_count))
     perm = sequence_permutation(spec, seq)
     assert all(source[perm[i]] == i for i in range(spec.sticker_count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_and_sequence(), st.integers(0, 2 ** 32))
+def test_local_gathers_apply_the_sequence_to_one_orbit(pair, seed):
+    spec, seq = pair
+    state = random_configuration(spec, seed)
+    after = apply_sequence(state, seq)
+    for orbit in build_atlas(spec).orbits:
+        positions = orbit.positions
+        gather, inverse = local_gathers(spec, positions, seq)
+        before = [state.stickers[p] for p in positions]
+        moved = [after.stickers[p] for p in positions]
+        assert list(gather(before)) == moved
+        assert list(inverse(moved)) == before
 
 
 def test_sequence_gather_rejects_a_slab_the_cube_lacks():

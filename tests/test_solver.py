@@ -17,6 +17,7 @@ from cubology.cube_model import (
     CubeState,
     apply_move,
     apply_sequence,
+    invert_sequence,
     legal_slab_moves,
     sequence_permutation,
     solved_state,
@@ -254,6 +255,39 @@ def test_composed_cores_match_move_by_move_application(n):
             assert apply_sequence(state, sequence) == after
             state = after
         assert state == solved_state(spec)
+
+
+@pytest.mark.parametrize('n', range(2, 12))
+def test_orbit_local_conjugates_match_full_application(n):
+    """Each pass rewrites only the worked orbit's stickers; applying the
+    word it emits, setup + core + undo, to the whole state must give
+    the same stickers everywhere, outside the orbit too."""
+    spec = CubeSpec(n)
+    atlas = build_atlas(spec)
+    passes = 0
+    for seed in range(2):
+        state = random_valid_configuration(spec, seed=seed + 200 * n)
+        for stage in stage_plan(spec):
+            args = getattr(stage.run, 'keywords', None)
+            if args is None:
+                _, state = stage.run(state)
+                continue
+            chain = _setup_search(spec, atlas, args['orbit'], args['bases'])
+            stickers = list(state.stickers)
+            while True:
+                wanted = args['targets'](stickers)
+                if not wanted:
+                    break
+                key, slots = chain.choose(wanted)
+                core = args['cores'][wanted[key]]
+                word = solver._conjugate(chain, slots, core, stickers)
+                _, setup = chain.find(wanted)
+                assert word == setup + core[0] + invert_sequence(setup)
+                state = apply_sequence(state, word)
+                assert ''.join(stickers) == state.stickers
+                passes += 1
+        assert state == solved_state(spec)
+    assert passes
 
 
 def _orbit_class(n, stage_name, key):

@@ -13,12 +13,17 @@ checkout's src/. It records:
 * warm solve at n = 3, 4, 5, 7, 9: after one solve has built the size's
   stage plan and chains, the median and worst wall seconds over seeds
   0..7, the shares of the solve seconds spent choosing setups in
-  _SetupChain.find and decomposing states (the entry check and each
-  stage postcondition), and the median ratio of solution length to the
-  certified lower bound gods_number_lower_bound(n).ceiling;
+  _SetupChain.choose (find on heads before it) and decomposing states
+  (the entry check and each stage postcondition), and the median ratio
+  of solution length to the certified lower bound
+  gods_number_lower_bound(n).ceiling;
 * per-layer microseconds per call of decompose, compose and
   check_validity at n = 3, 5, 7, 9, over the random_configuration
-  states of seeds 0..49: the median of seven passes over all of them;
+  states of seeds 0..49: the median of seven passes over all of them,
+  raw and at the reference speed, as perfbench/run.py gives them:
+  each pass is followed by about as much of perfbench's reference()
+  as REF_SPEED runs in the pass's time, and the pass's seconds are
+  scaled by the speed that reached over REF_SPEED;
 * the speed of perfbench/run.py's reference(), a fixed pure-Python
   workload sharing no code with the program, in iterations per second,
   measured before and after the solves, so that files written on
@@ -29,7 +34,8 @@ checkout's src/. It records:
 
 Compare two heads by running both alternately in one session; the host's
 speed drifts too much for files from different days to compare in raw
-seconds.
+seconds, and even within a session the raw layer microseconds swing by
+up to 2x, which the reference-speed figures (_ref_us) take out.
 '''
 
 import argparse
@@ -96,9 +102,11 @@ def warm_solves(n):
     spec = CubeSpec(n)
     solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
-    find, decompose = solver._SetupChain.find, solver.decompose
+    # Heads before _SetupChain.choose chose setups in find.
+    chooser = 'choose' if hasattr(solver._SetupChain, 'choose') else 'find'
+    find, decompose = getattr(solver._SetupChain, chooser), solver.decompose
     in_find, in_decompose = [], []
-    solver._SetupChain.find = timed(find, in_find)
+    setattr(solver._SetupChain, chooser, timed(find, in_find))
     solver.decompose = timed(decompose, in_decompose)
     seconds, ratios = [], []
     try:
@@ -109,7 +117,8 @@ def warm_solves(n):
             seconds.append(time.perf_counter() - start)
             ratios.append(len(trace.total) / ceiling)
     finally:
-        solver._SetupChain.find, solver.decompose = find, decompose
+        setattr(solver._SetupChain, chooser, find)
+        solver.decompose = decompose
     return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
             'find_share': sum(in_find) / sum(seconds),
             'decompose_share': sum(in_decompose) / sum(seconds),
@@ -119,7 +128,9 @@ def warm_solves(n):
 
 def layer_calls(n):
     '''Microseconds per call of decompose, compose and check_validity at
-    size n, the median of LAYER_PASSES passes over fixed states.'''
+    size n, the median of LAYER_PASSES passes over fixed states, raw
+    and at the reference speed measured right after each pass.'''
+    from run import REF_SPEED, reference
     from cubology.cube_model import CubeSpec
     from cubology.cubology_law import check_validity, random_configuration
     from cubology.decomposition import compose, decompose
@@ -130,13 +141,21 @@ def layer_calls(n):
              'check_validity': (check_validity, configs)}
     out = {}
     for name, (function, inputs) in calls.items():
-        passes = []
+        passes, at_ref = [], []
         for _ in range(LAYER_PASSES):
             start = time.perf_counter()
             for value in inputs:
                 function(value)
-            passes.append(time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            iterations = max(1, round(seconds * REF_SPEED))
+            start = time.perf_counter()
+            reference(iterations)
+            speed = iterations / (time.perf_counter() - start)
+            passes.append(seconds)
+            at_ref.append(seconds * speed / REF_SPEED)
         out[name + '_us'] = 1e6 * statistics.median(passes) / len(inputs)
+        out[name + '_ref_us'] = (1e6 * statistics.median(at_ref)
+                                 / len(inputs))
     return out
 
 
