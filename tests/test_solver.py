@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +332,86 @@ def test_one_setup_pass_per_orbit_class(monkeypatch):
     assert all(len(class_keys) == 1 for class_keys in keys.values())
     assert len(set().union(*keys.values())) == 9
 
+
+
+def _breadth_first_levels(alphabet, bases, size):
+    """The chain levels as one breadth-first pass over the alphabet
+    finds them, the solver's first construction, kept as the reference:
+    every new action is recorded at each level whose earlier bases it
+    fixes, for the slot it sends to that level's base, if that slot has
+    no word yet."""
+    identity = bytes(range(size))
+    levels = [{base: ((), identity)} for base in bases]
+    missing = sum(size - depth for depth in range(len(bases))) - len(bases)
+    seen = {identity}
+    frontier = deque([(identity, ())])
+    while missing:
+        if not frontier:
+            raise AssertionError(
+                'setup alphabet exhausted before the transversal chain '
+                'was complete')
+        action, word = frontier.popleft()
+        if len(word) >= solver.MAX_SETUP_DEPTH:
+            raise AssertionError(
+                'setup search needed a word longer than %d moves'
+                % solver.MAX_SETUP_DEPTH)
+        for symbol, table in alphabet:
+            child = action.translate(table)
+            if child in seen:
+                continue
+            seen.add(child)
+            grown = word + (symbol,)
+            frontier.append((child, grown))
+            # A level takes the child only while it fixes every earlier
+            # base, and child fixes a base exactly when its source is it.
+            for level, base in zip(levels, bases):
+                source = child.index(base)
+                if source not in level:
+                    level[source] = (grown, child)
+                    missing -= 1
+                if source != base:
+                    break
+    return levels
+
+
+def _alphabet(*actions):
+    """A hand-made class alphabet: symbol k acts as actions[k]."""
+    return tuple((k, bytes(action) + bytes(range(len(action), 256)))
+                 for k, action in enumerate(actions))
+
+
+def test_class_levels_match_the_breadth_first_ball(monkeypatch):
+    _setup_search.cache_clear()
+    class_levels = solver._class_levels
+    calls = set()
+
+    def recording(*args):
+        calls.add(args)
+        return class_levels(*args)
+
+    monkeypatch.setattr(solver, '_class_levels', recording)
+    for n in range(2, 14):
+        spec = CubeSpec(n)
+        atlas = build_atlas(spec)
+        for stage in stage_plan(spec)[1:]:
+            args = stage.run.keywords
+            _setup_search(spec, atlas, args['orbit'], args['bases'])
+    _setup_search.cache_clear()
+    assert len(calls) == 9
+    for args in calls:
+        assert class_levels.__wrapped__(*args) == _breadth_first_levels(*args)
+    # A slot no word reaches exhausts the alphabet ...
+    swap = _alphabet((0, 2, 1))
+    for levels in (class_levels.__wrapped__, _breadth_first_levels):
+        with pytest.raises(AssertionError, match='alphabet exhausted'):
+            levels(swap, (0,), 3)
+    # ... and a slot farther than MAX_SETUP_DEPTH moves is refused.
+    monkeypatch.setattr(solver, 'MAX_SETUP_DEPTH', 1)
+    shift = _alphabet((1, 2, 3, 0))
+    for levels in (class_levels.__wrapped__, _breadth_first_levels):
+        with pytest.raises(AssertionError,
+                           match='longer than 1 moves'):
+            levels(shift, (0,), 4)
 
 @st.composite
 def valid_states(draw):
