@@ -285,14 +285,6 @@ def invert_sequence(sequence):
     return tuple(m.inverse() for m in reversed(tuple(sequence)))
 
 
-def sequence_gather(spec, sequence):
-    '''A whole sequence composed into one gather: applied to a state's
-    stickers it lists those of apply_sequence(state, sequence).'''
-    # The labels 0..N-1 carried through the sequence are its source map.
-    return operator.itemgetter(*_carry(spec, _labels(spec.sticker_count),
-                                       sequence))
-
-
 def local_gathers(spec, positions, sequence):
     '''A sequence and its inverse composed into gathers over the
     stickers at positions alone, which the sequence must carry among
@@ -307,13 +299,6 @@ def local_gathers(spec, positions, sequence):
     local = {position: i for i, position in enumerate(positions)}
     images = [local[position] for position in ends]
     return _gather(images), operator.itemgetter(*images)
-
-
-@functools.lru_cache(maxsize=None)
-def _labels(count):
-    '''0..count-1 as one shared tuple, so that every composed gather of a
-    cube size holds the same label objects rather than its own copies.'''
-    return tuple(range(count))
 
 
 def sequence_permutation(spec, sequence):

@@ -199,6 +199,12 @@ class Orbit:
         return tuple(p for slot in self.slots for p in slot.positions)
 
     @functools.cached_property
+    def read(self):
+        '''read(stickers): every sticker of the orbit, in the order of
+        positions, read by one call.'''
+        return operator.itemgetter(*self.positions)
+
+    @functools.cached_property
     def getters(self):
         '''getters[k](stickers): the k-th sticker of every slot, in slot
         order, read by one call.'''
@@ -554,7 +560,7 @@ def validate_shape(config):
     return atlas
 
 
-def decompose(state):
+def decompose(state, reads=None):
     '''Cut a sticker state into its canonical ConfigTuple.
 
     Raises NotAConfiguration when the stickers cannot be read as any
@@ -564,6 +570,13 @@ def decompose(state):
     bits are zeroed when possible, twin collisions send the lower home
     to the lower slot, and centre assignments are sorted then sign-fixed
     by one swap inside the first colour class.
+
+    reads, when given, is a dict the caller keeps across the states of
+    one task, such as the stages of one solve: for each orbit it holds
+    the last read, keyed by the orbit's stickers and, for a centre
+    orbit, the sign the first law requires of it. An orbit whose key
+    matches is not read again; its fields are a function of that key,
+    so the tuple is the same.
     '''
     spec = state.spec
     atlas = build_atlas(spec)
@@ -584,16 +597,25 @@ def decompose(state):
     config = ConfigTuple(spec.n)
     required = None
     for orbit in atlas.orbits:
+        sign = None
         if orbit.turns == 1:
             if required is None:
                 # Centre orbits come last in the atlas, after the corner
                 # and wing permutations that fix their signs.
                 required = required_center_signs(
                     atlas, config.corner_perm, config.coupled_perms)
-            config.set_orbit_fields(orbit, _assign_centers(
-                stickers, orbit, required[orbit.key]))
-        else:
-            config.set_orbit_fields(orbit, *read_orbit(stickers, orbit))
+            sign = required[orbit.key]
+        if reads is not None:
+            key = (orbit.read(stickers), sign)
+            last = reads.get(orbit)
+            if last is not None and last[0] == key:
+                config.set_orbit_fields(orbit, *last[1])
+                continue
+        fields = read_orbit(stickers, orbit) if sign is None \
+            else (_assign_centers(stickers, orbit, sign),)
+        if reads is not None:
+            reads[orbit] = (key, fields)
+        config.set_orbit_fields(orbit, *fields)
     return config
 
 

@@ -25,16 +25,22 @@ through a correctly placed slot of the matching colour class, which
 fixes all three at once. Orientation pairs the first misoriented slot
 with each other one.
 
-Setup words come from a transversal chain per orbit class: a short
-breadth-first pass over single slab moves records, for every slot, a
-word carrying it onto the first base slot, then one onto the second
-while the first stays put, and so on. Any requested slot tuple is then
-reached by chaining one word per level. The pass runs over symbols
-(face, depth rank, quarter turns), each depth named by its rank among
-the depths acting on the orbit, so every orbit whose moves then act
-alike shares one pass, across all cube sizes: nine passes serve every
-orbit up to n=17. Each orbit reads the class words back with its own
-depths, and later solves pay only table lookups. Each chain also keeps
+Setup words come from a transversal chain per orbit class, a
+stabiliser chain in the manner of Sims: level 0 holds, for every slot,
+a word carrying it onto the first base slot, level 1 one carrying it
+onto the second while the first stays put, and so on. Any requested
+slot tuple is then reached by chaining one word per level. Each level
+word is the least one, by length and then symbol order, that does its
+job. The words are grown one breadth-first layer of distinct slot
+actions at a time, and every missing entry is first completed from the
+current layer, each by one dictionary lookup per layer word; a layer is
+grown only while some entry is still missing. The pass runs over
+symbols (face, depth rank, quarter turns), each depth named by its rank
+among the depths acting on the orbit, so every orbit whose moves then
+act alike shares one pass, across all cube sizes: nine passes serve
+every orbit up to n=33. Each orbit reads the class words back with its
+own depths, and later solves pay only table lookups; a stage that finds
+its orbit already done builds no chain at all. Each chain also keeps
 its levels as flat tables indexed by slot, the length of each slot's
 word and that word's slot action, so a pass scores every wanted tuple
 inline, as the summed length of its chained words, following only
@@ -53,12 +59,14 @@ inverse word are built once, on first use, and the core's in
 stage_plan(); the emitted word is the setup, the core and the stored
 inverses in reverse. Targets are read from the same list, the worked
 orbit's stickers alone; a CubeState is built once per stage, and the
-full decomposition runs only for the stage postconditions.
+full decomposition runs only for the stage postconditions. Those keep
+one solve's per-orbit reads, so each postcondition rereads only the
+orbits whose stickers changed, or, for centres, whose required sign
+did; every stage still gets its full tuple and its check.
 '''
 
 import functools
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 from .cube_model import (
@@ -141,11 +149,11 @@ class _SetupChain:
     and both as gathers over those local stickers.
     '''
 
-    def __init__(self, spec, levels, positions):
+    def __init__(self, spec, levels, orbit):
         self.spec = spec
         self.levels = levels
-        self.positions = positions
-        self.read = operator.itemgetter(*positions)
+        self.positions = orbit.positions
+        self.read = orbit.read
         size = len(levels[0])
         self._pieces = [[None] * size for _ in levels]
         # The same levels as flat tables indexed by slot: per level, the
@@ -213,41 +221,63 @@ class _SetupChain:
 @functools.lru_cache(maxsize=None)
 def _class_levels(alphabet, bases, size):
     '''The chain levels of one orbit class, as words over the class's
-    symbols. alphabet holds (symbol, translation table) pairs; one
-    breadth-first pass over them fills every level and stops as soon as
-    all are full, which only needs a shallow ball.'''
+    symbols. alphabet holds (symbol, translation table) pairs.
+
+    Level k's word for slot x is the least word, by length and then
+    symbol order, whose action fixes bases[:k] and sends x to bases[k].
+    The words grow one breadth-first layer at a time, each new action
+    kept with its first word, which is the least word reaching it; so
+    the least word of an entry is u + (s,) for the first layer word u,
+    in layer order, that some symbol s finishes, and the first such s.
+    u·s fixes bases[:k] and sends x to bases[k] exactly when u's images
+    of bases[:k] and x are s's preimages of bases[:k + 1]; each level
+    indexes the alphabet by those preimages, so an entry is one lookup
+    per layer word. A layer is grown only while some entry is missing,
+    so no layer is built just to be searched.'''
     identity = bytes(range(size))
     levels = [{base: ((), identity)} for base in bases]
-    missing = sum(size - depth for depth in range(len(bases))) - len(bases)
+    indexes = []
+    for depth in range(len(bases)):
+        preimages = operator.itemgetter(*bases[:depth + 1])
+        index = {}
+        for symbol, table in alphabet:
+            index.setdefault(preimages(bytes(map(table.index, identity))),
+                             (symbol, table))
+        indexes.append(index)
     seen = {identity}
-    frontier = deque([(identity, ())])
-    while missing:
-        if not frontier:
+    layer = [(identity, ())]
+    while True:
+        for depth, (level, index) in enumerate(zip(levels, indexes)):
+            for slot in range(size):
+                if slot in level or slot in bases[:depth]:
+                    continue
+                images = operator.itemgetter(*bases[:depth], slot)
+                for action, word in layer:
+                    found = index.get(images(action))
+                    if found:
+                        symbol, table = found
+                        level[slot] = (word + (symbol,),
+                                       action.translate(table))
+                        break
+        if all(len(level) == size - depth
+               for depth, level in enumerate(levels)):
+            return levels
+        grown = []
+        for action, word in layer:
+            for symbol, table in alphabet:
+                child = action.translate(table)
+                if child not in seen:
+                    seen.add(child)
+                    grown.append((child, word + (symbol,)))
+        if not grown:
             raise AssertionError(
                 'setup alphabet exhausted before the transversal chain '
                 'was complete')
-        action, word = frontier.popleft()
-        if len(word) >= MAX_SETUP_DEPTH:
+        if len(layer[0][1]) + 1 >= MAX_SETUP_DEPTH:
             raise AssertionError(
                 'setup search needed a word longer than %d moves'
                 % MAX_SETUP_DEPTH)
-        for symbol, table in alphabet:
-            child = action.translate(table)
-            if child in seen:
-                continue
-            seen.add(child)
-            grown = word + (symbol,)
-            frontier.append((child, grown))
-            # A level takes the child only while it fixes every earlier
-            # base, and child fixes a base exactly when its source is it.
-            for level, base in zip(levels, bases):
-                source = child.index(base)
-                if source not in level:
-                    level[source] = (grown, child)
-                    missing -= 1
-                if source != base:
-                    break
-    return levels
+        layer = grown
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,9 +288,10 @@ def _setup_search(spec, atlas, orbit, bases):
     The alphabet is every slab move acting on the orbit, in
     legal_slab_moves order. A move's depth is replaced by its rank among
     the depths that act on the orbit, so every orbit whose moves then
-    act alike, of any cube size, shares one breadth-first pass; the
-    ranks keep the depth order, so the words are those a pass over this
-    orbit's own moves would find.'''
+    act alike, of any cube size, shares one pass; the ranks keep the
+    depth order, so each level word is the least word over this orbit's
+    own moves, by length and then legal_slab_moves order, that does the
+    level's job.'''
     size = len(orbit.slots)
     identity = bytes(range(size))
     acting = []
@@ -282,7 +313,7 @@ def _setup_search(spec, atlas, orbit, bases):
         {slot: (tuple(map(relabel.__getitem__, word)), action)
          for slot, (word, action) in level.items()}
         for level in _class_levels(tuple(alphabet), tuple(bases), size)]
-    return _SetupChain(spec, levels, orbit.positions)
+    return _SetupChain(spec, levels, orbit)
 
 
 def _run_sign_alignment(atlas, state):
@@ -305,15 +336,18 @@ def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
     wanted preimage tuple to whether the inverse core, not the core,
     produces the wanted effect; cores holds the core word and its
     inverse, each with its gather over the orbit's local stickers.'''
-    search = _setup_search(spec, atlas, orbit, bases)
     stickers = list(state.stickers)
+    wanted = targets(stickers)
+    if not wanted:
+        return (), state
+    # The chain is built only for a stage with work to do.
+    search = _setup_search(spec, atlas, orbit, bases)
     parts = []
-    while True:
-        wanted = targets(stickers)
-        if not wanted:
-            return tuple(parts), CubeState(state.n, ''.join(stickers))
+    while wanted:
         key, slots = search.choose(wanted)
         parts += _conjugate(search, slots, cores[wanted[key]], stickers)
+        wanted = targets(stickers)
+    return tuple(parts), CubeState(state.n, ''.join(stickers))
 
 
 def _conjugate(search, slots, core, stickers):
@@ -473,20 +507,23 @@ def stage_names(spec):
     return tuple(stage.name for stage in stage_plan(spec))
 
 
-def _checked(state):
-    '''The state's tuple; NotSolvable unless it obeys the law.'''
-    config = decompose(state)
+def _checked(state, reads):
+    '''The state's tuple; NotSolvable unless it obeys the law. reads
+    holds the task's per-orbit reads, as decompose() takes them.'''
+    config = decompose(state, reads)
     report = check_validity(config)
     if not report.valid:
         raise NotSolvable(report)
     return config
 
 
-def _run_stage(stage, state):
+def _run_stage(stage, state, reads):
     '''Run one stage and check its postcondition; returns (sequence,
-    state after the stage, its tuple).'''
+    state after the stage, its tuple). A stage changes only the orbits
+    it works, so the full tuple of its postcondition rereads only
+    those; the other orbits' fields come from reads.'''
     sequence, state = stage.run(state)
-    config = decompose(state)
+    config = decompose(state, reads)
     if not stage.done(config):
         raise AssertionError(
             'stage %s missed its postcondition' % stage.name)
@@ -501,11 +538,12 @@ def solve(state):
     not a reassembly at all.
     '''
     spec = state.spec
-    _checked(state)
+    reads = {}
+    _checked(state, reads)
     entries = []
     total = []
     for stage in stage_plan(spec):
-        sequence, state, config = _run_stage(stage, state)
+        sequence, state, config = _run_stage(stage, state, reads)
         entries.append((stage.name, sequence, config))
         total.extend(sequence)
     if state != solved_state(spec):
@@ -516,7 +554,8 @@ def solve(state):
 def solve_stage(state, stage_name):
     '''Run one named stage, checking every earlier stage is already
     done; returns (sequence, state after the stage).'''
-    config = _checked(state)
+    reads = {}
+    config = _checked(state, reads)
     plan = stage_plan(state.spec)
     names = [stage.name for stage in plan]
     if stage_name not in names:
@@ -528,5 +567,5 @@ def solve_stage(state, stage_name):
             raise StageOrderViolation(
                 'stage %s runs after %s, which is not done'
                 % (stage_name, earlier.name))
-    sequence, state, _ = _run_stage(plan[index], state)
+    sequence, state, _ = _run_stage(plan[index], state, reads)
     return sequence, state

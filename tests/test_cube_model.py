@@ -20,7 +20,6 @@ from cubology.cube_model import (
     local_gathers,
     parse_move_sequence,
     render_net,
-    sequence_gather,
     sequence_permutation,
     solved_state,
     state_from_json_dict,
@@ -158,19 +157,6 @@ def test_moves_permute_stickers_bijectively(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(spec_and_sequence(), st.integers(0, 2 ** 32))
-def test_sequence_gather_applies_the_whole_sequence(pair, seed):
-    spec, seq = pair
-    state = random_configuration(spec, seed)
-    gather = sequence_gather(spec, seq)
-    assert ''.join(gather(state.stickers)) == apply_sequence(state, seq).stickers
-    # On distinct labels the gather is the inverse of the destination map.
-    source = gather(range(spec.sticker_count))
-    perm = sequence_permutation(spec, seq)
-    assert all(source[perm[i]] == i for i in range(spec.sticker_count))
-
-
-@settings(max_examples=60, deadline=None)
-@given(spec_and_sequence(), st.integers(0, 2 ** 32))
 def test_local_gathers_apply_the_sequence_to_one_orbit(pair, seed):
     spec, seq = pair
     state = random_configuration(spec, seed)
@@ -182,11 +168,6 @@ def test_local_gathers_apply_the_sequence_to_one_orbit(pair, seed):
         moved = [after.stickers[p] for p in positions]
         assert list(gather(before)) == moved
         assert list(inverse(moved)) == before
-
-
-def test_sequence_gather_rejects_a_slab_the_cube_lacks():
-    with pytest.raises(IllegalDepth):
-        sequence_gather(CubeSpec(4), (Move('R'), Move('U', 3)))
 
 
 def test_parse_plain_and_suffixed_tokens():

@@ -10,6 +10,7 @@ from cubology.cube_model import (
     COLORS,
     CubeSpec,
     CubeState,
+    apply_move,
     apply_sequence,
     legal_slab_moves,
     parse_move_sequence,
@@ -172,6 +173,32 @@ def test_canonical_labeling_is_idempotent(n, rng):
     config = decompose(state)
     assert decompose(compose(config)) == config
 
+
+
+@pytest.mark.parametrize('n', range(2, 8))
+def test_kept_reads_give_the_tuples_of_fresh_reads(n):
+    """decompose with one reads dict kept across states, as a solve
+    keeps it across its stages, returns what a fresh decompose does."""
+    spec = CubeSpec(n)
+    rng = random.Random(n)
+    moves = legal_slab_moves(spec, False, (1, 2, 3))
+    reads = {}
+    # One move apart, most orbits keep their stickers and their read.
+    state = solved_state(spec)
+    for _ in range(30):
+        assert decompose(state, reads) == decompose(state)
+        state = apply_move(state, rng.choice(moves))
+    for seed in range(3):
+        state = random_configuration(spec, seed)
+        assert decompose(state, reads) == decompose(state)
+    # Behind an odd corner swap, centres showing the solved colours must
+    # take the odd sign: same stickers as the kept solved read, but the
+    # other required sign.
+    config = identity_tuple(spec)
+    config.corner_perm = (1, 0) + config.corner_perm[2:]
+    swapped = compose(config)
+    decompose(solved_state(spec), reads)
+    assert decompose(swapped, reads) == decompose(swapped)
 
 def test_rejects_repainted_sticker():
     state = solved_state(CubeSpec(3))

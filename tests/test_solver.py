@@ -101,6 +101,23 @@ def test_solved_input_yields_empty_trace():
         assert all(len(seq) == 0 for _, seq, _ in trace.stages)
 
 
+
+def test_a_stage_with_no_targets_builds_no_chain():
+    _setup_search.cache_clear()
+    for n in (2, 3, 4, 5):
+        solve(solved_state(CubeSpec(n)))
+    assert _setup_search.cache_info().misses == 0
+    spec = CubeSpec(5)
+    state = random_valid_configuration(spec, seed=5)
+    for name in stage_names(spec):
+        # Once a stage has run, running it again finds nothing to do.
+        _, state = solve_stage(state, name)
+        chains = _setup_search.cache_info().misses
+        assert solve_stage(state, name) == ((), state)
+        assert _setup_search.cache_info().misses == chains
+    assert chains > 0
+
+
 def test_unsolvable_state_is_rejected_with_report():
     spec = CubeSpec(3)
     with pytest.raises(NotSolvable) as err:

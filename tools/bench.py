@@ -6,10 +6,12 @@
 Run it from the root of a checkout; it imports cubology from the
 checkout's src/. It records:
 
-* cold solve at n = 4, 9, 13: one fresh interpreter per size solves the
-  seeded valid state (seed n) and reports the solve's wall seconds, the
-  part of them spent building setup chains, the orbit chains built and
-  the breadth-first passes that filled them;
+* cold solve at n = 4, 9, 13, 17: three fresh interpreters per size
+  each solve the seeded valid state (seed n) and report the solve's
+  wall seconds, the part of them spent building setup chains, the
+  orbit chains built and the passes that filled the class levels; each
+  figure is the median of the three, since one fresh process alone can
+  swing by as much as a change under test;
 * warm solve at n = 3, 4, 5, 7, 9: after one solve has built the size's
   stage plan and chains, the median and worst wall seconds over seeds
   0..7, the shares of the solve seconds spent choosing setups in
@@ -51,7 +53,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, 'src'))
 sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
 
-COLD_SIZES = (4, 9, 13)
+COLD_SIZES = (4, 9, 13, 17)
+COLD_RUNS = 3
 WARM_SIZES = (3, 4, 5, 7, 9)
 WARM_SEEDS = range(8)
 LAYER_SIZES = (3, 5, 7, 9)
@@ -193,10 +196,12 @@ def main(argv=None):
     speed_before = reference_speed()
     cold = {}
     for n in COLD_SIZES:
-        out = subprocess.run(
+        runs = [json.loads(subprocess.run(
             [sys.executable, os.path.abspath(__file__), '--cold', str(n)],
-            capture_output=True, text=True, check=True).stdout
-        cold[str(n)] = json.loads(out)
+            capture_output=True, text=True, check=True).stdout)
+            for _ in range(COLD_RUNS)]
+        cold[str(n)] = {key: statistics.median(run[key] for run in runs)
+                        for key in runs[0]}
     warm = {str(n): warm_solves(n) for n in WARM_SIZES}
     layers = {str(n): layer_calls(n) for n in LAYER_SIZES}
     result = {
