@@ -25,27 +25,27 @@ through a correctly placed slot of the matching colour class, which
 fixes all three at once. Orientation pairs the first misoriented slot
 with each other one.
 
-Setup words come from a transversal chain per orbit class, a
-stabiliser chain in the manner of Sims: level 0 holds, for every slot,
-a word carrying it onto the first base slot, level 1 one carrying it
-onto the second while the first stays put, and so on. Any requested
-slot tuple is then reached by chaining one word per level. Each level
-word is the least one, by length and then symbol order, that does its
-job. The words are grown one breadth-first layer of distinct slot
-actions at a time, and every missing entry is first completed from the
-current layer, each by one dictionary lookup per layer word; a layer is
-grown only while some entry is still missing. The pass runs over
-symbols (face, depth rank, quarter turns), each depth named by its rank
-among the depths acting on the orbit, so every orbit whose moves then
-act alike shares one pass, across all cube sizes: nine passes serve
-every orbit up to n=33. Each orbit reads the class words back with its
-own depths, and later solves pay only table lookups; a stage that finds
-its orbit already done builds no chain at all. Each chain also keeps
-its levels as flat tables indexed by slot, the length of each slot's
-word and that word's slot action, so a pass scores every wanted tuple
-inline, as the summed length of its chained words, following only
-where the earlier words send the tuple's remaining slots, and realizes
-just the first shortest one.
+Setup words come from a transversal chain per orbit class, a stabiliser
+chain in the manner of Sims: level 0 holds, for every slot, a word
+carrying it onto the first base slot, level 1 one carrying it onto the
+second while the first stays put, and so on. Any requested slot tuple
+is then reached by chaining one word per level. Each level word is the
+least one, by length and then symbol order, that does its job. A
+breadth-first pass over single moves makes words in that order, and
+each word it makes completes, by one dictionary lookup each, the
+entries it finishes in one more move, so the pass stops a move short of
+the longest entry. The pass runs over symbols (face, depth rank,
+quarter turns), each depth named by its rank among the depths acting on
+the orbit, so every orbit whose moves then act alike shares one pass,
+across all cube sizes: nine passes serve every orbit up to n=33. Each
+orbit reads the class words back with its own depths, and later solves
+pay only table lookups; a stage that finds its orbit already done
+builds no chain at all. Each chain also keeps its levels as flat tables
+indexed by slot, the length of each slot's word and that word's slot
+action, so a pass scores every wanted tuple inline, as the summed
+length of its chained words, following only where the earlier words
+send the tuple's remaining slots, and realizes just the first shortest
+one.
 
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
@@ -67,6 +67,7 @@ did; every stage still gets its full tuple and its check.
 
 import functools
 import operator
+from collections import deque
 from dataclasses import dataclass
 
 from .cube_model import (
@@ -225,59 +226,71 @@ def _class_levels(alphabet, bases, size):
 
     Level k's word for slot x is the least word, by length and then
     symbol order, whose action fixes bases[:k] and sends x to bases[k].
-    The words grow one breadth-first layer at a time, each new action
-    kept with its first word, which is the least word reaching it; so
-    the least word of an entry is u + (s,) for the first layer word u,
-    in layer order, that some symbol s finishes, and the first such s.
-    u·s fixes bases[:k] and sends x to bases[k] exactly when u's images
-    of bases[:k] and x are s's preimages of bases[:k + 1]; each level
-    indexes the alphabet by those preimages, so an entry is one lookup
-    per layer word. A layer is grown only while some entry is missing,
-    so no layer is built just to be searched.'''
+    A breadth-first pass makes words in that order and keeps each new
+    action with its first word, the least word reaching it. A least
+    word without its last move is least for its own action, so the pass
+    makes it; hence an entry's word is u + (s,) for the first word u
+    made and the first symbol s such that u + (s,) does the entry's
+    job. That holds exactly when u's images of bases[:k] and x are s's
+    preimages of bases[:k + 1], so each level indexes the alphabet by
+    those preimages, first symbol kept. Each word made completes the
+    entries it can, one lookup each, and the pass stops at the word
+    that completes the last one, a move short of the longest entry.'''
     identity = bytes(range(size))
     levels = [{base: ((), identity)} for base in bases]
-    indexes = []
-    for depth in range(len(bases)):
+    # The missing entries: (level, slot, images of a word that matter,
+    # the level's alphabet index).
+    missing = []
+    for depth, level in enumerate(levels):
         preimages = operator.itemgetter(*bases[:depth + 1])
         index = {}
         for symbol, table in alphabet:
             index.setdefault(preimages(bytes(map(table.index, identity))),
                              (symbol, table))
-        indexes.append(index)
+        missing += [(level, slot, operator.itemgetter(*bases[:depth], slot),
+                     index)
+                    for slot in range(size)
+                    if slot not in level and slot not in bases[:depth]]
+
+    def complete(missing, action, word):
+        '''Complete every missing entry that word finishes in one
+        move; returns the entries still missing.'''
+        left = []
+        for entry in missing:
+            level, slot, images, index = entry
+            found = index.get(images(action))
+            if found:
+                symbol, table = found
+                level[slot] = (word + (symbol,), action.translate(table))
+            else:
+                left.append(entry)
+        return left
+
+    missing = complete(missing, identity, ())
     seen = {identity}
-    layer = [(identity, ())]
-    while True:
-        for depth, (level, index) in enumerate(zip(levels, indexes)):
-            for slot in range(size):
-                if slot in level or slot in bases[:depth]:
-                    continue
-                images = operator.itemgetter(*bases[:depth], slot)
-                for action, word in layer:
-                    found = index.get(images(action))
-                    if found:
-                        symbol, table = found
-                        level[slot] = (word + (symbol,),
-                                       action.translate(table))
-                        break
-        if all(len(level) == size - depth
-               for depth, level in enumerate(levels)):
-            return levels
-        grown = []
-        for action, word in layer:
-            for symbol, table in alphabet:
-                child = action.translate(table)
-                if child not in seen:
-                    seen.add(child)
-                    grown.append((child, word + (symbol,)))
-        if not grown:
+    frontier = deque([(identity, ())])
+    while missing:
+        if not frontier:
             raise AssertionError(
                 'setup alphabet exhausted before the transversal chain '
                 'was complete')
-        if len(layer[0][1]) + 1 >= MAX_SETUP_DEPTH:
+        action, word = frontier.popleft()
+        if len(word) >= MAX_SETUP_DEPTH:
             raise AssertionError(
                 'setup search needed a word longer than %d moves'
                 % MAX_SETUP_DEPTH)
-        layer = grown
+        for symbol, table in alphabet:
+            child = action.translate(table)
+            if child in seen:
+                continue
+            seen.add(child)
+            grown = word + (symbol,)
+            frontier.append((child, grown))
+            if len(grown) < MAX_SETUP_DEPTH:
+                missing = complete(missing, child, grown)
+                if not missing:
+                    break
+    return levels
 
 
 @functools.lru_cache(maxsize=None)

@@ -422,13 +422,14 @@ def test_class_levels_match_the_breadth_first_ball(monkeypatch):
     for levels in (class_levels.__wrapped__, _breadth_first_levels):
         with pytest.raises(AssertionError, match='alphabet exhausted'):
             levels(swap, (0,), 3)
-    # ... and a slot farther than MAX_SETUP_DEPTH moves is refused.
+    # ... and a slot farther than MAX_SETUP_DEPTH moves is refused, even
+    # when it is the last one missing.
     monkeypatch.setattr(solver, 'MAX_SETUP_DEPTH', 1)
-    shift = _alphabet((1, 2, 3, 0))
+    shift = _alphabet((1, 2, 0))
     for levels in (class_levels.__wrapped__, _breadth_first_levels):
         with pytest.raises(AssertionError,
                            match='longer than 1 moves'):
-            levels(shift, (0,), 4)
+            levels(shift, (0,), 3)
 
 @st.composite
 def valid_states(draw):
