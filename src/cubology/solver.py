@@ -532,9 +532,9 @@ def _checked(state, reads):
 
 def _run_stage(stage, state, reads):
     '''Run one stage and check its postcondition; returns (sequence,
-    state after the stage, its tuple). A stage changes only the orbits
-    it works, so the full tuple of its postcondition rereads only
-    those; the other orbits' fields come from reads.'''
+    state after the stage, its tuple). The tuple is the full
+    decomposition, but only the orbits the stage changed are read
+    again; the other orbits' fields come from reads.'''
     sequence, state = stage.run(state)
     config = decompose(state, reads)
     if not stage.done(config):
