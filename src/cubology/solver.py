@@ -249,8 +249,7 @@ def _class_levels(alphabet, bases, size):
                              (symbol, table))
         missing += [(level, slot, operator.itemgetter(*bases[:depth], slot),
                      index)
-                    for slot in range(size)
-                    if slot not in level and slot not in bases[:depth]]
+                    for slot in range(size) if slot not in bases[:depth + 1]]
 
     def complete(missing, action, word):
         '''Complete every missing entry that word finishes in one
@@ -522,7 +521,7 @@ def stage_names(spec):
 
 def _checked(state, reads):
     '''The state's tuple; NotSolvable unless it obeys the law. reads
-    holds the task's per-orbit reads, as decompose() takes them.'''
+    holds the solve's per-orbit reads, as decompose() takes them.'''
     config = decompose(state, reads)
     report = check_validity(config)
     if not report.valid:
