@@ -21,16 +21,13 @@ the worst-case solve length. The logarithm quotient is evaluated with
 interval arithmetic so the reported ceiling is certified: if the
 interval leaves the ceiling ambiguous the computation refuses rather
 than guessing. A tuned variant sums the reduced word counts instead of
-the raw powers.
+the raw powers. Only the bound functions import mpmath, when called.
 '''
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 import decimal
 from math import ceil, factorial, log, log10, prod
-
-import mpmath
-from mpmath import iv
 
 
 class PrecisionTooLow(ValueError):
@@ -150,6 +147,7 @@ def count_digits(count, n):
 
 @contextmanager
 def _interval_digits(precision):
+    from mpmath import iv
     saved = iv.dps
     iv.dps = precision
     try:
@@ -161,6 +159,7 @@ def _interval_digits(precision):
 def _bound_interval(n):
     '''Interval enclosure of ln(s_phys) / ln(6n) - 1, taken from the
     row's factor logarithms so no huge integer is ever built.'''
+    from mpmath import iv
     ln_s_phys = sum((k * iv.log(iv.mpf(f))
                      for f, k in zip(_FACTORS, _row('s_phys', n)) if k),
                     iv.mpf(0))
@@ -175,13 +174,12 @@ def gods_number_lower_bound(n, precision=50):
     is base-invariant. precision is in significant decimal digits;
     raises PrecisionTooLow when the interval cannot pin the ceiling.
     '''
+    from mpmath import ceil as mp_ceil, mpf
     with _interval_digits(precision):
         bound = _bound_interval(n)
-        low = mpmath.mpf(bound.a)
-        high = mpmath.mpf(bound.b)
+        low, high = mpf(bound.a), mpf(bound.b)
     assert low > 0, 'the bound is positive from the smallest cube up'
-    ceil_low = int(mpmath.ceil(low))
-    ceil_high = int(mpmath.ceil(high))
+    ceil_low, ceil_high = int(mp_ceil(low)), int(mp_ceil(high))
     if ceil_low != ceil_high:
         raise PrecisionTooLow(
             'ceiling ambiguous between %d and %d at %d digits'
@@ -206,6 +204,7 @@ def tuned_lower_bound(n, precision=50):
     reduced word count reaches the physical state count. Never weaker
     than the plain bound, since reduced words are scarcer than raw
     ones.'''
+    import mpmath
     target = s_phys_size(n)
     ratio = 6 * n - 3
 
@@ -228,12 +227,14 @@ def tuned_lower_bound(n, precision=50):
 def normalized_bound_ratio(n, precision=30):
     '''The bound scaled by log2(n)/n^2, the quantity whose convergence
     exhibits the quadratic-over-log growth of the bound.'''
+    from mpmath import iv, mpf
     with _interval_digits(precision):
         ratio = (_bound_interval(n) * iv.log(iv.mpf(n))
                  / iv.log(iv.mpf(2)) / (iv.mpf(n) ** 2))
-        return float(mpmath.mpf(ratio.mid))
+        return float(mpf(ratio.mid))
 
 
 def normalized_bound_limit():
     '''The constant normalized_bound_ratio approaches as n grows.'''
+    import mpmath
     return float(mpmath.log(_FACTORS[5], 2) / 4)

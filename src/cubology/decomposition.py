@@ -223,15 +223,20 @@ class Orbit:
         return tuple(self.home_of[slot.colors[::-1]] for slot in self.slots)
 
     @functools.cached_property
+    def homes(self):
+        '''Centres: each home's colour, in slot order.'''
+        return tuple(slot.colors[0] for slot in self.slots)
+
+    @functools.cached_property
     def homes_by_color(self):
         '''Centres: the homes in stable colour order.'''
-        return tuple(sorted(range(len(self.slots)),
-                            key=lambda home: self.slots[home].colors[0]))
+        homes = self.homes
+        return tuple(sorted(range(len(homes)), key=homes.__getitem__))
 
     @functools.cached_property
     def home_colors(self):
         '''Centres: the home colours, sorted.'''
-        return sorted(slot.colors[0] for slot in self.slots)
+        return sorted(self.homes)
 
     @functools.cached_property
     def readings(self):

@@ -40,12 +40,11 @@ the orbit, so every orbit whose moves then act alike shares one pass,
 across all cube sizes: nine passes serve every orbit up to n=33. Each
 orbit reads the class words back with its own depths, and later solves
 pay only table lookups; a stage that finds its orbit already done
-builds no chain at all. Each chain also keeps its levels as flat tables
-indexed by slot, the length of each slot's word and that word's slot
-action, so a pass scores every wanted tuple inline, as the summed
-length of its chained words, following only where the earlier words
-send the tuple's remaining slots, and realizes just the first shortest
-one.
+builds no chain at all. A tuple's chained length, the summed length of
+its level words, depends on the class alone, so for each 3-cycle s ->
+h -> t -> s asked of it a class sorts, once, the six rotations of every
+routing slot t by that length, then t; a pass walks this order to the
+first t its stage admits, the first shortest tuple, and realizes it.
 
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
@@ -77,7 +76,6 @@ from .cube_model import (
     invert_sequence,
     legal_slab_moves,
     local_gathers,
-    sequence_permutation,
     solved_state,
     sticker_permutation,
 )
@@ -134,6 +132,53 @@ class SolveTrace:
     total: tuple
 
 
+class _ClassTables:
+    '''One class's chain as flat tables by slot, per level each slot's
+    word length and slot action, and the 3-cycle orders asked for.'''
+
+    def __init__(self, levels):
+        rows = [[level.get(slot, ((), None)) for slot in range(len(levels[0]))]
+                for level in levels]
+        self.lengths = [[len(word) for word, _ in row] for row in rows]
+        self.actions = [[action for _, action in row] for row in rows]
+        self._orders = {}
+
+    def slots(self, key):
+        '''Per level, where the earlier words carry the key's next slot.'''
+        slots, rest = [], key
+        for actions in self.actions:
+            slots.append(rest[0])
+            action = actions[rest[0]]
+            rest = [action[slot] for slot in rest[1:]]
+        return slots
+
+    def order(self, s, h):
+        '''Every code t * 6 + r, for a third slot t and the r-th of
+        _rotations(s, h, t), as bytes sorted by (chained length, t, r):
+        each code is scored with its length above its byte, one sort.'''
+        order = self._orders.get((s, h))
+        if order is None:
+            (l0, l1, l2), (a0, a1, _) = self.lengths, self.actions
+            scored = []
+            for t in range(len(l0)):
+                if t == s or t == h:
+                    continue
+                for r, (a, b, c) in enumerate(_rotations(s, h, t)):
+                    first = a0[a]
+                    b = first[b]
+                    scored.append(l0[a] + l1[b] + l2[a1[b][first[c]]] << 8
+                                  | t * 6 + r)
+            order = self._orders[s, h] = bytes(
+                code & 255 for code in sorted(scored))
+        return order
+
+
+def _rotations(s, h, t):
+    '''The preimage tuples realizing the slot cycle s -> h -> t -> s,
+    the last three by the inverse core.'''
+    return (s, h, t), (h, t, s), (t, s, h), (s, t, h), (t, h, s), (h, s, t)
+
+
 class _SetupChain:
     '''Transversal chain carrying arbitrary slot tuples onto the bases.
 
@@ -150,62 +195,35 @@ class _SetupChain:
     and both as gathers over those local stickers.
     '''
 
-    def __init__(self, spec, levels, orbit):
+    def __init__(self, spec, levels, orbit, tables):
         self.spec = spec
         self.levels = levels
+        self.tables = tables
         self.positions = orbit.positions
         self.read = orbit.read
-        size = len(levels[0])
-        self._pieces = [[None] * size for _ in levels]
-        # The same levels as flat tables indexed by slot: per level, the
-        # length of each slot's word and that word's slot action.
-        self.lengths, self.actions = [], []
-        for level in levels:
-            lengths, actions = [0] * size, [None] * size
-            for slot, (word, action) in level.items():
-                lengths[slot], actions[slot] = len(word), action
-            self.lengths.append(lengths)
-            self.actions.append(actions)
+        self._pieces = [[None] * len(levels[0]) for _ in levels]
 
-    def choose(self, wanted):
-        '''The first wanted preimage tuple whose chained word is
-        shortest, and the slot each level's word is looked up at. Each
-        key is scored inline from the flat tables: the summed length of
-        its level words, each looked up at the slot the earlier words
-        carry the key's next slot to.'''
-        best = None
-        best_length = MAX_SETUP_DEPTH * len(self.levels) + 1
+    def choose(self, request):
+        '''(key, slots, inverse) for the first requested preimage tuple
+        of shortest chained word, the slots its level words are looked
+        up at, and whether the inverse core realizes it. A pair request
+        maps keys to that flag; a 3-cycle one, (s, h, admissible), asks
+        for _rotations(s, h, t) of each t with admissible[t], in t order.'''
         if len(self.levels) == 3:
-            (l0, l1, l2), (a0, a1, _) = self.lengths, self.actions
-            for key in wanted:
-                a, b, c = key
-                first = a0[a]
-                b = first[b]
-                length = l0[a] + l1[b] + l2[a1[b][first[c]]]
-                if length < best_length:
-                    best, best_length = key, length
+            s, h, admissible = request
+            for code in self.tables.order(s, h):
+                if admissible[code // 6]:
+                    break
+            else:
+                raise AssertionError('a cycle was requested with no targets')
+            t, r = divmod(code, 6)
+            key, inverse = _rotations(s, h, t)[r], r >= 3
         else:
-            (l0, l1), (a0, _) = self.lengths, self.actions
-            for key in wanted:
-                a, b = key
-                length = l0[a] + l1[a0[a][b]]
-                if length < best_length:
-                    best, best_length = key, length
-        if best is None:
-            raise AssertionError('a cycle was requested with no targets')
-        slots, rest = [], best
-        for actions in self.actions:
-            slots.append(rest[0])
-            action = actions[rest[0]]
-            rest = [action[slot] for slot in rest[1:]]
-        return best, slots
-
-    def find(self, wanted):
-        '''Shortest chained word carrying one of the wanted preimage
-        tuples onto the bases, as (key, word).'''
-        key, slots = self.choose(wanted)
-        return key, sum((level[slot][0] for level, slot
-                         in zip(self.levels, slots)), ())
+            tables = self.tables
+            key = min(request, key=lambda key: sum(
+                map(operator.getitem, tables.lengths, tables.slots(key))))
+            inverse = request[key]
+        return key, self.tables.slots(key), inverse
 
     def piece(self, depth, slot):
         '''(word, inverse word, gather, inverse gather) of the level
@@ -293,21 +311,30 @@ def _class_levels(alphabet, bases, size):
 
 
 @functools.lru_cache(maxsize=None)
+def _class_tables(alphabet, bases, size):
+    '''The flat tables of a class's chain, built once per class.'''
+    return _ClassTables(_class_levels(alphabet, bases, size))
+
+
+@functools.lru_cache(maxsize=None)
 def _setup_search(spec, atlas, orbit, bases):
     '''The orbit's setup chain: the chain of its class, with each
     symbol (face, depth rank, q) read back as this orbit's slab move.
 
     The alphabet is every slab move acting on the orbit, in
-    legal_slab_moves order. A move's depth is replaced by its rank among
-    the depths that act on the orbit, so every orbit whose moves then
-    act alike, of any cube size, shares one pass; the ranks keep the
-    depth order, so each level word is the least word over this orbit's
-    own moves, by length and then legal_slab_moves order, that does the
-    level's job.'''
+    legal_slab_moves order; only faces and the depths in orbit.key can
+    act. A move's depth is replaced by its rank among the depths that
+    act on the orbit, so every orbit whose moves then act alike, of any
+    cube size, shares one pass; the ranks keep the depth order, so each
+    level word is the least word over this orbit's own moves, by length
+    and then legal_slab_moves order, that does the level's job.'''
     size = len(orbit.slots)
     identity = bytes(range(size))
+    keyed = orbit.key if isinstance(orbit.key, tuple) else (orbit.key,)
     acting = []
     for move in legal_slab_moves(spec, False, (1, 2, 3)):
+        if move.depth != 1 and move.depth not in keyed:
+            continue
         action = bytes(atlas.slot_action(sticker_permutation(spec, move),
                                          orbit))
         if action != identity:
@@ -321,11 +348,12 @@ def _setup_search(spec, atlas, orbit, bases):
         # Composition runs through bytes.translate, so store each action
         # as a full translation table.
         alphabet.append((symbol, action + bytes(range(size, 256))))
+    key = (tuple(alphabet), tuple(bases), size)
     levels = [
         {slot: (tuple(map(relabel.__getitem__, word)), action)
          for slot, (word, action) in level.items()}
-        for level in _class_levels(tuple(alphabet), tuple(bases), size)]
-    return _SetupChain(spec, levels, orbit)
+        for level in _class_levels(*key)]
+    return _SetupChain(spec, levels, orbit, _class_tables(*key))
 
 
 def _run_sign_alignment(atlas, state):
@@ -344,21 +372,20 @@ def _run_sign_alignment(atlas, state):
 
 def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
     '''Conjugate the core by chained setups until targets(stickers),
-    read from the stage's one sticker list, is empty. targets maps each
-    wanted preimage tuple to whether the inverse core, not the core,
-    produces the wanted effect; cores holds the core word and its
+    read from the stage's one sticker list, requests nothing. A request
+    is what _SetupChain.choose takes; cores holds the core word and its
     inverse, each with its gather over the orbit's local stickers.'''
     stickers = list(state.stickers)
-    wanted = targets(stickers)
-    if not wanted:
+    request = targets(stickers)
+    if not request:
         return (), state
     # The chain is built only for a stage with work to do.
     search = _setup_search(spec, atlas, orbit, bases)
     parts = []
-    while wanted:
-        key, slots = search.choose(wanted)
-        parts += _conjugate(search, slots, cores[wanted[key]], stickers)
-        wanted = targets(stickers)
+    while request:
+        _, slots, inverse = search.choose(request)
+        parts += _conjugate(search, slots, cores[inverse], stickers)
+        request = targets(stickers)
     return tuple(parts), CubeState(state.n, ''.join(stickers))
 
 
@@ -385,35 +412,21 @@ def _conjugate(search, slots, core, stickers):
     return setup + word + undo
 
 
-def _cycle_targets(s, h, t_choices):
-    '''Preimage tuples realizing the slot cycle s -> h -> t -> s for any
-    t of the choices. s, h and the choices are distinct slots, so no
-    key repeats.'''
-    wanted = {}
-    for t in t_choices:
-        wanted[s, h, t] = wanted[h, t, s] = wanted[t, s, h] = False
-        wanted[s, t, h] = wanted[t, h, s] = wanted[h, s, t] = True
-    return wanted
-
-
 def _perm_targets(orbit, stickers):
     perm, _ = read_orbit(stickers, orbit)
-    support = [s for s, image in enumerate(perm) if image != s]
-    if not support:
+    home = next((s for s, image in enumerate(perm) if image != s), None)
+    if home is None:
         return None
-    home = min(support)
     slot = perm[home]
     # Any third slot above the working home keeps the smallest
     # unplaced home strictly increasing, so the loop terminates
     # whether the slot it routes through was placed yet or not.
-    t_choices = [t for t in range(len(perm)) if t > home and t != slot]
-    assert t_choices, 'an even permutation cannot strand two pieces'
-    return _cycle_targets(slot, home, t_choices)
+    return slot, home, [t > home and t != slot for t in range(len(perm))]
 
 
 def _center_targets(orbit, stickers):
     shown = orbit.getters[0](stickers)
-    homes = [slot.colors[0] for slot in orbit.slots]
+    homes = orbit.homes
     wrong = [k for k in range(24) if shown[k] != homes[k]]
     if not wrong:
         return None
@@ -423,11 +436,8 @@ def _center_targets(orbit, stickers):
     # matches what leaves h (that slot then receives its own colour back
     # and stays correct). The latter also covers the two-slot colour
     # swap, which a bare 3-cycle of wrong slots never could.
-    t_choices = [k for k in range(24)
-                 if k not in (s, h)
-                 and (shown[k] != homes[k] or homes[k] == shown[h])]
-    assert t_choices, 'colour counts guarantee a routing slot'
-    return _cycle_targets(s, h, t_choices)
+    return s, h, [shown[k] != homes[k] or homes[k] == shown[h]
+                  for k in range(24)]
 
 
 def _orientation_targets(orbit, stickers):
@@ -493,11 +503,8 @@ def stage_plan(spec):
                 continue
             core = word(spec, orbit.key)
             # A pass rewrites only the orbit's stickers, which is exact
-            # only while the core moves no sticker outside the orbit.
-            perm = sequence_permutation(spec, core.sequence)
-            inside = set(orbit.positions)
-            if any(perm[p] != p for p in range(len(perm))
-                   if p not in inside):
+            # only while the core moves none outside them (rest id).
+            if ('rest id', True) not in (c[:2] for c in core.report.checks):
                 raise AssertionError('the core word of the %s moves '
                                      'stickers outside it' % orbit.name)
             words = (core.sequence, invert_sequence(core.sequence))

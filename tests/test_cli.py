@@ -361,3 +361,13 @@ def test_closed_pipe_leaves_no_traceback(command):
     assert proc.returncode == 0
     assert proc.stdout.count('\n') == 1
     assert proc.stderr == ''
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # Only the bound commands need mpmath; every other command, which
+    # imports the CLI and nothing more, must not pay for loading it.
+    proc = subprocess.run(
+        [sys.executable, '-c',
+         'import sys, cubology.cli; print("mpmath" in sys.modules)'],
+        capture_output=True, text=True, env=SRC_ENV, check=True)
+    assert proc.stdout == 'False\n'

@@ -1,6 +1,7 @@
 """Staged solver tests: verified solves, stage ordering, trace shape."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from cubology.cube_model import (
     sequence_permutation,
     solved_state,
     state_to_json_dict,
+    sticker_permutation,
 )
 from cubology.cubology_law import random_valid_configuration
 from cubology.decomposition import build_atlas, compose, decompose
@@ -218,28 +220,119 @@ def _find_by_full_realization(chain, wanted):
     return best
 
 
-@pytest.mark.parametrize('n', range(2, 12))
-def test_setup_choice_matches_full_realization(n):
+def _wanted(request):
+    '''A request as the dict of keys it stands for, each mapped to
+    whether the inverse core realizes it: for a 3-cycle request
+    (s, h, admissible), the six rotations of the cycle s -> h -> t -> s
+    for every admissible t in increasing order, the core realizing
+    (s, h, t), (h, t, s) and (t, s, h); a pair request is that dict.'''
+    if isinstance(request, dict):
+        return request
+    s, h, admissible = request
+    wanted = {}
+    for t in range(len(admissible)):
+        if admissible[t] and t not in (s, h):
+            wanted[s, h, t] = wanted[h, t, s] = wanted[t, s, h] = False
+            wanted[s, t, h] = wanted[t, h, s] = wanted[h, s, t] = True
+    return wanted
+
+
+def _setup_word(chain, slots):
+    return sum((chain.levels[depth][slot][0]
+                for depth, slot in enumerate(slots)), ())
+
+
+def _choice_by_full_realization(chain, request):
+    '''(key, inverse, setup word) of the first shortest key the request
+    stands for, each key realized in full.'''
+    wanted = _wanted(request)
+    key, word = _find_by_full_realization(chain, wanted)
+    return key, wanted[key], word
+
+
+def _orbit_chains(n):
     spec = CubeSpec(n)
     atlas = build_atlas(spec)
     orbit_stages = [stage.run.keywords for stage in stage_plan(spec)
                     if hasattr(stage.run, 'keywords')]
     assert len(orbit_stages) == len(stage_plan(spec)) - 1
-    for args in orbit_stages:
-        orbit, bases = args['orbit'], args['bases']
-        chain = _setup_search(spec, atlas, orbit, bases)
+    return [(args['orbit'], args['bases'],
+             _setup_search(spec, atlas, args['orbit'], args['bases']))
+            for args in orbit_stages]
+
+
+def _random_request(rng, size, arity):
+    '''A seeded request: a 3-cycle (s, h, admissible) with at least one
+    admissible third slot, or a pair dict of random keys.'''
+    if arity == 3:
+        s, h = rng.sample(range(size), 2)
+        admissible = [rng.random() < 0.3 for _ in range(size)]
+        admissible[rng.choice([t for t in range(size)
+                               if t not in (s, h)])] = True
+        return s, h, admissible
+    wanted = {}
+    for _ in range(rng.randint(1, 64)):
+        wanted.setdefault(tuple(rng.sample(range(size), 2)),
+                          rng.random() < 0.5)
+    return wanted
+
+
+@pytest.mark.parametrize('n', range(2, 12))
+def test_setup_choice_matches_full_realization(n):
+    spec = CubeSpec(n)
+    atlas = build_atlas(spec)
+    for orbit, bases, chain in _orbit_chains(n):
         for seed in range(4):
-            rng = random.Random(seed)
-            wanted = {}
-            for _ in range(rng.randint(1, 64)):
-                key = tuple(rng.sample(range(len(orbit.slots)), len(bases)))
-                wanted.setdefault(key, rng.random() < 0.5)
-            found = chain.find(wanted)
-            assert found == _find_by_full_realization(chain, wanted)
-            key, word = found
-            action = atlas.slot_action(sequence_permutation(spec, word),
-                                       orbit)
+            request = _random_request(random.Random(seed), len(orbit.slots),
+                                      len(bases))
+            key, slots, inverse = chain.choose(request)
+            assert (key, inverse, _setup_word(chain, slots)) == \
+                _choice_by_full_realization(chain, request)
+            action = atlas.slot_action(
+                sequence_permutation(spec, _setup_word(chain, slots)), orbit)
             assert tuple(action[slot] for slot in key) == bases
+
+
+def _first_minimum(tables, wanted):
+    '''The first key of least chained length, each key scored from the
+    class's flat tables: the walk's reference over every (s, h).'''
+    best, best_length = None, None
+    for key in wanted:
+        length = sum(tables.lengths[depth][slot]
+                     for depth, slot in enumerate(tables.slots(key)))
+        if best is None or length < best_length:
+            best, best_length = key, length
+    return best, wanted[best]
+
+
+def test_cycle_walk_matches_the_first_minimum_for_every_pair():
+    """Every 3-cycle class of n=2..11, every (s, h) pair: all third
+    slots admissible, each one alone, and seeded subsets."""
+    classes = {}
+    for n in range(2, 12):
+        for orbit, bases, chain in _orbit_chains(n):
+            if len(bases) == 3:
+                classes.setdefault(id(chain.tables), chain)
+    assert len(classes) == 7
+    rng = random.Random(18)
+    for chain in classes.values():
+        size = len(chain.levels[0])
+        for s in range(size):
+            for h in range(size):
+                if s == h:
+                    continue
+                thirds = [t for t in range(size) if t not in (s, h)]
+                subsets = [thirds, [rng.choice(thirds)],
+                           rng.sample(thirds, rng.randint(1, len(thirds)))]
+                for subset in subsets:
+                    admissible = [t in subset for t in range(size)]
+                    key, slots, inverse = chain.choose((s, h, admissible))
+                    wanted = _wanted((s, h, admissible))
+                    assert (key, inverse) == \
+                        _first_minimum(chain.tables, wanted)
+                    assert slots == chain.tables.slots(key)
+        with pytest.raises(AssertionError, match='no targets'):
+            chain.choose((0, 1, [True, True] + [False] * (size - 2)))
 
 
 @pytest.mark.parametrize('n', range(2, 12))
@@ -251,12 +344,13 @@ def test_setup_choice_on_live_targets_matches_full_realization(n):
         state = random_valid_configuration(spec, seed=seed + 100 * n)
         for stage in stage_plan(spec):
             args = getattr(stage.run, 'keywords', None)
-            wanted = args and args['targets'](state)
-            if wanted:
+            request = args and args['targets'](state.stickers)
+            if request:
                 chain = _setup_search(spec, atlas, args['orbit'],
                                       args['bases'])
-                assert chain.find(wanted) == \
-                    _find_by_full_realization(chain, wanted)
+                key, slots, inverse = chain.choose(request)
+                assert (key, inverse, _setup_word(chain, slots)) == \
+                    _choice_by_full_realization(chain, request)
                 checked += 1
             _, state = stage.run(state)
         assert state == solved_state(spec)
@@ -293,19 +387,74 @@ def test_orbit_local_conjugates_match_full_application(n):
             chain = _setup_search(spec, atlas, args['orbit'], args['bases'])
             stickers = list(state.stickers)
             while True:
-                wanted = args['targets'](stickers)
-                if not wanted:
+                request = args['targets'](stickers)
+                if not request:
                     break
-                key, slots = chain.choose(wanted)
-                core = args['cores'][wanted[key]]
+                _, inverse, setup = _choice_by_full_realization(chain,
+                                                                request)
+                _, slots, _ = chain.choose(request)
+                core = args['cores'][inverse]
                 word = solver._conjugate(chain, slots, core, stickers)
-                _, setup = chain.find(wanted)
                 assert word == setup + core[0] + invert_sequence(setup)
                 state = apply_sequence(state, word)
                 assert ''.join(stickers) == state.stickers
                 passes += 1
         assert state == solved_state(spec)
     assert passes
+
+
+def test_setup_alphabet_matches_a_scan_of_every_slab_move(monkeypatch):
+    """Only the faces and the depths in an orbit's key act on it, so the
+    class alphabet an orbit's chain is built from, symbols and actions,
+    equals the one a scan of every legal slab move gives, for every
+    orbit of n=2..17."""
+    _setup_search.cache_clear()
+    class_levels = solver._class_levels
+    calls = []
+    monkeypatch.setattr(solver, '_class_levels',
+                        lambda *args: calls.append(args) or
+                        class_levels(*args))
+    for n in range(2, 18):
+        spec = CubeSpec(n)
+        atlas = build_atlas(spec)
+        perms = [(move, sticker_permutation(spec, move))
+                 for move in legal_slab_moves(spec, False, (1, 2, 3))]
+        for stage in stage_plan(spec)[1:]:
+            orbit, bases = (stage.run.keywords['orbit'],
+                            stage.run.keywords['bases'])
+            _setup_search(spec, atlas, orbit, bases)
+            size = len(orbit.slots)
+            acting = [(move, bytes(atlas.slot_action(perm, orbit)))
+                      for move, perm in perms]
+            acting = [(move, action) for move, action in acting
+                      if action != bytes(range(size))]
+            depths = sorted({move.depth for move, _ in acting})
+            assert calls[-1][0] == tuple(
+                ((move.face, depths.index(move.depth), move.quarter_turns),
+                 action + bytes(range(size, 256)))
+                for move, action in acting)
+    _setup_search.cache_clear()
+
+
+def test_stage_plan_refuses_a_core_that_moves_stickers_outside_it(
+        monkeypatch):
+    named = move_library._named
+
+    def stray(*args):
+        word = named(*args)
+        checks = tuple((label, passed and label != 'rest id', detail)
+                       for label, passed, detail in word.report.checks)
+        return dataclasses.replace(word, report=dataclasses.replace(
+            word.report, checks=checks))
+
+    monkeypatch.setattr(move_library, '_named', stray)
+    stage_plan.cache_clear()
+    try:
+        with pytest.raises(AssertionError,
+                           match='moves stickers outside it'):
+            stage_plan(CubeSpec(2))
+    finally:
+        stage_plan.cache_clear()
 
 
 def _orbit_class(n, stage_name, key):

@@ -15,7 +15,9 @@ checkout's src/. It records:
 * warm solve at n = 3, 4, 5, 7, 9: after one solve has built the size's
   stage plan and chains, the median and worst wall seconds over seeds
   0..7, the shares of the solve seconds spent choosing setups in
-  _SetupChain.choose (find on heads before it) and decomposing states
+  _SetupChain.choose (for a 3-cycle, the walk of its class's order and
+  that order's first build; find on heads before choose) and
+  decomposing states
   (the entry check and each stage postcondition), and the median ratio
   of solution length to the certified lower bound
   gods_number_lower_bound(n).ceiling;
@@ -105,7 +107,8 @@ def warm_solves(n):
     spec = CubeSpec(n)
     solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
-    # Heads before _SetupChain.choose chose setups in find.
+    # choose walks the class orders, or, on older heads, scores every
+    # key; heads before _SetupChain.choose chose setups in find.
     chooser = 'choose' if hasattr(solver._SetupChain, 'choose') else 'find'
     find, decompose = getattr(solver._SetupChain, chooser), solver.decompose
     in_find, in_decompose = [], []
