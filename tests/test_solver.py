@@ -307,14 +307,14 @@ def _first_minimum(tables, wanted):
 
 def test_cycle_walk_matches_the_first_minimum_for_every_pair():
     """Every 3-cycle class of n=2..11, every (s, h) pair: all third
-    slots admissible, each one alone, and seeded subsets."""
+    slots admissible, a single seeded one, and a seeded subset."""
     classes = {}
     for n in range(2, 12):
         for orbit, bases, chain in _orbit_chains(n):
             if len(bases) == 3:
                 classes.setdefault(id(chain.tables), chain)
     assert len(classes) == 7
-    rng = random.Random(18)
+    rng = random.Random(0)
     for chain in classes.values():
         size = len(chain.levels[0])
         for s in range(size):
