@@ -140,7 +140,7 @@ def _cmd_solve(args):
                'total': format_move_sequence(trace.total),
                'total_length': len(trace.total), 'verified': solved})
     else:
-        for name, sequence, _config in trace.stages:
+        for name, sequence, _state in trace.steps:
             cumulative += len(sequence)
             print('%-28s %5d %7d' % (name, len(sequence), cumulative))
         print('total %d moves: %s'

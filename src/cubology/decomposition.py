@@ -56,19 +56,20 @@ then, if needed, swaps one pair in the first colour class to land the
 permutation sign demanded by the first law; states that admit a legal
 tuple therefore receive one.
 
-Reading tables. Each Orbit builds once the tables decompose() reads it
-through: getters[k], one operator.itemgetter reading the k-th sticker
-of every slot in one call; for wings, home_of (the home whose unturned
-colours a slot shows) and twin (each home's mirror twin); for centres,
-the homes in stable colour order and the sorted home colours. A wing
-orbit is read in one pass over its slots and a centre orbit by one
-stable argsort of its colours. Only a read that fails scans the orbit
-again, to name its first fault: wing slot faults in slot order, then
-wing pair counts in home order, and for centres the first colour in
-sorted order whose count is wrong.
+Reading tables. One call, orbit.read(stickers), lists an orbit's
+stickers slot by slot, so the k-th sticker of every slot is
+local[k::turns] of that read. Each Orbit also builds once, for wings,
+home_of (the home whose unturned colours a slot shows) and twin (each
+home's mirror twin); for centres, the homes in stable colour order and
+the sorted home colours. A wing orbit is read in one pass over its
+slots and a centre orbit by one stable argsort of its colours. Only a
+read that fails scans the orbit again, to name its first fault: wing
+slot faults in slot order, then wing pair counts in home order, and for
+centres the first colour in sorted order whose count is wrong.
 '''
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -205,13 +206,6 @@ class Orbit:
         return operator.itemgetter(*self.positions)
 
     @functools.cached_property
-    def getters(self):
-        '''getters[k](stickers): the k-th sticker of every slot, in slot
-        order, read by one call.'''
-        return tuple(operator.itemgetter(*positions) for positions
-                     in zip(*(slot.positions for slot in self.slots)))
-
-    @functools.cached_property
     def home_of(self):
         '''Colours a home piece shows unturned, mapped to that home.'''
         return {slot.colors: home for home, slot in enumerate(self.slots)}
@@ -277,6 +271,16 @@ class OrbitAtlas:
             for slot_id, slot in enumerate(orbit.slots):
                 for pos in slot.positions:
                     self.position_owner[pos] = (orbit, slot_id)
+        # Per centre orbit, the orbits whose signs multiply to the sign the
+        # first law demands of it: the corners and, for a label (i, j), the
+        # wings at depths i and j (the odd central slab has none).
+        corners = (self._by_name['corner', None],)
+        self.sign_sources = {}
+        for orbit in self.orbits:
+            if orbit.turns == 1:
+                depths = orbit.key if orbit.family == 'center_edge' else ()
+                wings = (self._by_name.get(('coupled', d)) for d in depths)
+                self.sign_sources[orbit] = corners + tuple(filter(None, wings))
 
     def orbit(self, family, key=None):
         '''The orbit of a family and key.'''
@@ -471,9 +475,6 @@ class ConfigTuple:
             else:
                 getattr(self, name)[orbit.key] = value
 
-    def is_identity(self):
-        return self == identity_tuple(CubeSpec(self.n))
-
     def to_json_dict(self):
         '''JSON form: lists for tuples, keys 'i' and 'i,j' as strings.'''
         document = {'n': self.n}
@@ -503,18 +504,14 @@ def required_center_signs(atlas, corner_perm, coupled_perms):
 
     A diagonal centre orbit must match the corner sign. An off-diagonal
     orbit (i, j) must match the corner sign times the wing permutation
-    signs at depths i and j; a depth pointing at the central slab of an
-    odd cube carries no wings and contributes no factor. The
+    signs at depths i and j, as atlas.sign_sources lists them. The
     permutations are not checked again: they must be valid.
     '''
-    corner_sign = _sign(corner_perm)
-    wing_signs = {i: _sign(perm)
-                  for i, perm in coupled_perms.items()}
-    required = dict.fromkeys(atlas.center_corner_indices, corner_sign)
-    for i, j in atlas.center_edge_labels:
-        required[(i, j)] = (corner_sign * wing_signs.get(i, 1)
-                            * wing_signs.get(j, 1))
-    return required
+    signs = {atlas.orbit('corner'): _sign(corner_perm)}
+    for i, perm in coupled_perms.items():
+        signs[atlas.orbit('coupled', i)] = _sign(perm)
+    return {orbit.key: math.prod(map(signs.__getitem__, sources))
+            for orbit, sources in atlas.sign_sources.items()}
 
 
 def _check_permutation(perm, orbit):
@@ -576,12 +573,10 @@ def decompose(state, reads=None):
     to the lower slot, and centre assignments are sorted then sign-fixed
     by one swap inside the first colour class.
 
-    reads, when given, is a dict the caller keeps across the states of
-    one task, such as the stages of one solve: for each orbit it holds
-    the last read, keyed by the orbit's stickers and, for a centre
-    orbit, the sign the first law requires of it. An orbit whose key
-    matches is not read again; its fields are a function of that key,
-    so the tuple is the same.
+    reads, when given, is a dict kept across the states of one task,
+    such as the stages of one solve, as kept_read() keeps it: an orbit
+    matching its kept read is not read again, and its fields are a
+    function of what matched, so the tuple is the same.
     '''
     spec = state.spec
     atlas = build_atlas(spec)
@@ -600,46 +595,53 @@ def decompose(state, reads=None):
                 % (position, stickers[position], color))
 
     config = ConfigTuple(spec.n)
-    required = None
+    reads = {} if reads is None else reads
+    # Centres come last, after the corner and wing reads fixing their signs.
     for orbit in atlas.orbits:
-        sign = None
-        if orbit.turns == 1:
-            if required is None:
-                # Centre orbits come last in the atlas, after the corner
-                # and wing permutations that fix their signs.
-                required = required_center_signs(
-                    atlas, config.corner_perm, config.coupled_perms)
-            sign = required[orbit.key]
-        if reads is not None:
-            key = (orbit.read(stickers), sign)
-            last = reads.get(orbit)
-            if last is not None and last[0] == key:
-                config.set_orbit_fields(orbit, *last[1])
-                continue
-        fields = read_orbit(stickers, orbit) if sign is None \
-            else (_assign_centers(stickers, orbit, sign),)
-        if reads is not None:
-            reads[orbit] = (key, fields)
-        config.set_orbit_fields(orbit, *fields)
+        config.set_orbit_fields(
+            orbit, *kept_read(atlas, stickers, orbit, reads)[2])
     return config
 
 
-def read_orbit(stickers, orbit):
+def kept_read(atlas, stickers, orbit, reads):
+    '''[local, sign, fields] of one orbit as reads keeps it: its stickers
+    as orbit.read gives them, its permutation's sign (a corner's or a
+    wing's found when a centre first asks) and its decompose fields. A
+    centre's sign is the one the first law demands, from the kept reads
+    of its sign sources, which must be current. A kept read is reused
+    while its stickers and, for a centre, that sign are the state's.'''
+    local = orbit.read(stickers)
+    sign = None
+    if orbit.turns == 1:
+        sign = 1
+        for source in atlas.sign_sources[orbit]:
+            read = reads[source]
+            if read[1] is None:
+                read[1] = _sign(read[2][0])
+            sign *= read[1]
+    read = reads.get(orbit)
+    if read is None or read[0] != local or (sign and read[1] != sign):
+        fields = read_orbit(local, orbit) if sign is None \
+            else (_assign_centers(local, orbit, sign),)
+        read = reads[orbit] = [local, sign, fields]
+    return read
+
+
+def read_orbit(local, orbit):
     '''Permutation and orientation vector of one corner, single-edge or
-    wing orbit, read from the sticker string alone; decompose's fields
-    for that orbit.'''
+    wing orbit, read from its stickers as orbit.read gives them, slot
+    by slot; decompose's fields for that orbit.'''
     if orbit.family == 'coupled':
-        return _read_wings(stickers, orbit)
-    return _read_cubies(stickers, orbit)
+        return _read_wings(local, orbit)
+    return _read_cubies(local, orbit)
 
 
-def _read_cubies(stickers, orbit):
+def _read_cubies(local, orbit):
     '''Permutation and orientations of an orbit of distinct cubies.'''
     readings = orbit.readings
     perm = [None] * len(orbit.slots)
     orientation = [0] * len(orbit.slots)
-    shown_by_slot = zip(*[get(stickers) for get in orbit.getters])
-    for current, shown in enumerate(shown_by_slot):
+    for current, shown in enumerate(zip(*[iter(local)] * orbit.turns)):
         reading = readings.get(shown)
         if reading is None:
             if any(set(shown) == set(s.colors) for s in orbit.slots):
@@ -657,23 +659,22 @@ def _read_cubies(stickers, orbit):
     return tuple(perm), tuple(orientation)
 
 
-def _read_wings(stickers, orbit):
+def _read_wings(local, orbit):
     '''Permutation and orientation bits of a wing orbit, with mirror
     twins resolved canonically.'''
     home_of, twin = orbit.home_of, orbit.twin
     perm = [None] * len(twin)
     bits = [0] * len(twin)
-    leads, trails = (get(stickers) for get in orbit.getters)
-    for current, shown in enumerate(zip(leads, trails)):
+    for current, shown in enumerate(zip(*[iter(local)] * 2)):
         home = home_of.get(shown)
         if home is None:
-            raise _wing_fault(stickers, orbit)
+            raise _wing_fault(local, orbit)
         if perm[home] is None:
             perm[home] = current
             continue
         other = twin[home]
         if perm[other] is not None:
-            raise _wing_fault(stickers, orbit)
+            raise _wing_fault(local, orbit)
         # Two slots show home's colours unturned, so one of them holds
         # the twin turned over: the lower home takes the lower slot, and
         # the slot holding the twin gets the bit.
@@ -683,11 +684,11 @@ def _read_wings(stickers, orbit):
     return tuple(perm), tuple(bits)
 
 
-def _wing_fault(stickers, orbit):
+def _wing_fault(local, orbit):
     '''The NotAConfiguration naming the first fault of a wing orbit that
     cannot be read: slot faults in slot order, then pair counts in home
     order.'''
-    shown = list(zip(*[get(stickers) for get in orbit.getters]))
+    shown = list(zip(*[iter(local)] * 2))
     for current, (lead, trail) in enumerate(shown):
         if lead == trail:
             return NotAConfiguration('slot %d of the %s shows %r twice'
@@ -704,8 +705,7 @@ def _wing_fault(stickers, orbit):
                 % (sorted(slot.colors), count, orbit.name))
 
 
-def _assign_centers(stickers, orbit, required_sign):
-    shown = orbit.getters[0](stickers)
+def _assign_centers(shown, orbit, required_sign):
     homes = orbit.home_colors
     if sorted(shown) != homes:
         for color in sorted(set(homes)):

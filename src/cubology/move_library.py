@@ -187,16 +187,17 @@ def verify_cycle_structure(spec, sequence, descriptor):
     atlas = build_atlas(spec)
     perm = sequence_permutation(spec, sequence)
     moved = frozenset(p for p, q in enumerate(perm) if q != p)
-    after = apply_sequence(solved_state(spec), sequence)
     checks = []
     if descriptor.kind == 'three_cycle':
         slots = _check_three_cycle(atlas, perm, moved, descriptor, checks)
     elif descriptor.kind in ('twist_pair', 'flip_pair'):
         slots = _check_orientation_pair(
-            atlas, perm, moved, after, descriptor, checks)
+            atlas, perm, moved, apply_sequence(solved_state(spec), sequence),
+            descriptor, checks)
     elif descriptor.kind == 'odd_permutation':
         slots = _check_odd_permutation(
-            atlas, perm, moved, after, descriptor, checks)
+            atlas, perm, moved, apply_sequence(solved_state(spec), sequence),
+            descriptor, checks)
     else:
         raise ValueError('unknown effect kind %r' % (descriptor.kind,))
     return EffectReport(ok=all(c[1] for c in checks), checks=tuple(checks),

@@ -49,19 +49,20 @@ first t its stage admits, the first shortest tuple, and realizes it.
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
 core, as stage_plan() checks once per cube size, fixes every sticker
-outside its orbit. So a pass works in the orbit's own index space, its
-at most 48 stickers laid out slot by slot: it reads them from the
-stage's one sticker list with one itemgetter, runs them through one
-gather per chained level word, the core's gather and the level words'
-inverse gathers, and writes them back. Each level word's gathers and
-inverse word are built once, on first use, and the core's in
-stage_plan(); the emitted word is the setup, the core and the stored
-inverses in reverse. Targets are read from the same list, the worked
-orbit's stickers alone; a CubeState is built once per stage, and the
-full decomposition runs only for the stage postconditions. Those keep
-one solve's per-orbit reads, so each postcondition rereads only the
-orbits whose stickers changed, or, for centres, whose required sign
-did; every stage still gets its full tuple and its check.
+outside its orbit. So a stage works in the orbit's own index space, its
+at most 48 stickers laid out slot by slot: it reads them from the state
+with one itemgetter, reads its targets from them, and each pass runs
+them through one gather per chained level word, the core's gather and
+the level words' inverse gathers; they are written back once, when the
+stage is done. Each level word's gathers and inverse word are built
+once, on first use, and the core's in stage_plan(); the emitted word is
+the setup, the core and the stored inverses in reverse.
+
+solve() checks every stage's postcondition on what the stage can
+change, through kept reads (see decomposition.kept_read): the whole
+state after the sign alignment, as on entry for the law check, and the
+worked orbit alone after any other stage. The trace keeps each stage's
+state and builds its tuple only when read.
 '''
 
 import functools
@@ -85,6 +86,7 @@ from .decomposition import (
     build_atlas,
     decompose,
     identity_tuple,
+    kept_read,
     read_orbit,
 )
 from .move_library import (
@@ -114,8 +116,9 @@ class StageOrderViolation(ValueError):
 
 @dataclass(frozen=True)
 class Stage:
-    '''One pipeline step: its name, its postcondition on the decomposed
-    tuple, and a runner mapping a state to (sequence, new state).'''
+    '''One pipeline step: its name, its postcondition done(state, reads)
+    on a state and the kept reads of that state (see kept_read), and a
+    runner mapping a state to (sequence, new state).'''
 
     name: str
     done: object
@@ -124,12 +127,22 @@ class Stage:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    '''Stage-by-stage record of one solve: (name, sequence, tuple after
-    the stage) per stage, plus the concatenated total move tuple.'''
+    '''Stage-by-stage record of one solve: steps holds (name, sequence,
+    state after the stage) per stage, total the concatenated move
+    tuple.'''
 
     n: int
-    stages: tuple
+    steps: tuple
     total: tuple
+
+    @functools.cached_property
+    def stages(self):
+        '''(name, sequence, tuple after the stage) per stage, decomposed
+        on first read through one set of kept reads, so each state
+        rereads only the orbits its stage changed.'''
+        reads = {}
+        return tuple((name, sequence, decompose(state, reads))
+                     for name, sequence, state in self.steps)
 
 
 class _ClassTables:
@@ -189,10 +202,10 @@ class _SetupChain:
     little longer than true shortest setups; the cycles they conjugate
     stay exact.
 
-    The chain also works in its orbit's local index space: read takes
-    the orbit's stickers from a sticker sequence, listed slot by slot
-    as in positions, and piece() gives a level word with its inverse
-    and both as gathers over those local stickers.
+    The chain also works in its orbit's local index space, the orbit's
+    stickers listed slot by slot as orbit.read gives them: piece()
+    gives a level word with its inverse and both as gathers over those
+    local stickers.
     '''
 
     def __init__(self, spec, levels, orbit, tables):
@@ -200,7 +213,6 @@ class _SetupChain:
         self.levels = levels
         self.tables = tables
         self.positions = orbit.positions
-        self.read = orbit.read
         self._pieces = [[None] * len(levels[0]) for _ in levels]
 
     def choose(self, request):
@@ -361,7 +373,7 @@ def _run_sign_alignment(atlas, state):
     for orbit in atlas.orbits:
         if orbit.family not in ('corner', 'coupled'):
             continue
-        perm, _ = read_orbit(state.stickers, orbit)
+        perm, _ = read_orbit(orbit.read(state.stickers), orbit)
         if _sign(perm) == -1:
             move = Move('F', 1, 1) if orbit.key is None \
                 else Move('R', orbit.key, 1)
@@ -371,12 +383,13 @@ def _run_sign_alignment(atlas, state):
 
 
 def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
-    '''Conjugate the core by chained setups until targets(stickers),
-    read from the stage's one sticker list, requests nothing. A request
-    is what _SetupChain.choose takes; cores holds the core word and its
-    inverse, each with its gather over the orbit's local stickers.'''
-    stickers = list(state.stickers)
-    request = targets(stickers)
+    '''Conjugate the core by chained setups until targets(local)
+    requests nothing, where local holds the orbit's stickers as
+    orbit.read gives them; they are written back into the state once,
+    at the end. A request is what _SetupChain.choose takes; cores holds
+    the core word and its inverse, each with its gather over local.'''
+    local = orbit.read(state.stickers)
+    request = targets(local)
     if not request:
         return (), state
     # The chain is built only for a stage with work to do.
@@ -384,20 +397,23 @@ def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
     parts = []
     while request:
         _, slots, inverse = search.choose(request)
-        parts += _conjugate(search, slots, cores[inverse], stickers)
-        request = targets(stickers)
+        word, local = _conjugate(search, slots, cores[inverse], local)
+        parts += word
+        request = targets(local)
+    stickers = list(state.stickers)
+    for position, sticker in zip(orbit.positions, local):
+        stickers[position] = sticker
     return tuple(parts), CubeState(state.n, ''.join(stickers))
 
 
-def _conjugate(search, slots, core, stickers):
-    '''Apply setup + core + undo to the sticker list in place, where
-    the setup chains the level words at slots and core is a (word,
-    local gather) pair; returns that move word. Only the orbit's
-    stickers are read and written: the setup carries every other
-    sticker away and the undo brings it back, while the core, checked
-    in stage_plan, leaves it alone.'''
+def _conjugate(search, slots, core, local):
+    '''(setup + core + undo, local after that word), where the setup
+    chains the level words at slots, core is a (word, local gather)
+    pair and local holds the orbit's stickers slot by slot. They are
+    all the word changes: the setup carries every other sticker away
+    and the undo brings it back, while the core, checked in stage_plan,
+    leaves it alone.'''
     pieces = [search.piece(depth, slot) for depth, slot in enumerate(slots)]
-    local = search.read(stickers)
     setup = undo = ()
     for word, _, gather, _ in pieces:
         local = gather(local)
@@ -407,13 +423,11 @@ def _conjugate(search, slots, core, stickers):
     for _, inverse, _, gather in reversed(pieces):
         local = gather(local)
         undo += inverse
-    for position, sticker in zip(search.positions, local):
-        stickers[position] = sticker
-    return setup + word + undo
+    return setup + word + undo, local
 
 
-def _perm_targets(orbit, stickers):
-    perm, _ = read_orbit(stickers, orbit)
+def _perm_targets(orbit, local):
+    perm, _ = read_orbit(local, orbit)
     home = next((s for s, image in enumerate(perm) if image != s), None)
     if home is None:
         return None
@@ -424,8 +438,7 @@ def _perm_targets(orbit, stickers):
     return slot, home, [t > home and t != slot for t in range(len(perm))]
 
 
-def _center_targets(orbit, stickers):
-    shown = orbit.getters[0](stickers)
+def _center_targets(orbit, shown):
     homes = orbit.homes
     wrong = [k for k in range(24) if shown[k] != homes[k]]
     if not wrong:
@@ -440,13 +453,13 @@ def _center_targets(orbit, stickers):
                   for k in range(24)]
 
 
-def _orientation_targets(orbit, stickers):
+def _orientation_targets(orbit, local):
     '''Pairs (a, b) for the first misoriented slot a. The twist core
     turns the slot on its first base by +1 and the one on its second by
     -1, so a's twist of +1 is undone by (b, a) forward or (a, b)
     inverted, and a twist of -1 the other way round. The flip core
     flips both slots and always runs forward.'''
-    _, values = read_orbit(stickers, orbit)
+    _, values = read_orbit(local, orbit)
     nonzero = [s for s, v in enumerate(values) if v]
     if not nonzero:
         return None
@@ -462,7 +475,8 @@ def _orientation_targets(orbit, stickers):
     return wanted
 
 
-def _signs_aligned(config, atlas):
+def _signs_aligned(atlas, state, reads):
+    config = decompose(state, reads)
     return all(_sign(config.orbit_fields(orbit)[0]) == 1
                for orbit in atlas.orbits)
 
@@ -494,7 +508,7 @@ def stage_plan(spec):
     '''The ordered stages a solve of this cube size runs through.'''
     atlas = build_atlas(spec)
     stages = [Stage('sign_alignment',
-                    lambda c: _signs_aligned(c, atlas),
+                    lambda state, reads: _signs_aligned(atlas, state, reads),
                     lambda state: _run_sign_alignment(atlas, state))]
     identity = identity_tuple(spec)
     for family, name, targets, word, field in _PLAN:
@@ -511,9 +525,9 @@ def stage_plan(spec):
             gathers = local_gathers(spec, orbit.positions, core.sequence)
             stages.append(Stage(
                 name if orbit.key is None else name % orbit.key,
-                lambda c, o=orbit, f=field,
+                lambda state, reads, o=orbit, f=field,
                     ident=identity.orbit_fields(orbit)[field]:
-                    c.orbit_fields(o)[f] == ident,
+                    kept_read(atlas, state.stickers, o, reads)[2][f] == ident,
                 functools.partial(
                     _run_orbit, spec, atlas, orbit=orbit, core=core,
                     bases=core.report.slots,
@@ -527,26 +541,22 @@ def stage_names(spec):
 
 
 def _checked(state, reads):
-    '''The state's tuple; NotSolvable unless it obeys the law. reads
-    holds the solve's per-orbit reads, as decompose() takes them.'''
-    config = decompose(state, reads)
-    report = check_validity(config)
+    '''NotSolvable unless the state obeys the law; the decomposition
+    fills reads, the solve's kept reads, for the state.'''
+    report = check_validity(decompose(state, reads))
     if not report.valid:
         raise NotSolvable(report)
-    return config
 
 
 def _run_stage(stage, state, reads):
-    '''Run one stage and check its postcondition; returns (sequence,
-    state after the stage, its tuple). The tuple is the full
-    decomposition, but only the orbits the stage changed are read
-    again; the other orbits' fields come from reads.'''
+    '''Run one stage and check its postcondition through the kept
+    reads, which it brings up to the new state; returns (sequence,
+    state after the stage).'''
     sequence, state = stage.run(state)
-    config = decompose(state, reads)
-    if not stage.done(config):
+    if not stage.done(state, reads):
         raise AssertionError(
             'stage %s missed its postcondition' % stage.name)
-    return sequence, state, config
+    return sequence, state
 
 
 def solve(state):
@@ -559,22 +569,22 @@ def solve(state):
     spec = state.spec
     reads = {}
     _checked(state, reads)
-    entries = []
+    steps = []
     total = []
     for stage in stage_plan(spec):
-        sequence, state, config = _run_stage(stage, state, reads)
-        entries.append((stage.name, sequence, config))
+        sequence, state = _run_stage(stage, state, reads)
+        steps.append((stage.name, sequence, state))
         total.extend(sequence)
     if state != solved_state(spec):
         raise AssertionError('pipeline finished without solving the cube')
-    return SolveTrace(n=spec.n, stages=tuple(entries), total=tuple(total))
+    return SolveTrace(n=spec.n, steps=tuple(steps), total=tuple(total))
 
 
 def solve_stage(state, stage_name):
     '''Run one named stage, checking every earlier stage is already
     done; returns (sequence, state after the stage).'''
     reads = {}
-    config = _checked(state, reads)
+    _checked(state, reads)
     plan = stage_plan(state.spec)
     names = [stage.name for stage in plan]
     if stage_name not in names:
@@ -582,9 +592,8 @@ def solve_stage(state, stage_name):
                          % (stage_name, ', '.join(names)))
     index = names.index(stage_name)
     for earlier in plan[:index]:
-        if not earlier.done(config):
+        if not earlier.done(state, reads):
             raise StageOrderViolation(
                 'stage %s runs after %s, which is not done'
                 % (stage_name, earlier.name))
-    sequence, state, _ = _run_stage(plan[index], state, reads)
-    return sequence, state
+    return _run_stage(plan[index], state, reads)

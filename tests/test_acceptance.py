@@ -214,9 +214,10 @@ def test_criterion_7_solver_mass_verification():
             for stage, (name, seq, config_after) in zip(plan, trace.stages):
                 assert stage.name == name
                 running = apply_sequence(running, seq)
-                config = decompose(running)
+                reads = {}
+                config = decompose(running, reads)
                 assert config == config_after, (n, seed, name)
-                assert stage.done(config), (n, seed, name)
+                assert stage.done(running, reads), (n, seed, name)
             solves += 1
     verdict(7, True,
             '%d solves verified exactly with stage postconditions; '

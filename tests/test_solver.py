@@ -27,7 +27,12 @@ from cubology.cube_model import (
     sticker_permutation,
 )
 from cubology.cubology_law import random_valid_configuration
-from cubology.decomposition import build_atlas, compose, decompose
+from cubology.decomposition import (
+    build_atlas,
+    compose,
+    decompose,
+    identity_tuple,
+)
 from cubology.solver import (
     NotSolvable,
     StageOrderViolation,
@@ -85,15 +90,64 @@ def test_trace_concatenates_stage_sequences():
     assert list(trace.total) == flattened
 
 
-def test_trace_tuples_track_partial_progress():
-    spec = CubeSpec(4)
-    state = random_valid_configuration(spec, seed=21)
+@pytest.mark.parametrize('n', range(2, 14))
+def test_trace_tuples_track_partial_progress(n):
+    """The tuples a trace builds when read equal a fresh decompose of
+    each replayed state."""
+    spec = CubeSpec(n)
+    for seed in (21, 22, 23):
+        state = random_valid_configuration(spec, seed=seed)
+        trace = solve(state)
+        running = state
+        for (name, seq, config_after), step in zip(trace.stages,
+                                                  trace.steps):
+            running = apply_sequence(running, seq)
+            assert step == (name, seq, running)
+            assert decompose(running) == config_after
+        assert decompose(running) == identity_tuple(spec)
+
+
+@pytest.mark.parametrize('n', range(2, 18))
+def test_solve_decomposes_in_full_at_most_twice(monkeypatch, n):
+    """The entry law check and the sign alignment's postcondition read
+    the whole state; every other stage's check reads its own orbit."""
+    calls = []
+    monkeypatch.setattr(solver, 'decompose',
+                        lambda *args: calls.append(args) or
+                        decompose(*args))
+    spec = CubeSpec(n)
+    state = random_valid_configuration(spec, seed=n)
     trace = solve(state)
-    running = state
-    for name, seq, config_after in trace.stages:
-        running = apply_sequence(running, seq)
-        assert decompose(running) == config_after
-    assert decompose(running).is_identity()
+    assert len(calls) <= 2
+    assert apply_sequence(state, trace.total) == solved_state(spec)
+
+
+def test_plain_cli_solve_builds_no_stage_tuples(monkeypatch):
+    """The text output prints stage names and lengths only, so the
+    trace's per-stage tuples stay unbuilt."""
+    calls = []
+    monkeypatch.setattr(solver, 'decompose',
+                        lambda *args: calls.append(args) or
+                        decompose(*args))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(['solve', '--n', '9', '--seed', '3']) == 0
+    assert out.getvalue().rstrip().endswith('verified: solved')
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize('name', ['corner_placement',
+                                  'center_corner_placement_2'])
+def test_a_stage_missing_its_postcondition_fails_the_solve(monkeypatch,
+                                                            name):
+    spec = CubeSpec(4)
+    plan = tuple(dataclasses.replace(stage, run=lambda state: ((), state))
+                 if stage.name == name else stage
+                 for stage in stage_plan(spec))
+    monkeypatch.setattr(solver, 'stage_plan', lambda _spec: plan)
+    with pytest.raises(AssertionError,
+                       match='stage %s missed its postcondition' % name):
+        solve(random_valid_configuration(spec, seed=3))
 
 
 def test_solved_input_yields_empty_trace():
@@ -344,7 +398,8 @@ def test_setup_choice_on_live_targets_matches_full_realization(n):
         state = random_valid_configuration(spec, seed=seed + 100 * n)
         for stage in stage_plan(spec):
             args = getattr(stage.run, 'keywords', None)
-            request = args and args['targets'](state.stickers)
+            request = args and args['targets'](
+                args['orbit'].read(state.stickers))
             if request:
                 chain = _setup_search(spec, atlas, args['orbit'],
                                       args['bases'])
@@ -371,9 +426,10 @@ def test_composed_cores_match_move_by_move_application(n):
 
 @pytest.mark.parametrize('n', range(2, 12))
 def test_orbit_local_conjugates_match_full_application(n):
-    """Each pass rewrites only the worked orbit's stickers; applying the
-    word it emits, setup + core + undo, to the whole state must give
-    the same stickers everywhere, outside the orbit too."""
+    """Each pass rewrites only the worked orbit's stickers; once they
+    are written back, applying the word it emits, setup + core + undo,
+    to the whole state must give the same stickers everywhere, outside
+    the orbit too."""
     spec = CubeSpec(n)
     atlas = build_atlas(spec)
     passes = 0
@@ -384,18 +440,22 @@ def test_orbit_local_conjugates_match_full_application(n):
             if args is None:
                 _, state = stage.run(state)
                 continue
-            chain = _setup_search(spec, atlas, args['orbit'], args['bases'])
+            orbit = args['orbit']
+            chain = _setup_search(spec, atlas, orbit, args['bases'])
             stickers = list(state.stickers)
+            local = orbit.read(stickers)
             while True:
-                request = args['targets'](stickers)
+                request = args['targets'](local)
                 if not request:
                     break
                 _, inverse, setup = _choice_by_full_realization(chain,
                                                                 request)
                 _, slots, _ = chain.choose(request)
                 core = args['cores'][inverse]
-                word = solver._conjugate(chain, slots, core, stickers)
+                word, local = solver._conjugate(chain, slots, core, local)
                 assert word == setup + core[0] + invert_sequence(setup)
+                for position, sticker in zip(orbit.positions, local):
+                    stickers[position] = sticker
                 state = apply_sequence(state, word)
                 assert ''.join(stickers) == state.stickers
                 passes += 1

@@ -12,13 +12,15 @@ checkout's src/. It records:
   orbit chains built and the passes that filled the class levels; each
   figure is the median of the three, since one fresh process alone can
   swing by as much as a change under test;
-* warm solve at n = 3, 4, 5, 7, 9: after one solve has built the size's
-  stage plan and chains, the median and worst wall seconds over seeds
-  0..7, the shares of the solve seconds spent choosing setups in
-  _SetupChain.choose (for a 3-cycle, the walk of its class's order and
-  that order's first build; find on heads before choose) and
-  decomposing states
-  (the entry check and each stage postcondition), and the median ratio
+* warm solve at n = 3, 4, 5, 7, 9, 13, 17, 25, 33: after one solve has
+  built the size's stage plan and chains, the median and worst wall
+  seconds over seeds 0..7, the microseconds per emitted move (all
+  solve seconds over all moves), the shares of the solve seconds spent
+  choosing setups in _SetupChain.choose (for a 3-cycle, the walk of its
+  class's order and that order's first build; find on heads before
+  choose) and in full decompositions of the state (the entry check and
+  the sign alignment's postcondition; on heads that check every stage
+  on the whole state, every stage postcondition), and the median ratio
   of solution length to the certified lower bound
   gods_number_lower_bound(n).ceiling;
 * per-layer microseconds per call of decompose, compose and
@@ -57,7 +59,7 @@ sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
 
 COLD_SIZES = (4, 9, 13, 17)
 COLD_RUNS = 3
-WARM_SIZES = (3, 4, 5, 7, 9)
+WARM_SIZES = (3, 4, 5, 7, 9, 13, 17, 25, 33)
 WARM_SEEDS = range(8)
 LAYER_SIZES = (3, 5, 7, 9)
 LAYER_SEEDS = range(50)
@@ -114,7 +116,7 @@ def warm_solves(n):
     in_find, in_decompose = [], []
     setattr(solver._SetupChain, chooser, timed(find, in_find))
     solver.decompose = timed(decompose, in_decompose)
-    seconds, ratios = [], []
+    seconds, ratios, moves = [], [], 0
     try:
         for seed in WARM_SEEDS:
             state = random_valid_configuration(spec, seed=seed)
@@ -122,10 +124,12 @@ def warm_solves(n):
             trace = solver.solve(state)
             seconds.append(time.perf_counter() - start)
             ratios.append(len(trace.total) / ceiling)
+            moves += len(trace.total)
     finally:
         setattr(solver._SetupChain, chooser, find)
         solver.decompose = decompose
     return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
+            'us_per_move': 1e6 * sum(seconds) / moves,
             'find_share': sum(in_find) / sum(seconds),
             'decompose_share': sum(in_decompose) / sum(seconds),
             'moves_per_bound': statistics.median(ratios),
