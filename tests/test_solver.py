@@ -107,33 +107,35 @@ def test_trace_tuples_track_partial_progress(n):
         assert decompose(running) == identity_tuple(spec)
 
 
-@pytest.mark.parametrize('n', range(2, 18))
-def test_solve_decomposes_in_full_at_most_twice(monkeypatch, n):
-    """The entry law check and the sign alignment's postcondition read
-    the whole state; every other stage's check reads its own orbit."""
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """The arguments of every full decompose the solver makes."""
     calls = []
     monkeypatch.setattr(solver, 'decompose',
                         lambda *args: calls.append(args) or
                         decompose(*args))
+    return calls
+
+
+@pytest.mark.parametrize('n', range(2, 18))
+def test_solve_decomposes_in_full_at_most_twice(decompose_calls, n):
+    """The entry law check and the sign alignment's postcondition read
+    the whole state; every other stage's check reads its own orbit."""
     spec = CubeSpec(n)
     state = random_valid_configuration(spec, seed=n)
     trace = solve(state)
-    assert len(calls) <= 2
+    assert len(decompose_calls) <= 2
     assert apply_sequence(state, trace.total) == solved_state(spec)
 
 
-def test_plain_cli_solve_builds_no_stage_tuples(monkeypatch):
+def test_plain_cli_solve_builds_no_stage_tuples(decompose_calls):
     """The text output prints stage names and lengths only, so the
     trace's per-stage tuples stay unbuilt."""
-    calls = []
-    monkeypatch.setattr(solver, 'decompose',
-                        lambda *args: calls.append(args) or
-                        decompose(*args))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(['solve', '--n', '9', '--seed', '3']) == 0
     assert out.getvalue().rstrip().endswith('verified: solved')
-    assert len(calls) <= 2
+    assert len(decompose_calls) <= 2
 
 
 @pytest.mark.parametrize('name', ['corner_placement',
