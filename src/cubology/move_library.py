@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .cube_model import (
     apply_sequence,
-    invert_sequence,
     parse_move_sequence,
     sequence_permutation,
     solved_state,
@@ -303,15 +302,6 @@ def single_edge_flip_pair(spec):
         raise EvenCube('a %d-cube has no single edges' % spec.n)
     return _named('single_edge_flip_pair', spec, "[FEF2E2F,U]",
                   EffectDescriptor('flip_pair', 'single'))
-
-
-def conjugate_setup(setup, core):
-    '''setup then core then setup inverted, as one move tuple.
-    Conjugation carries a cycle to a cycle of the same type in the same
-    orbit, so the core's descriptor stays valid for the result (re-check
-    with verify_cycle_structure when it matters).'''
-    setup = tuple(setup)
-    return setup + tuple(core) + invert_sequence(setup)
 
 
 def all_named_moves(spec):

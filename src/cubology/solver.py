@@ -36,15 +36,15 @@ each word it makes completes, by one dictionary lookup each, the
 entries it finishes in one more move, so the pass stops a move short of
 the longest entry. The pass runs over symbols (face, depth rank,
 quarter turns), each depth named by its rank among the depths acting on
-the orbit, so every orbit whose moves then act alike shares one pass,
-across all cube sizes: nine passes serve every orbit up to n=33. Each
-orbit reads the class words back with its own depths, and later solves
-pay only table lookups; a stage that finds its orbit already done
-builds no chain at all. A tuple's chained length, the summed length of
-its level words, depends on the class alone, so for each 3-cycle s ->
-h -> t -> s asked of it a class sorts, once, the six rotations of every
-routing slot t by that length, then t; a pass walks this order to the
-first t its stage admits, the first shortest tuple, and realizes it.
+the orbit, so every orbit whose moves then act alike on its stickers
+shares one class, across all cube sizes: nine serve every orbit up to
+n=33. An orbit keeps only the map reading class words as its moves; a
+stage finding its orbit done reads no alphabet at all. A tuple's
+chained length, the summed length of its level words, depends on the
+class alone, so for each 3-cycle s -> h -> t -> s asked of it a class
+sorts, once, the six rotations of every routing slot t by that length,
+then t; a pass walks this order to the first t its stage admits, the
+first shortest tuple, and realizes it.
 
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
@@ -55,8 +55,9 @@ with one itemgetter, reads its targets from them, and each pass runs
 them through one gather per chained level word, the core's gather and
 the level words' inverse gathers; they are written back once, when the
 stage is done. Each level word's gathers and inverse word are built
-once, on first use, and the core's in stage_plan(); the emitted word is
-the setup, the core and the stored inverses in reverse.
+once per class, on first use, from the symbols' tables over the
+stickers; the core's in stage_plan(). The emitted word is the setup,
+the core and the stored inverses in reverse, read as the orbit's moves.
 
 solve() checks every stage's postcondition on what the stage can
 change, through kept reads (see decomposition.kept_read): the whole
@@ -71,11 +72,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cube_model import (
+    FACES,
     CubeState,
     Move,
     apply_move,
     invert_sequence,
-    legal_slab_moves,
     local_gathers,
     solved_state,
     sticker_permutation,
@@ -146,14 +147,34 @@ class SolveTrace:
 
 
 class _ClassTables:
-    '''One class's chain as flat tables by slot, per level each slot's
-    word length and slot action, and the 3-cycle orders asked for.'''
+    '''One orbit class's transversal chain, shared by every orbit whose
+    moves act alike on its stickers, as flat tables by level and slot:
+    the level word, over alphabet indices, its length and its slot
+    action; on first use, the word's inverse and both words as gathers
+    over an orbit's local stickers; and the 3-cycle orders asked for.
+    alphabet holds (symbol, local table) pairs, a local table giving
+    where the symbol's move sends each of an orbit's stickers, listed
+    slot by slot as orbit.read gives them, turns to a slot.'''
 
-    def __init__(self, levels):
-        rows = [[level.get(slot, ((), None)) for slot in range(len(levels[0]))]
+    def __init__(self, alphabet, bases, turns):
+        size = len(alphabet[0][1]) // turns
+        symbols = [symbol for symbol, _ in alphabet]
+        self._inverses = [symbols.index((f, r, 4 - q)) for f, r, q in symbols]
+        # Composition runs through bytes.translate, so each table is
+        # stored as a full translation table.
+        self._tables = [table + bytes(range(len(table), 256))
+                        for _, table in alphabet]
+        self._identity = bytes(range(size * turns))
+        levels = _class_levels(tuple(
+            (i, bytes(table[s * turns] // turns for s in range(size))
+             + bytes(range(size, 256)))
+            for i, (_, table) in enumerate(alphabet)), bases, size)
+        rows = [[level.get(slot, ((), None)) for slot in range(size)]
                 for level in levels]
-        self.lengths = [[len(word) for word, _ in row] for row in rows]
+        self.words = [[word for word, _ in row] for row in rows]
+        self.lengths = [[len(word) for word in words] for words in self.words]
         self.actions = [[action for _, action in row] for row in rows]
+        self._pieces = [[None] * size for _ in levels]
         self._orders = {}
 
     def slots(self, key):
@@ -185,45 +206,15 @@ class _ClassTables:
                 code & 255 for code in sorted(scored))
         return order
 
-
-def _rotations(s, h, t):
-    '''The preimage tuples realizing the slot cycle s -> h -> t -> s,
-    the last three by the inverse core.'''
-    return (s, h, t), (h, t, s), (t, s, h), (s, t, h), (t, h, s), (h, s, t)
-
-
-class _SetupChain:
-    '''Transversal chain carrying arbitrary slot tuples onto the bases.
-
-    Level 0 holds, for every slot x, a word moving x to the first base
-    and the slot action of that word; level 1 holds words doing so for
-    the second base while fixing the first; and so on. Every query is a
-    few table lookups with a guaranteed answer. Chained words are a
-    little longer than true shortest setups; the cycles they conjugate
-    stay exact.
-
-    The chain also works in its orbit's local index space, the orbit's
-    stickers listed slot by slot as orbit.read gives them: piece()
-    gives a level word with its inverse and both as gathers over those
-    local stickers.
-    '''
-
-    def __init__(self, spec, levels, orbit, tables):
-        self.spec = spec
-        self.levels = levels
-        self.tables = tables
-        self.positions = orbit.positions
-        self._pieces = [[None] * len(levels[0]) for _ in levels]
-
     def choose(self, request):
         '''(key, slots, inverse) for the first requested preimage tuple
         of shortest chained word, the slots its level words are looked
         up at, and whether the inverse core realizes it. A pair request
         maps keys to that flag; a 3-cycle one, (s, h, admissible), asks
         for _rotations(s, h, t) of each t with admissible[t], in t order.'''
-        if len(self.levels) == 3:
+        if len(self.lengths) == 3:
             s, h, admissible = request
-            for code in self.tables.order(s, h):
+            for code in self.order(s, h):
                 if admissible[code // 6]:
                     break
             else:
@@ -231,25 +222,37 @@ class _SetupChain:
             t, r = divmod(code, 6)
             key, inverse = _rotations(s, h, t)[r], r >= 3
         else:
-            tables = self.tables
             key = min(request, key=lambda key: sum(
-                map(operator.getitem, tables.lengths, tables.slots(key))))
+                map(operator.getitem, self.lengths, self.slots(key))))
             inverse = request[key]
-        return key, self.tables.slots(key), inverse
+        return key, self.slots(key), inverse
 
     def piece(self, depth, slot):
         '''(word, inverse word, gather, inverse gather) of the level
-        word at slot, the gathers over the orbit's local stickers; built
+        word at slot, the gathers over an orbit's local stickers; built
         on first use, since a solve needs only some of them.'''
-        table = self._pieces[depth]
-        if table[slot] is None:
-            word = self.levels[depth][slot][0]
-            table[slot] = (word, invert_sequence(word)) + local_gathers(
-                self.spec, self.positions, word)
-        return table[slot]
+        pieces = self._pieces[depth]
+        if pieces[slot] is None:
+            word = self.words[depth][slot]
+            inverse = tuple(map(self._inverses.__getitem__, reversed(word)))
+            # A word's gather reads each sticker from where the inverse
+            # word sends it.
+            gathers = []
+            for sent in (inverse, word):
+                images = self._identity
+                for index in sent:
+                    images = images.translate(self._tables[index])
+                gathers.append(operator.itemgetter(*images))
+            pieces[slot] = (word, inverse, *gathers)
+        return pieces[slot]
 
 
-@functools.lru_cache(maxsize=None)
+def _rotations(s, h, t):
+    '''The preimage tuples realizing the slot cycle s -> h -> t -> s,
+    the last three by the inverse core.'''
+    return (s, h, t), (h, t, s), (t, s, h), (s, t, h), (t, h, s), (h, s, t)
+
+
 def _class_levels(alphabet, bases, size):
     '''The chain levels of one orbit class, as words over the class's
     symbols. alphabet holds (symbol, translation table) pairs.
@@ -323,49 +326,39 @@ def _class_levels(alphabet, bases, size):
 
 
 @functools.lru_cache(maxsize=None)
-def _class_tables(alphabet, bases, size):
-    '''The flat tables of a class's chain, built once per class.'''
-    return _ClassTables(_class_levels(alphabet, bases, size))
+def _class_tables(alphabet, bases, turns):
+    '''The tables of one orbit class, built once per class.'''
+    return _ClassTables(alphabet, bases, turns)
 
 
 @functools.lru_cache(maxsize=None)
-def _setup_search(spec, atlas, orbit, bases):
-    '''The orbit's setup chain: the chain of its class, with each
-    symbol (face, depth rank, q) read back as this orbit's slab move.
-
-    The alphabet is every slab move acting on the orbit, in
-    legal_slab_moves order; only faces and the depths in orbit.key can
-    act. A move's depth is replaced by its rank among the depths that
-    act on the orbit, so every orbit whose moves then act alike, of any
-    cube size, shares one pass; the ranks keep the depth order, so each
-    level word is the least word over this orbit's own moves, by length
-    and then legal_slab_moves order, that does the level's job.'''
-    size = len(orbit.slots)
-    identity = bytes(range(size))
+def _setup_search(spec, orbit, bases):
+    '''(class tables, relabel) for the orbit: the tables of its class,
+    keyed by each symbol (face, depth rank, q) with its local table, and
+    the map reading each alphabet index back as this orbit's move. The
+    alphabet is every slab move acting on the orbit, in legal_slab_moves
+    order; only depth 1 and the depths in orbit.key act. A depth's rank
+    among those replaces it in the symbol, so every orbit whose moves
+    then act alike on its stickers, of any cube size, shares one class;
+    the ranks keep the depth order, so each level word is the least word
+    over this orbit's own moves, by length and then legal_slab_moves
+    order, that does the level's job.'''
+    local = {position: i for i, position in enumerate(orbit.positions)}
+    identity = bytes(range(len(local)))
     keyed = orbit.key if isinstance(orbit.key, tuple) else (orbit.key,)
-    acting = []
-    for move in legal_slab_moves(spec, False, (1, 2, 3)):
-        if move.depth != 1 and move.depth not in keyed:
-            continue
-        action = bytes(atlas.slot_action(sticker_permutation(spec, move),
-                                         orbit))
-        if action != identity:
-            acting.append((move, action))
-    depths = sorted({move.depth for move, _ in acting})
-    alphabet = []
-    relabel = {}
-    for move, action in acting:
-        symbol = (move.face, depths.index(move.depth), move.quarter_turns)
-        relabel[symbol] = move
-        # Composition runs through bytes.translate, so store each action
-        # as a full translation table.
-        alphabet.append((symbol, action + bytes(range(size, 256))))
-    key = (tuple(alphabet), tuple(bases), size)
-    levels = [
-        {slot: (tuple(map(relabel.__getitem__, word)), action)
-         for slot, (word, action) in level.items()}
-        for level in _class_levels(*key)]
-    return _SetupChain(spec, levels, orbit, _class_tables(*key))
+    depths = sorted({1, *keyed}.intersection(range(1, spec.n // 2 + 1)))
+    alphabet, moves = [], []
+    for face in FACES:
+        for rank, depth in enumerate(depths):
+            for q in (1, 2, 3):
+                move = Move(face, depth, q)
+                table = bytes(map(local.__getitem__, orbit.read(
+                    sticker_permutation(spec, move))))
+                if table != identity:
+                    moves.append(move)
+                    alphabet.append(((face, rank, q), table))
+    return (_class_tables(tuple(alphabet), tuple(bases), orbit.turns),
+            dict(enumerate(moves)))
 
 
 def _run_sign_alignment(atlas, state):
@@ -382,21 +375,21 @@ def _run_sign_alignment(atlas, state):
     return tuple(parts), state
 
 
-def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
+def _run_orbit(spec, state, orbit, core, bases, targets, cores):
     '''Conjugate the core by chained setups until targets(local)
     requests nothing, where local holds the orbit's stickers as
     orbit.read gives them; they are written back into the state once,
-    at the end. A request is what _SetupChain.choose takes; cores holds
+    at the end. A request is what _ClassTables.choose takes; cores holds
     the core word and its inverse, each with its gather over local.'''
     local = orbit.read(state.stickers)
     request = targets(local)
     if not request:
         return (), state
-    # The chain is built only for a stage with work to do.
-    search = _setup_search(spec, atlas, orbit, bases)
+    # The orbit's alphabet is read only for a stage with work to do.
+    search = _setup_search(spec, orbit, bases)
     parts = []
     while request:
-        _, slots, inverse = search.choose(request)
+        _, slots, inverse = search[0].choose(request)
         word, local = _conjugate(search, slots, cores[inverse], local)
         parts += word
         request = targets(local)
@@ -407,13 +400,14 @@ def _run_orbit(spec, atlas, state, orbit, core, bases, targets, cores):
 
 
 def _conjugate(search, slots, core, local):
-    '''(setup + core + undo, local after that word), where the setup
-    chains the level words at slots, core is a (word, local gather)
-    pair and local holds the orbit's stickers slot by slot. They are
-    all the word changes: the setup carries every other sticker away
-    and the undo brings it back, while the core, checked in stage_plan,
-    leaves it alone.'''
-    pieces = [search.piece(depth, slot) for depth, slot in enumerate(slots)]
+    '''(setup + core + undo, local after that word), where search is
+    the orbit's (class tables, relabel), the setup chains the level
+    words at slots, core is a (word, local gather) pair and local holds
+    the orbit's stickers slot by slot. They are all the word changes:
+    the setup carries every other sticker away and the undo brings it
+    back, while the core, checked in stage_plan, leaves it alone.'''
+    tables, relabel = search
+    pieces = [tables.piece(depth, slot) for depth, slot in enumerate(slots)]
     setup = undo = ()
     for word, _, gather, _ in pieces:
         local = gather(local)
@@ -423,7 +417,8 @@ def _conjugate(search, slots, core, local):
     for _, inverse, _, gather in reversed(pieces):
         local = gather(local)
         undo += inverse
-    return setup + word + undo, local
+    move = relabel.__getitem__
+    return (*map(move, setup), *word, *map(move, undo)), local
 
 
 def _perm_targets(orbit, local):
@@ -529,7 +524,7 @@ def stage_plan(spec):
                     ident=identity.orbit_fields(orbit)[field]:
                     kept_read(atlas, state.stickers, o, reads)[2][f] == ident,
                 functools.partial(
-                    _run_orbit, spec, atlas, orbit=orbit, core=core,
+                    _run_orbit, spec, orbit=orbit, core=core,
                     bases=core.report.slots,
                     cores=tuple(zip(words, gathers)),
                     targets=functools.partial(targets, orbit))))

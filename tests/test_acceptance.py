@@ -11,6 +11,7 @@ from cubology.cube_model import (
     CubeSpec,
     apply_move,
     apply_sequence,
+    invert_sequence,
     legal_slab_moves,
     sequence_permutation,
     solved_state,
@@ -31,7 +32,6 @@ from cubology.group_oracle import (
 )
 from cubology.move_library import (
     all_named_moves,
-    conjugate_setup,
     corner_three_cycle,
     corner_twist_pair,
     coupled_edge_parity_move,
@@ -69,7 +69,7 @@ def conjugate_family(spec, core, depth):
     if depth >= 2:
         setups += [(a, b) for a in alphabet for b in alphabet]
     sequences = [core.sequence]
-    sequences += [conjugate_setup(s, core.sequence) for s in setups]
+    sequences += [s + core.sequence + invert_sequence(s) for s in setups]
     return [sequence_permutation(spec, q) for q in sequences]
 
 

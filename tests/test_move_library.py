@@ -5,6 +5,7 @@ import pytest
 from cubology.cube_model import (
     CubeSpec,
     apply_sequence,
+    invert_sequence,
     parse_move_sequence,
     sequence_permutation,
     solved_state,
@@ -16,7 +17,6 @@ from cubology.move_library import (
     OddCube,
     all_named_moves,
     center_three_cycle,
-    conjugate_setup,
     corner_three_cycle,
     corner_twist_pair,
     coupled_edge_parity_move,
@@ -200,7 +200,7 @@ def test_conjugated_macro_keeps_its_cycle_structure():
     core = coupled_edge_three_cycle(spec, 2)
     for setup_text in ('R', "2U F'", "2R 2U"):
         setup = parse_move_sequence(setup_text, spec)
-        moved = conjugate_setup(setup, core.sequence)
+        moved = setup + core.sequence + invert_sequence(setup)
         report = verify_cycle_structure(spec, moved, core.expected_effect)
         assert report.ok, (setup_text, report.failing())
 

@@ -21,6 +21,7 @@ from cubology.cube_model import (
     apply_sequence,
     invert_sequence,
     legal_slab_moves,
+    local_gathers,
     sequence_permutation,
     solved_state,
     state_to_json_dict,
@@ -260,16 +261,23 @@ def test_stored_core_slots_match_the_words_own_effect(n):
         assert core.report.slots == _reference_bases(spec, atlas, core, orbit)
 
 
-def _find_by_full_realization(chain, wanted):
+def _level_word(search, depth, slot):
+    '''The level word at slot of an orbit's class, in the orbit's moves.'''
+    tables, relabel = search
+    return tuple(relabel[symbol] for symbol in tables.words[depth][slot])
+
+
+def _find_by_full_realization(search, wanted):
     '''Realize every wanted key in full, composing whole slot actions
     level by level, and keep the first of least length.'''
+    tables, _ = search
     best = None
     for key in wanted:
         word = ()
-        action = list(range(len(chain.levels[0])))
+        action = list(range(len(tables.words[0])))
         for depth, slot in enumerate(key):
-            piece, step = chain.levels[depth][action[slot]]
-            word += piece
+            word += _level_word(search, depth, action[slot])
+            step = tables.actions[depth][action[slot]]
             action = [step[a] for a in action]
         if best is None or len(word) < len(best[1]):
             best = (key, word)
@@ -293,27 +301,27 @@ def _wanted(request):
     return wanted
 
 
-def _setup_word(chain, slots):
-    return sum((chain.levels[depth][slot][0]
+def _setup_word(search, slots):
+    return sum((_level_word(search, depth, slot)
                 for depth, slot in enumerate(slots)), ())
 
 
-def _choice_by_full_realization(chain, request):
+def _choice_by_full_realization(search, request):
     '''(key, inverse, setup word) of the first shortest key the request
     stands for, each key realized in full.'''
     wanted = _wanted(request)
-    key, word = _find_by_full_realization(chain, wanted)
+    key, word = _find_by_full_realization(search, wanted)
     return key, wanted[key], word
 
 
-def _orbit_chains(n):
+def _orbit_searches(n):
+    '''(orbit, bases, (class tables, relabel)) per orbit stage of n.'''
     spec = CubeSpec(n)
-    atlas = build_atlas(spec)
     orbit_stages = [stage.run.keywords for stage in stage_plan(spec)
                     if hasattr(stage.run, 'keywords')]
     assert len(orbit_stages) == len(stage_plan(spec)) - 1
     return [(args['orbit'], args['bases'],
-             _setup_search(spec, atlas, args['orbit'], args['bases']))
+             _setup_search(spec, args['orbit'], args['bases']))
             for args in orbit_stages]
 
 
@@ -337,15 +345,15 @@ def _random_request(rng, size, arity):
 def test_setup_choice_matches_full_realization(n):
     spec = CubeSpec(n)
     atlas = build_atlas(spec)
-    for orbit, bases, chain in _orbit_chains(n):
+    for orbit, bases, search in _orbit_searches(n):
         for seed in range(4):
             request = _random_request(random.Random(seed), len(orbit.slots),
                                       len(bases))
-            key, slots, inverse = chain.choose(request)
-            assert (key, inverse, _setup_word(chain, slots)) == \
-                _choice_by_full_realization(chain, request)
+            key, slots, inverse = search[0].choose(request)
+            assert (key, inverse, _setup_word(search, slots)) == \
+                _choice_by_full_realization(search, request)
             action = atlas.slot_action(
-                sequence_permutation(spec, _setup_word(chain, slots)), orbit)
+                sequence_permutation(spec, _setup_word(search, slots)), orbit)
             assert tuple(action[slot] for slot in key) == bases
 
 
@@ -366,13 +374,13 @@ def test_cycle_walk_matches_the_first_minimum_for_every_pair():
     slots admissible, a single seeded one, and a seeded subset."""
     classes = {}
     for n in range(2, 12):
-        for orbit, bases, chain in _orbit_chains(n):
+        for orbit, bases, (tables, _) in _orbit_searches(n):
             if len(bases) == 3:
-                classes.setdefault(id(chain.tables), chain)
+                classes.setdefault(id(tables), tables)
     assert len(classes) == 7
     rng = random.Random(0)
-    for chain in classes.values():
-        size = len(chain.levels[0])
+    for tables in classes.values():
+        size = len(tables.words[0])
         for s in range(size):
             for h in range(size):
                 if s == h:
@@ -382,19 +390,17 @@ def test_cycle_walk_matches_the_first_minimum_for_every_pair():
                            rng.sample(thirds, rng.randint(1, len(thirds)))]
                 for subset in subsets:
                     admissible = [t in subset for t in range(size)]
-                    key, slots, inverse = chain.choose((s, h, admissible))
+                    key, slots, inverse = tables.choose((s, h, admissible))
                     wanted = _wanted((s, h, admissible))
-                    assert (key, inverse) == \
-                        _first_minimum(chain.tables, wanted)
-                    assert slots == chain.tables.slots(key)
+                    assert (key, inverse) == _first_minimum(tables, wanted)
+                    assert slots == tables.slots(key)
         with pytest.raises(AssertionError, match='no targets'):
-            chain.choose((0, 1, [True, True] + [False] * (size - 2)))
+            tables.choose((0, 1, [True, True] + [False] * (size - 2)))
 
 
 @pytest.mark.parametrize('n', range(2, 12))
 def test_setup_choice_on_live_targets_matches_full_realization(n):
     spec = CubeSpec(n)
-    atlas = build_atlas(spec)
     checked = 0
     for seed in range(3):
         state = random_valid_configuration(spec, seed=seed + 100 * n)
@@ -403,11 +409,10 @@ def test_setup_choice_on_live_targets_matches_full_realization(n):
             request = args and args['targets'](
                 args['orbit'].read(state.stickers))
             if request:
-                chain = _setup_search(spec, atlas, args['orbit'],
-                                      args['bases'])
-                key, slots, inverse = chain.choose(request)
-                assert (key, inverse, _setup_word(chain, slots)) == \
-                    _choice_by_full_realization(chain, request)
+                search = _setup_search(spec, args['orbit'], args['bases'])
+                key, slots, inverse = search[0].choose(request)
+                assert (key, inverse, _setup_word(search, slots)) == \
+                    _choice_by_full_realization(search, request)
                 checked += 1
             _, state = stage.run(state)
         assert state == solved_state(spec)
@@ -433,7 +438,6 @@ def test_orbit_local_conjugates_match_full_application(n):
     to the whole state must give the same stickers everywhere, outside
     the orbit too."""
     spec = CubeSpec(n)
-    atlas = build_atlas(spec)
     passes = 0
     for seed in range(2):
         state = random_valid_configuration(spec, seed=seed + 200 * n)
@@ -443,18 +447,18 @@ def test_orbit_local_conjugates_match_full_application(n):
                 _, state = stage.run(state)
                 continue
             orbit = args['orbit']
-            chain = _setup_search(spec, atlas, orbit, args['bases'])
+            search = _setup_search(spec, orbit, args['bases'])
             stickers = list(state.stickers)
             local = orbit.read(stickers)
             while True:
                 request = args['targets'](local)
                 if not request:
                     break
-                _, inverse, setup = _choice_by_full_realization(chain,
+                _, inverse, setup = _choice_by_full_realization(search,
                                                                 request)
-                _, slots, _ = chain.choose(request)
+                _, slots, _ = search[0].choose(request)
                 core = args['cores'][inverse]
-                word, local = solver._conjugate(chain, slots, core, local)
+                word, local = solver._conjugate(search, slots, core, local)
                 assert word == setup + core[0] + invert_sequence(setup)
                 for position, sticker in zip(orbit.positions, local):
                     stickers[position] = sticker
@@ -465,17 +469,55 @@ def test_orbit_local_conjugates_match_full_application(n):
     assert passes
 
 
+@pytest.mark.parametrize('n', range(2, 14))
+def test_class_pieces_match_each_orbits_own_level_words(n):
+    """A class builds each level word's gathers once, from its symbols'
+    local tables; for every orbit of the class they equal the gathers of
+    the orbit's own level word, and the stored inverse reads back as
+    that word inverted."""
+    spec = CubeSpec(n)
+    for orbit, _, search in _orbit_searches(n):
+        tables, relabel = search
+        stickers = tuple(range(len(orbit.positions)))
+        for depth, actions in enumerate(tables.actions):
+            for slot, action in enumerate(actions):
+                if action is None:
+                    continue
+                word = _level_word(search, depth, slot)
+                _, inverse, gather, inverse_gather = tables.piece(depth, slot)
+                expected = local_gathers(spec, orbit.positions, word)
+                assert (gather(stickers), inverse_gather(stickers)) == \
+                    tuple(g(stickers) for g in expected)
+                assert tuple(relabel[symbol] for symbol in inverse) == \
+                    invert_sequence(word)
+
+
+def test_a_warm_solve_builds_no_level_word_gathers(monkeypatch):
+    """Level-word gathers belong to the class, so solving new states
+    after the stage plan is built calls local_gathers for none."""
+    spec = CubeSpec(9)
+    solve(random_valid_configuration(spec, seed=1))
+    calls = []
+    monkeypatch.setattr(solver, 'local_gathers',
+                        lambda *args: calls.append(args) or
+                        local_gathers(*args))
+    for seed in (2, 3):
+        state = random_valid_configuration(spec, seed=seed)
+        assert apply_sequence(state, solve(state).total) == solved_state(spec)
+    assert calls == []
+
+
 def test_setup_alphabet_matches_a_scan_of_every_slab_move(monkeypatch):
     """Only the faces and the depths in an orbit's key act on it, so the
-    class alphabet an orbit's chain is built from, symbols and actions,
-    equals the one a scan of every legal slab move gives, for every
-    orbit of n=2..17."""
+    class key an orbit's tables are looked up by, symbols with their
+    local tables and the slot actions these give, equals what a scan of
+    every legal slab move gives, for every orbit of n=2..17."""
     _setup_search.cache_clear()
-    class_levels = solver._class_levels
+    class_tables = solver._class_tables
     calls = []
-    monkeypatch.setattr(solver, '_class_levels',
+    monkeypatch.setattr(solver, '_class_tables',
                         lambda *args: calls.append(args) or
-                        class_levels(*args))
+                        class_tables(*args))
     for n in range(2, 18):
         spec = CubeSpec(n)
         atlas = build_atlas(spec)
@@ -484,17 +526,23 @@ def test_setup_alphabet_matches_a_scan_of_every_slab_move(monkeypatch):
         for stage in stage_plan(spec)[1:]:
             orbit, bases = (stage.run.keywords['orbit'],
                             stage.run.keywords['bases'])
-            _setup_search(spec, atlas, orbit, bases)
+            _setup_search(spec, orbit, bases)
             size = len(orbit.slots)
-            acting = [(move, bytes(atlas.slot_action(perm, orbit)))
+            local = {p: i for i, p in enumerate(orbit.positions)}
+            acting = [(move, bytes(atlas.slot_action(perm, orbit)),
+                       bytes(local[perm[p]] for p in orbit.positions))
                       for move, perm in perms]
-            acting = [(move, action) for move, action in acting
-                      if action != bytes(range(size))]
-            depths = sorted({move.depth for move, _ in acting})
-            assert calls[-1][0] == tuple(
+            acting = [entry for entry in acting
+                      if entry[1] != bytes(range(size))]
+            depths = sorted({move.depth for move, _, _ in acting})
+            alphabet, _, turns = calls[-1]
+            assert alphabet == tuple(
                 ((move.face, depths.index(move.depth), move.quarter_turns),
-                 action + bytes(range(size, 256)))
-                for move, action in acting)
+                 table)
+                for move, _, table in acting)
+            assert [bytes(table[s * turns] // turns for s in range(size))
+                    for _, table in alphabet] == \
+                [action for _, action, _ in acting]
     _setup_search.cache_clear()
 
 
@@ -535,27 +583,30 @@ def _orbit_class(n, stage_name, key):
     return 'center_edge i<j' if i < j else 'center_edge i>j'
 
 
-def test_one_setup_pass_per_orbit_class(monkeypatch):
+def _clear_setup_caches():
     _setup_search.cache_clear()
-    solver._class_levels.cache_clear()
-    class_levels = solver._class_levels
+    solver._class_tables.cache_clear()
+
+
+def test_one_setup_pass_per_orbit_class(monkeypatch):
+    _clear_setup_caches()
+    class_tables = solver._class_tables
     calls = []
 
     def recording(*args):
         calls.append(args)
-        return class_levels(*args)
+        return class_tables(*args)
 
-    monkeypatch.setattr(solver, '_class_levels', recording)
+    monkeypatch.setattr(solver, '_class_tables', recording)
     keys = {}
-    for n in range(2, 14):
+    for n in range(2, 26):
         spec = CubeSpec(n)
-        atlas = build_atlas(spec)
         for stage in stage_plan(spec)[1:]:
             args = stage.run.keywords
-            _setup_search(spec, atlas, args['orbit'], args['bases'])
+            _setup_search(spec, args['orbit'], args['bases'])
             label = _orbit_class(n, stage.name, args['orbit'].key)
             keys.setdefault(label, set()).add(calls[-1])
-    assert class_levels.cache_info().misses == 9
+    assert class_tables.cache_info().misses == 9
     assert len(keys) == 9
     assert all(len(class_keys) == 1 for class_keys in keys.values())
     assert len(set().union(*keys.values())) == 9
@@ -609,7 +660,7 @@ def _alphabet(*actions):
 
 
 def test_class_levels_match_the_breadth_first_ball(monkeypatch):
-    _setup_search.cache_clear()
+    _clear_setup_caches()
     class_levels = solver._class_levels
     calls = set()
 
@@ -620,24 +671,23 @@ def test_class_levels_match_the_breadth_first_ball(monkeypatch):
     monkeypatch.setattr(solver, '_class_levels', recording)
     for n in range(2, 14):
         spec = CubeSpec(n)
-        atlas = build_atlas(spec)
         for stage in stage_plan(spec)[1:]:
             args = stage.run.keywords
-            _setup_search(spec, atlas, args['orbit'], args['bases'])
-    _setup_search.cache_clear()
+            _setup_search(spec, args['orbit'], args['bases'])
+    _clear_setup_caches()
     assert len(calls) == 9
     for args in calls:
-        assert class_levels.__wrapped__(*args) == _breadth_first_levels(*args)
+        assert class_levels(*args) == _breadth_first_levels(*args)
     # A slot no word reaches exhausts the alphabet ...
     swap = _alphabet((0, 2, 1))
-    for levels in (class_levels.__wrapped__, _breadth_first_levels):
+    for levels in (class_levels, _breadth_first_levels):
         with pytest.raises(AssertionError, match='alphabet exhausted'):
             levels(swap, (0,), 3)
     # ... and a slot farther than MAX_SETUP_DEPTH moves is refused, even
     # when it is the last one missing.
     monkeypatch.setattr(solver, 'MAX_SETUP_DEPTH', 1)
     shift = _alphabet((1, 2, 0))
-    for levels in (class_levels.__wrapped__, _breadth_first_levels):
+    for levels in (class_levels, _breadth_first_levels):
         with pytest.raises(AssertionError,
                            match='longer than 1 moves'):
             levels(shift, (0,), 3)

@@ -6,18 +6,23 @@
 Run it from the root of a checkout; it imports cubology from the
 checkout's src/. It records:
 
-* cold solve at n = 4, 9, 13, 17: three fresh interpreters per size
-  each solve the seeded valid state (seed n) and report the solve's
-  wall seconds, the part of them spent building setup chains, the
-  orbit chains built and the passes that filled the class levels; each
-  figure is the median of the three, since one fresh process alone can
-  swing by as much as a change under test;
+* cold solve at n = 4, 9, 13, 17, 25, 33: three fresh interpreters per
+  size each solve the seeded valid state (seed n) and report the
+  solve's wall seconds, the part of them spent reading orbits' setup
+  alphabets and building class tables, the orbits read and the
+  breadth-first passes that filled the class tables; each figure is
+  the median of the three, since one fresh process alone can swing by
+  as much as a change under test;
 * warm solve at n = 3, 4, 5, 7, 9, 13, 17, 25, 33: after one solve has
-  built the size's stage plan and chains, the median and worst wall
-  seconds over seeds 0..7, the microseconds per emitted move (all
-  solve seconds over all moves), the shares of the solve seconds spent
-  choosing setups in _SetupChain.choose (for a 3-cycle, the walk of its
-  class's order and that order's first build; find on heads before
+  built the size's stage plan and class tables, the median and worst
+  wall seconds over the new states of seeds 100..139, raw and at the
+  reference speed (each solve is followed by about as much of
+  perfbench's reference() as REF_SPEED runs in its time, as for the
+  layers below), the microseconds per emitted move (all solve seconds
+  over all moves, raw and at the reference speed), the shares of the
+  solve seconds spent choosing setups in _ClassTables.choose (for a
+  3-cycle, the walk of its class's order and that order's first build;
+  on older heads the per-orbit _SetupChain.choose, or find before
   choose) and in full decompositions of the state (the entry check and
   the sign alignment's postcondition; on heads that check every stage
   on the whole state, every stage postcondition), and the median ratio
@@ -57,10 +62,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, 'src'))
 sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
 
-COLD_SIZES = (4, 9, 13, 17)
+COLD_SIZES = (4, 9, 13, 17, 25, 33)
 COLD_RUNS = 3
 WARM_SIZES = (3, 4, 5, 7, 9, 13, 17, 25, 33)
-WARM_SEEDS = range(8)
+WARM_SEEDS = range(100, 140)
 LAYER_SIZES = (3, 5, 7, 9)
 LAYER_SEEDS = range(50)
 LAYER_PASSES = 7
@@ -78,9 +83,22 @@ def timed(function, spent):
     return wrapper
 
 
+def at_reference_speed(seconds):
+    '''seconds scaled to the reference speed: about as much of
+    perfbench's reference() as REF_SPEED runs in that time is run right
+    after, and seconds are scaled by the speed it reached over
+    REF_SPEED.'''
+    from run import REF_SPEED, reference
+    iterations = max(1, round(seconds * REF_SPEED))
+    start = time.perf_counter()
+    reference(iterations)
+    speed = iterations / (time.perf_counter() - start)
+    return seconds * speed / REF_SPEED
+
+
 def cold_solve(n):
     '''Solve seed n's valid state in this fresh interpreter, timing the
-    setup chains it builds on the way.'''
+    orbit setup alphabets and class tables it builds on the way.'''
     from cubology import solver
     from cubology.cube_model import CubeSpec
     from cubology.cubology_law import random_valid_configuration
@@ -93,8 +111,9 @@ def cold_solve(n):
     start = time.perf_counter()
     solver.solve(state)
     elapsed = time.perf_counter() - start
-    # A head without shared class chains runs one pass per orbit chain.
-    passes = getattr(solver, '_class_levels', chains).cache_info().misses
+    # One breadth-first pass fills each class's tables; a head without
+    # shared class tables runs one pass per orbit.
+    passes = getattr(solver, '_class_tables', chains).cache_info().misses
     return {'solve_s': elapsed, 'chain_build_s': sum(spent),
             'chains_built': chains.cache_info().misses,
             'breadth_first_passes': passes}
@@ -110,26 +129,32 @@ def warm_solves(n):
     solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
     # choose walks the class orders, or, on older heads, scores every
-    # key; heads before _SetupChain.choose chose setups in find.
-    chooser = 'choose' if hasattr(solver._SetupChain, 'choose') else 'find'
-    find, decompose = getattr(solver._SetupChain, chooser), solver.decompose
+    # key; heads before the class tables chose setups on the per-orbit
+    # _SetupChain, and heads before choose in find.
+    owner = getattr(solver, '_SetupChain', None) or solver._ClassTables
+    chooser = 'choose' if hasattr(owner, 'choose') else 'find'
+    find, decompose = getattr(owner, chooser), solver.decompose
     in_find, in_decompose = [], []
-    setattr(solver._SetupChain, chooser, timed(find, in_find))
+    setattr(owner, chooser, timed(find, in_find))
     solver.decompose = timed(decompose, in_decompose)
-    seconds, ratios, moves = [], [], 0
+    seconds, at_ref, ratios, moves = [], [], [], 0
     try:
         for seed in WARM_SEEDS:
             state = random_valid_configuration(spec, seed=seed)
             start = time.perf_counter()
             trace = solver.solve(state)
             seconds.append(time.perf_counter() - start)
+            at_ref.append(at_reference_speed(seconds[-1]))
             ratios.append(len(trace.total) / ceiling)
             moves += len(trace.total)
     finally:
-        setattr(solver._SetupChain, chooser, find)
+        setattr(owner, chooser, find)
         solver.decompose = decompose
     return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
+            'median_ref_s': statistics.median(at_ref),
+            'worst_ref_s': max(at_ref),
             'us_per_move': 1e6 * sum(seconds) / moves,
+            'us_per_move_ref': 1e6 * sum(at_ref) / moves,
             'find_share': sum(in_find) / sum(seconds),
             'decompose_share': sum(in_decompose) / sum(seconds),
             'moves_per_bound': statistics.median(ratios),
@@ -140,7 +165,6 @@ def layer_calls(n):
     '''Microseconds per call of decompose, compose and check_validity at
     size n, the median of LAYER_PASSES passes over fixed states, raw
     and at the reference speed measured right after each pass.'''
-    from run import REF_SPEED, reference
     from cubology.cube_model import CubeSpec
     from cubology.cubology_law import check_validity, random_configuration
     from cubology.decomposition import compose, decompose
@@ -157,12 +181,8 @@ def layer_calls(n):
             for value in inputs:
                 function(value)
             seconds = time.perf_counter() - start
-            iterations = max(1, round(seconds * REF_SPEED))
-            start = time.perf_counter()
-            reference(iterations)
-            speed = iterations / (time.perf_counter() - start)
             passes.append(seconds)
-            at_ref.append(seconds * speed / REF_SPEED)
+            at_ref.append(at_reference_speed(seconds))
         out[name + '_us'] = 1e6 * statistics.median(passes) / len(inputs)
         out[name + '_ref_us'] = (1e6 * statistics.median(at_ref)
                                  / len(inputs))
