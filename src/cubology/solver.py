@@ -350,12 +350,13 @@ def _setup_search(spec, orbit, bases):
     alphabet, moves = [], []
     for face in FACES:
         for rank, depth in enumerate(depths):
+            quarter = bytes(map(local.__getitem__, orbit.read(
+                sticker_permutation(spec, Move(face, depth)))))
+            table = identity
             for q in (1, 2, 3):
-                move = Move(face, depth, q)
-                table = bytes(map(local.__getitem__, orbit.read(
-                    sticker_permutation(spec, move))))
+                table = bytes(map(quarter.__getitem__, table))
                 if table != identity:
-                    moves.append(move)
+                    moves.append(Move(face, depth, q))
                     alphabet.append(((face, rank, q), table))
     return (_class_tables(tuple(alphabet), tuple(bases), orbit.turns),
             dict(enumerate(moves)))
@@ -385,7 +386,6 @@ def _run_orbit(spec, state, orbit, core, bases, targets, cores):
     request = targets(local)
     if not request:
         return (), state
-    # The orbit's alphabet is read only for a stage with work to do.
     search = _setup_search(spec, orbit, bases)
     parts = []
     while request:
