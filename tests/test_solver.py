@@ -264,7 +264,7 @@ def test_stored_core_slots_match_the_words_own_effect(n):
 def _level_word(search, depth, slot):
     '''The level word at slot of an orbit's class, in the orbit's moves.'''
     tables, relabel = search
-    return tuple(relabel[symbol] for symbol in tables.words[depth][slot])
+    return tuple(relabel[i] for i in tables.words[depth][slot])
 
 
 def _find_by_full_realization(search, wanted):
@@ -488,7 +488,7 @@ def test_class_pieces_match_each_orbits_own_level_words(n):
                 expected = local_gathers(spec, orbit.positions, word)
                 assert (gather(stickers), inverse_gather(stickers)) == \
                     tuple(g(stickers) for g in expected)
-                assert tuple(relabel[symbol] for symbol in inverse) == \
+                assert tuple(relabel[i] for i in inverse) == \
                     invert_sequence(word)
 
 
