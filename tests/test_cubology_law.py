@@ -1,5 +1,7 @@
 """Solvability law tests: condition inventory, verdicts, samplers."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -22,10 +24,12 @@ from cubology.cubology_law import (
     random_valid_configuration,
 )
 from cubology.decomposition import (
+    ConfigTuple,
     build_atlas,
     compose,
     decompose,
     permutation_sign,
+    validate_shape,
 )
 from cubology import counting
 
@@ -198,3 +202,105 @@ def test_every_condition_is_a_move_invariant(n, seed):
         after = [(c.condition, c.ok)
                  for c in check_validity(moved).conditions]
         assert after == before
+
+
+# ConfigTuple fields of each family: permutation, then orientations.
+FIELD_NAMES = {
+    'corner': ('corner_perm', 'corner_twists'),
+    'single': ('single_edge_perm', 'single_edge_flips'),
+    'coupled': ('coupled_perms', 'coupled_orientations'),
+    'center_corner': ('center_corner_perms', None),
+    'center_edge': ('center_edge_perms', None),
+}
+
+# A key no cube up to n=7 has, per field.
+ABSENT_KEY = {'coupled_perms': 99, 'coupled_orientations': 99,
+              'center_corner_perms': 99, 'center_edge_perms': (99, 98)}
+
+# sha256 over what validate_shape, compose and check_validity make of
+# malformed ConfigTuples (the error's name and message, or the cube's
+# size, the composed stickers and the verdicts), per size; recorded
+# before compose, the shape checks and the law's signs became
+# table-driven, so every outcome, in the same precedence, stays
+# byte-identical.
+MALFORMED_DIGEST = {
+    2: '685b70e19650ec8b892f2d060034104a61ff043cbfcb87eafa1474e09a01ff44',
+    3: 'c9855db19e5a218c2993934e691c63ca176388d47b14a2bf8e2c0ed0f2778cd9',
+    4: '1ee1418bcba320c1402c6ab5fb8a589e254fbe818eba3f8bddcfdd9a71572c84',
+    5: '0dde62addd3ec7fcb07d0bc64a2c288858d2e909370239f0665e067cff0a0e86',
+    6: '72fc0f97f33f473672cab9f6d8aeb674f9e26e3a187fb0138180808c48e4423f',
+    7: '88c3168d03169a8ae6a6cca5c2947624ebd78123c89359b7668ddb88880791e4',
+}
+
+
+def _replaced(config, orbit, which, value):
+    '''A copy of the tuple with one orbit's permutation (which = 0) or
+    orientation vector (which = 1) replaced; value None drops the entry
+    from a keyed family.'''
+    config = dataclasses.replace(config, **{
+        name: dict(getattr(config, name))
+        for name in ('coupled_perms', 'coupled_orientations',
+                     'center_corner_perms', 'center_edge_perms')})
+    name = FIELD_NAMES[orbit.family][which]
+    if orbit.key is None:
+        setattr(config, name, value)
+    elif value is None:
+        del getattr(config, name)[orbit.key]
+    else:
+        getattr(config, name)[orbit.key] = value
+    return config
+
+
+def _malformed(config):
+    '''Deterministic malformations of a well-formed tuple, orbit by
+    orbit, then one extra entry per field.'''
+    yield dict(vars(config))
+    atlas = build_atlas(CubeSpec(config.n))
+    for orbit in atlas.orbits:
+        perm, orientation = config.orbit_fields(orbit)
+        swapped = (perm[1], perm[0]) + perm[2:]
+        repeated = (perm[0], perm[0]) + perm[2:]
+        for value in (perm[:-1], perm + (len(perm),), repeated, list(perm),
+                      swapped, None):
+            yield _replaced(config, orbit, 0, value)
+        if orientation is None:
+            continue
+        for bad in (orbit.turns, -1, 0.5, 1.0, [0]):
+            yield _replaced(config, orbit, 1, (bad,) + orientation[1:])
+        for value in (orientation[:-1], list(orientation), None):
+            yield _replaced(config, orbit, 1, value)
+    for names in FIELD_NAMES.values():
+        for name in filter(None, names):
+            value = getattr(config, name)
+            if isinstance(value, dict):
+                entry = next(iter(value.values()), (0,) * 24)
+                yield dataclasses.replace(
+                    config, **{name: {**value, ABSENT_KEY[name]: entry}})
+            elif value is None:
+                yield dataclasses.replace(config, **{name: (0,) * 12})
+
+
+def _law_outcomes(config):
+    outcomes = []
+    for function in (validate_shape, compose, check_validity):
+        try:
+            result = function(config)
+        except Exception as error:
+            outcomes.append('%s: %s' % (type(error).__name__, error))
+            continue
+        outcomes.append(result.stickers if function is compose
+                        else repr(result) if function is check_validity
+                        else 'atlas %d' % result.spec.n)
+    return outcomes
+
+
+@pytest.mark.parametrize('n', sorted(MALFORMED_DIGEST))
+def test_malformed_tuples_match_digest(n):
+    digest = hashlib.sha256()
+    for seed in range(2):
+        config = decompose(random_configuration(CubeSpec(n), seed))
+        assert isinstance(config, ConfigTuple)
+        for case in _malformed(config):
+            for outcome in _law_outcomes(case):
+                digest.update(outcome.encode())
+    assert digest.hexdigest() == MALFORMED_DIGEST[n]
