@@ -60,7 +60,7 @@ class ValidityReport:
 def check_validity(config):
     '''Evaluate every applicable law condition on a ConfigTuple.'''
     # validate_shape has checked every permutation, so the signs below
-    # skip checking them again.
+    # skip checking them again; each is taken once.
     atlas = validate_shape(config)
     odd = config.n % 2 == 1
     corner_sign = _sign(config.corner_perm)
@@ -83,8 +83,8 @@ def check_validity(config):
                     % (corner_sign, ', '.join(bad)))))
 
     if config.center_edge_perms:
-        required = required_center_signs(
-            atlas, config.corner_perm, config.coupled_perms)
+        required = required_center_signs(atlas, corner_sign, {
+            i: _sign(perm) for i, perm in config.coupled_perms.items()})
         bad = ['(%d, %d)' % label
                for label, perm in sorted(config.center_edge_perms.items())
                if _sign(perm) != required[label]]
@@ -181,7 +181,8 @@ def random_valid_configuration(spec, seed=None):
                 # Centre orbits come last, after the corner and wing
                 # permutations that fix their signs.
                 required = required_center_signs(
-                    atlas, config.corner_perm, config.coupled_perms)
+                    atlas, _sign(config.corner_perm),
+                    {i: _sign(p) for i, p in config.coupled_perms.items()})
             perm = _signed_perm(rng, size, required[orbit.key])
         else:
             perm = _random_perm(rng, size)

@@ -58,14 +58,22 @@ tuple therefore receive one.
 
 Reading tables. One call, orbit.read(stickers), lists an orbit's
 stickers slot by slot, so the k-th sticker of every slot is
-local[k::turns] of that read. Each Orbit also builds once, for wings,
+local[k::turns] of that read. Each Orbit also builds once shows[h][o],
+the colours a slot shows when it holds home h's piece with orientation
+o, and readings, its inverse for corners and single edges; for wings,
 home_of (the home whose unturned colours a slot shows) and twin (each
-home's mirror twin); for centres, the homes in stable colour order and
-the sorted home colours. A wing orbit is read in one pass over its
-slots and a centre orbit by one stable argsort of its colours. Only a
-read that fails scans the orbit again, to name its first fault: wing
-slot faults in slot order, then wing pair counts in home order, and for
-centres the first colour in sorted order whose count is wrong.
+home's mirror twin); for centres, the homes in stable colour order. A
+wing orbit is read in one pass over its slots and a centre orbit by
+one stable argsort of its colours. Only a read that fails scans the
+orbit again, to name its first fault: wing slot faults in slot order,
+then wing pair counts in home order, and for centres the first colour
+in sorted order whose count is wrong.
+
+compose() writes that layout: per orbit, bytes.maketrans inverts the
+permutation (for centres, straight into the home colours) and shows
+gives each slot's colours; one gather, OrbitAtlas.paint, takes the
+immobile centres' colours and every orbit's, in orbit order, to
+sticker order.
 '''
 
 import functools
@@ -161,13 +169,6 @@ class Slot:
     positions: tuple
     colors: tuple
 
-    @functools.cached_property
-    def rotations(self):
-        '''rotations[o][k]: the position colour k of a piece lands on when
-        it sits in this slot with orientation o.'''
-        p = self.positions
-        return tuple(p[o:] + p[:o] for o in range(len(p)))
-
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
@@ -218,8 +219,8 @@ class Orbit:
 
     @functools.cached_property
     def homes(self):
-        '''Centres: each home's colour, in slot order.'''
-        return tuple(slot.colors[0] for slot in self.slots)
+        '''Centres: each home's colour, in slot order, as one string.'''
+        return ''.join(slot.colors[0] for slot in self.slots)
 
     @functools.cached_property
     def homes_by_color(self):
@@ -228,23 +229,28 @@ class Orbit:
         return tuple(sorted(range(len(homes)), key=homes.__getitem__))
 
     @functools.cached_property
-    def home_colors(self):
-        '''Centres: the home colours, sorted.'''
-        return sorted(self.homes)
+    def shows(self):
+        '''shows[h][o]: the colours a slot shows, in position order, when
+        it holds the piece from home h with orientation o, which paints
+        colour k of the piece onto position (k + o) % turns.'''
+        m = self.turns
+        return tuple(tuple(''.join(slot.colors[m - o:] + slot.colors[:m - o])
+                           for o in range(m)) for slot in self.slots)
 
     @functools.cached_property
     def readings(self):
         '''Colours a slot shows, in position order, mapped to (home slot,
         orientation) of the piece showing them; only meaningful for
         orbits of distinct cubies (corners, single edges).'''
-        out = {}
-        for home, slot in enumerate(self.slots):
-            colors = slot.colors
-            for o in range(self.turns):
-                shown = tuple(colors[(m - o) % self.turns]
-                              for m in range(self.turns))
-                out[shown] = (home, o)
-        return out
+        return {tuple(shown): (home, o)
+                for home, row in enumerate(self.shows)
+                for o, shown in enumerate(row)}
+
+    @functools.cached_property
+    def shape(self):
+        '''(slot count, slot set, orientation set) for validate_shape.'''
+        size = len(self.slots)
+        return size, frozenset(range(size)), frozenset(range(self.turns))
 
 
 class OrbitAtlas:
@@ -290,6 +296,20 @@ class OrbitAtlas:
             raise ValueError('no %s orbit %r on a %d-cube'
                              % (family, key, self.spec.n)) from None
 
+    @functools.cached_property
+    def paint(self):
+        '''(fixed, gather): compose lists the immobile centres' colours,
+        fixed, then every orbit's, in orbit order and as orbit.read lays
+        them out; gather takes that list to sticker order.'''
+        fixed = self.fixed_centers or ()
+        order = [p for p, _ in fixed] + [p for o in self.orbits
+                                         for p in o.positions]
+        if set(range(self.spec.sticker_count)).difference(order):
+            raise AssertionError('reassembly left a position unpainted')
+        where = {p: k for k, p in enumerate(order)}
+        return ''.join(c for _, c in fixed), operator.itemgetter(
+            *map(where.__getitem__, range(self.spec.sticker_count)))
+
     def slot_action(self, perm, orbit):
         '''Slot permutation induced by a sticker permutation on one orbit.
 
@@ -305,6 +325,10 @@ class OrbitAtlas:
                                  % orbit.family)
             images.append(slot_id)
         return tuple(images)
+
+
+# The colours of every centre orbit, sorted: each colour four times.
+_CENTER_COLORS = sorted(COLORS * 4)
 
 
 def _orbit_components(spec):
@@ -406,7 +430,7 @@ def build_atlas(spec):
                     for lead, trail in shown):
                 raise AssertionError('wing twins of %s are not mirror images'
                                      % orbit.name)
-        if orbit.turns == 1 and orbit.home_colors != sorted(COLORS * 4):
+        if orbit.turns == 1 and sorted(orbit.homes) != _CENTER_COLORS:
             raise AssertionError('centre orbit colours are not 6 x 4')
         orbits.append(orbit)
     return OrbitAtlas(spec, orbits, tuple(fixed_centers) or None)
@@ -428,6 +452,8 @@ _FIELDS = {
     'center_corner': ('center_corner_perms', None),
     'center_edge': ('center_edge_perms', None),
 }
+# Every field of a ConfigTuple that holds an entry, read by one call.
+_ENTRIES = operator.attrgetter(*filter(None, sum(_FIELDS.values(), ())))
 
 
 @dataclass
@@ -499,28 +525,27 @@ def identity_tuple(spec):
     return config
 
 
-def required_center_signs(atlas, corner_perm, coupled_perms):
+def required_center_signs(atlas, corner_sign, wing_signs):
     '''Permutation sign the first law demands of each centre orbit, by key.
 
     A diagonal centre orbit must match the corner sign. An off-diagonal
-    orbit (i, j) must match the corner sign times the wing permutation
-    signs at depths i and j, as atlas.sign_sources lists them. The
-    permutations are not checked again: they must be valid.
+    orbit (i, j) must match the corner sign times the wing signs (by
+    depth) at depths i and j, as atlas.sign_sources lists them.
     '''
-    signs = {atlas.orbit('corner'): _sign(corner_perm)}
-    for i, perm in coupled_perms.items():
-        signs[atlas.orbit('coupled', i)] = _sign(perm)
+    signs = {atlas.orbit('corner'): corner_sign}
+    for i, sign in wing_signs.items():
+        signs[atlas.orbit('coupled', i)] = sign
     return {orbit.key: math.prod(map(signs.__getitem__, sources))
             for orbit, sources in atlas.sign_sources.items()}
 
 
-def _check_permutation(perm, orbit):
-    size = len(orbit.slots)
-    if not isinstance(perm, tuple) or len(perm) != size:
-        raise ShapeMismatch('%s permutation must have length %d'
-                            % (orbit.name, size))
-    if sorted(perm) != list(range(size)):
-        raise ShapeMismatch('%s images are not a permutation' % orbit.name)
+def _values(entries):
+    '''set(entries), or {None}, in no slot or orientation set, if one is
+    unhashable.'''
+    try:
+        return set(entries)
+    except TypeError:
+        return {None}
 
 
 def validate_shape(config):
@@ -529,34 +554,33 @@ def validate_shape(config):
     if not isinstance(config, ConfigTuple):
         raise ShapeMismatch('expected a ConfigTuple')
     atlas = build_atlas(CubeSpec(config.n))
-    # Count the entries the tuple holds against those the atlas's orbits
-    # fill, so that an entry for an orbit the cube lacks is caught too.
-    held = 0
-    for names in _FIELDS.values():
-        for name in names:
-            value = getattr(config, name) if name else None
-            held += len(value) if isinstance(value, dict) else (
-                value is not None)
-    filled = 0
+    # Count off the entries the tuple holds as the atlas's orbits fill
+    # them, so that an entry for an orbit the cube lacks is caught too.
+    held = sum(len(value) if isinstance(value, dict) else value is not None
+               for value in _ENTRIES(config))
     for orbit in atlas.orbits:
         try:
             perm, orientation = config.orbit_fields(orbit)
         except (KeyError, IndexError, TypeError):
             raise ShapeMismatch('tuple has no entry for the %s'
                                 % orbit.name) from None
-        _check_permutation(perm, orbit)
-        filled += 1
+        size, slots, turns = orbit.shape
+        if not isinstance(perm, tuple) or len(perm) != size:
+            raise ShapeMismatch('%s permutation must have length %d'
+                                % (orbit.name, size))
+        if _values(perm) != slots:
+            raise ShapeMismatch('%s images are not a permutation'
+                                % orbit.name)
+        held -= 1
         if orbit.turns > 1:
-            size = len(orbit.slots)
-            values = range(orbit.turns)
             if (not isinstance(orientation, tuple)
                     or len(orientation) != size
-                    or any(v not in values for v in orientation)):
+                    or not _values(orientation) <= turns):
                 raise ShapeMismatch('%s orientations must be %d values in '
                                     '0..%d' % (orbit.name, size,
                                                orbit.turns - 1))
-            filled += 1
-    if held != filled:
+            held -= 1
+    if held:
         raise ShapeMismatch('tuple holds entries for orbits a %d-cube lacks'
                             % atlas.spec.n)
     return atlas
@@ -706,14 +730,13 @@ def _wing_fault(local, orbit):
 
 
 def _assign_centers(shown, orbit, required_sign):
-    homes = orbit.home_colors
-    if sorted(shown) != homes:
-        for color in sorted(set(homes)):
-            count, expected = shown.count(color), homes.count(color)
-            if count != expected:
+    if sorted(shown) != _CENTER_COLORS:
+        for color in sorted(COLORS):
+            count = shown.count(color)
+            if count != 4:
                 raise NotAConfiguration(
-                    '%s has %d stickers of colour %s, expected %d'
-                    % (orbit.name, count, color, expected))
+                    '%s has %d stickers of colour %s, expected 4'
+                    % (orbit.name, count, color))
     perm = [None] * len(shown)
     currents = sorted(range(len(shown)), key=shown.__getitem__)
     for home, current in zip(orbit.homes_by_color, currents):
@@ -727,22 +750,18 @@ def _assign_centers(shown, orbit, required_sign):
 def compose(config):
     '''Reassemble the sticker state described by a ConfigTuple.'''
     atlas = validate_shape(config)
-    stickers = [None] * atlas.spec.sticker_count
-    for position, color in atlas.fixed_centers or ():
-        stickers[position] = color
+    fixed, gather = atlas.paint
+    colors = [fixed]
     for orbit in atlas.orbits:
         perm, orientation = config.orbit_fields(orbit)
-        slots = orbit.slots
+        # Slot by slot, the home whose piece the slot holds, or for a
+        # centre orbit that home's colour.
+        size = len(perm)
         if orientation is None:
-            for slot, current in zip(slots, perm):
-                stickers[slots[current].positions[0]] = slot.colors[0]
+            colors.append(bytes.maketrans(bytes(perm), orbit.homes.encode())
+                          [:size].decode())
             continue
-        turns = range(orbit.turns)
-        for slot, current in zip(slots, perm):
-            rotated = slots[current].rotations[orientation[current]]
-            colors = slot.colors
-            for k in turns:
-                stickers[rotated[k]] = colors[k]
-    if any(s is None for s in stickers):
-        raise AssertionError('reassembly left a position unpainted')
-    return CubeState(atlas.spec.n, ''.join(stickers))
+        homes = bytes.maketrans(bytes(perm), bytes(range(size)))[:size]
+        colors += map(operator.getitem, map(orbit.shows.__getitem__, homes),
+                      orientation)
+    return CubeState(atlas.spec.n, ''.join(gather(''.join(colors))))

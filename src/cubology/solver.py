@@ -333,9 +333,11 @@ def _class_tables(alphabet, bases, turns):
 
 @functools.lru_cache(maxsize=None)
 def _setup_search(spec, orbit, bases):
-    '''(class tables, relabel) for the orbit: the tables of its class,
-    keyed by each symbol (face, depth rank, q) with its local table, and
-    the map reading each alphabet index back as this orbit's move. The
+    '''(class tables, relabel, piece) for the orbit: the tables of its
+    class, keyed by each symbol (face, depth rank, q) with its local
+    table, the map reading each alphabet index back as this orbit's
+    move, and piece(depth, slot), the class piece with its words read
+    so, kept from first use. The
     alphabet is every slab move acting on the orbit, in legal_slab_moves
     order; only depth 1 and the depths in orbit.key act. A depth's rank
     among those replaces it in the symbol, so every orbit whose moves
@@ -358,8 +360,15 @@ def _setup_search(spec, orbit, bases):
                 if table != identity:
                     moves.append(Move(face, depth, q))
                     alphabet.append(((face, rank, q), table))
-    return (_class_tables(tuple(alphabet), tuple(bases), orbit.turns),
-            dict(enumerate(moves)))
+    tables = _class_tables(tuple(alphabet), tuple(bases), orbit.turns)
+    relabel = dict(enumerate(moves))
+
+    @functools.lru_cache(maxsize=None)
+    def piece(depth, slot):
+        word, inverse, *gathers = tables.piece(depth, slot)
+        return (*(tuple(map(relabel.__getitem__, w)) for w in (word, inverse)),
+                *gathers)
+    return tables, relabel, piece
 
 
 def _run_sign_alignment(atlas, state):
@@ -401,13 +410,13 @@ def _run_orbit(spec, state, orbit, core, bases, targets, cores):
 
 def _conjugate(search, slots, core, local):
     '''(setup + core + undo, local after that word), where search is
-    the orbit's (class tables, relabel), the setup chains the level
-    words at slots, core is a (word, local gather) pair and local holds
-    the orbit's stickers slot by slot. They are all the word changes:
-    the setup carries every other sticker away and the undo brings it
-    back, while the core, checked in stage_plan, leaves it alone.'''
-    tables, relabel = search
-    pieces = [tables.piece(depth, slot) for depth, slot in enumerate(slots)]
+    what _setup_search gives, the setup chains the level words at slots,
+    core is a (word, local gather) pair and local holds the orbit's
+    stickers slot by slot. They are all the word changes: the setup
+    carries every other sticker away and the undo brings it back, while
+    the core, checked in stage_plan, leaves it alone.'''
+    piece = search[2]
+    pieces = [piece(depth, slot) for depth, slot in enumerate(slots)]
     setup = undo = ()
     for word, _, gather, _ in pieces:
         local = gather(local)
@@ -417,8 +426,7 @@ def _conjugate(search, slots, core, local):
     for _, inverse, _, gather in reversed(pieces):
         local = gather(local)
         undo += inverse
-    move = relabel.__getitem__
-    return (*map(move, setup), *word, *map(move, undo)), local
+    return setup + word + undo, local
 
 
 def _perm_targets(orbit, local):
@@ -435,17 +443,16 @@ def _perm_targets(orbit, local):
 
 def _center_targets(orbit, shown):
     homes = orbit.homes
-    wrong = [k for k in range(24) if shown[k] != homes[k]]
-    if not wrong:
+    wrong = list(map(operator.ne, shown, homes))
+    if True not in wrong:
         return None
-    h = wrong[0]
-    s = next(k for k in wrong if shown[k] == homes[h])
+    h = wrong.index(True)
+    s = next(k for k in range(h + 1, 24) if wrong[k] and shown[k] == homes[h])
     # Third slot: any other wrong slot, or a correct slot whose colour
     # matches what leaves h (that slot then receives its own colour back
     # and stays correct). The latter also covers the two-slot colour
     # swap, which a bare 3-cycle of wrong slots never could.
-    return s, h, [shown[k] != homes[k] or homes[k] == shown[h]
-                  for k in range(24)]
+    return s, h, list(map(operator.or_, wrong, map(shown[h].__eq__, homes)))
 
 
 def _orientation_targets(orbit, local):

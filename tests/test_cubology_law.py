@@ -114,11 +114,13 @@ def test_orbit_class_count_matches_closed_form():
 def test_every_generator_keeps_the_first_law():
     '''Each legal slab quarter turn, read on the slots alone, keeps every
     relation of the first law, for n = 2..30. Every slot's positions land
-    on a rotation r of its image slot's positions; the r sum to 0 mod 3
-    on corners and 0 mod 2 on single edges and are all 0 on wings. The
-    single edges and every diagonal centre orbit move with the corner
-    sign, and an off-diagonal orbit (i, j) with the corner sign times the
-    wing signs at depths i and j, where a central depth adds no factor.
+    on a rotation of its image slot's positions, so its home piece lands
+    there with an orientation r, read from what the image slot then
+    shows; the r sum to 0 mod 3 on corners and 0 mod 2 on single edges
+    and are all 0 on wings. The single edges and every diagonal centre
+    orbit move with the corner sign, and an off-diagonal orbit (i, j)
+    with the corner sign times the wing signs at depths i and j, where a
+    central depth adds no factor.
     Since every reachable state is a product of these turns, this
     certifies the law's necessity exactly.'''
     for n in range(2, 31):
@@ -132,11 +134,14 @@ def test_every_generator_keeps_the_first_law():
             signs = {}
             for orbit, lookup in zip(orbits, slot_of):
                 action, turns = [], []
-                for slot in orbit.slots:
+                for home, slot in enumerate(orbit.slots):
                     moved = tuple(perm[p] for p in slot.positions)
                     image = lookup[frozenset(moved)]
                     action.append(image)
-                    turns.append(orbit.slots[image].rotations.index(moved))
+                    landed = dict(zip(moved, slot.colors))
+                    shown = ''.join(map(landed.__getitem__,
+                                        orbit.slots[image].positions))
+                    turns.append(orbit.shows[home].index(shown))
                 signs[orbit.family, orbit.key] = permutation_sign(action)
                 modulus = {'corner': 3, 'single': 2}.get(orbit.family)
                 if modulus:

@@ -16,18 +16,24 @@ from cubology.cube_model import (
     parse_move_sequence,
     solved_state,
 )
+from cubology import decomposition
 from cubology.decomposition import (
     ConfigTuple,
     NotAConfiguration,
+    Orbit,
+    OrbitAtlas,
     ShapeMismatch,
+    Slot,
     _edge_marking,
     build_atlas,
     compose,
     decompose,
     identity_tuple,
     permutation_sign,
+    validate_shape,
 )
 from cubology.cubology_law import (
+    check_validity,
     random_configuration,
     random_valid_configuration,
 )
@@ -252,6 +258,35 @@ def test_compose_rejects_non_permutation():
         center_edge_perms=good.center_edge_perms)
     with pytest.raises(ShapeMismatch):
         compose(bad)
+
+
+@pytest.mark.parametrize('entry', [[0], 'a', None])
+def test_a_permutation_entry_that_is_no_slot_is_a_shape_mismatch(entry):
+    # Unhashable or unorderable entries included: they are no slot index.
+    good = identity_tuple(CubeSpec(3))
+    bad = ConfigTuple(**{**vars(good),
+                         'corner_perm': (entry,) + good.corner_perm[1:]})
+    for function in (validate_shape, compose, check_validity):
+        with pytest.raises(ShapeMismatch,
+                           match='corners images are not a permutation'):
+            function(bad)
+
+
+def test_compose_rejects_an_atlas_leaving_a_position_unpainted(monkeypatch):
+    # A copy of the 3-cube's atlas whose first corner slot lists one
+    # position twice, so that no slot lists the position it replaced.
+    spec = CubeSpec(3)
+    atlas = build_atlas(spec)
+    corners = atlas.orbit('corner')
+    first = corners.slots[0]
+    a, b, _ = first.positions
+    broken = Orbit('corner', None, (Slot((a, b, b), first.colors),
+                                    *corners.slots[1:]))
+    copy = OrbitAtlas(spec, (broken, *atlas.orbits[1:]),
+                      atlas.fixed_centers)
+    monkeypatch.setattr(decomposition, 'build_atlas', lambda spec: copy)
+    with pytest.raises(AssertionError, match='left a position unpainted'):
+        compose(identity_tuple(spec))
 
 
 def test_atlas_orbit_inventory():

@@ -263,14 +263,14 @@ def test_stored_core_slots_match_the_words_own_effect(n):
 
 def _level_word(search, depth, slot):
     '''The level word at slot of an orbit's class, in the orbit's moves.'''
-    tables, relabel = search
+    tables, relabel, _ = search
     return tuple(relabel[i] for i in tables.words[depth][slot])
 
 
 def _find_by_full_realization(search, wanted):
     '''Realize every wanted key in full, composing whole slot actions
     level by level, and keep the first of least length.'''
-    tables, _ = search
+    tables, _, _ = search
     best = None
     for key in wanted:
         word = ()
@@ -315,7 +315,8 @@ def _choice_by_full_realization(search, request):
 
 
 def _orbit_searches(n):
-    '''(orbit, bases, (class tables, relabel)) per orbit stage of n.'''
+    '''(orbit, bases, (class tables, relabel, relabelled pieces)) per
+    orbit stage of n.'''
     spec = CubeSpec(n)
     orbit_stages = [stage.run.keywords for stage in stage_plan(spec)
                     if hasattr(stage.run, 'keywords')]
@@ -374,7 +375,7 @@ def test_cycle_walk_matches_the_first_minimum_for_every_pair():
     slots admissible, a single seeded one, and a seeded subset."""
     classes = {}
     for n in range(2, 12):
-        for orbit, bases, (tables, _) in _orbit_searches(n):
+        for orbit, bases, (tables, _, _) in _orbit_searches(n):
             if len(bases) == 3:
                 classes.setdefault(id(tables), tables)
     assert len(classes) == 7
@@ -477,7 +478,7 @@ def test_class_pieces_match_each_orbits_own_level_words(n):
     that word inverted."""
     spec = CubeSpec(n)
     for orbit, _, search in _orbit_searches(n):
-        tables, relabel = search
+        tables, relabel, _ = search
         stickers = tuple(range(len(orbit.positions)))
         for depth, actions in enumerate(tables.actions):
             for slot, action in enumerate(actions):

@@ -35,6 +35,14 @@ checkout's src/. It records:
   each pass is followed by about as much of perfbench's reference()
   as REF_SPEED runs in the pass's time, and the pass's seconds are
   scaled by the speed that reached over REF_SPEED;
+* Monte Carlo seconds: estimate_valid_fraction at n = 3 and 2, each
+  MONTE_CARLO_SAMPLES samples from MONTE_CARLO_SEED, the median of
+  three runs, raw and at the reference speed; this is criterion 4's
+  work (draws composed, decomposed and checked by the law) at a
+  fiftieth of its sample count;
+* CLI end to end: `cubology solve --n 17 --seed 1` in a fresh
+  interpreter, its wall seconds from start to exit, including the
+  check by application, the median of three runs;
 * the speed of perfbench/run.py's reference(), a fixed pure-Python
   workload sharing no code with the program, in iterations per second,
   measured before and after the solves, so that files written on
@@ -63,13 +71,17 @@ sys.path.insert(0, os.path.join(ROOT, 'src'))
 sys.path.insert(0, os.path.join(ROOT, 'perfbench'))
 
 COLD_SIZES = (4, 9, 13, 17, 25, 33)
-COLD_RUNS = 3
 WARM_SIZES = (3, 4, 5, 7, 9, 13, 17, 25, 33)
 WARM_SEEDS = range(100, 140)
 LAYER_SIZES = (3, 5, 7, 9)
 LAYER_SEEDS = range(50)
 LAYER_PASSES = 7
 REF_ITERATIONS = 20000
+MONTE_CARLO_SIZES = (3, 2)
+MONTE_CARLO_SAMPLES = 2000
+MONTE_CARLO_SEED = 2026
+CLI_SOLVE = ('solve', '--n', '17', '--seed', '1')
+RUNS = 3
 
 
 def timed(function, spent):
@@ -189,6 +201,38 @@ def layer_calls(n):
     return out
 
 
+def monte_carlo(n):
+    '''Seconds of one fixed estimate_valid_fraction at size n, the median
+    of RUNS runs, raw and at the reference speed.'''
+    from cubology.cube_model import CubeSpec
+    from cubology.group_oracle import estimate_valid_fraction
+
+    seconds, at_ref = [], []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        estimate_valid_fraction(CubeSpec(n), MONTE_CARLO_SAMPLES,
+                                seed=MONTE_CARLO_SEED)
+        seconds.append(time.perf_counter() - start)
+        at_ref.append(at_reference_speed(seconds[-1]))
+    return {'samples': MONTE_CARLO_SAMPLES, 'seed': MONTE_CARLO_SEED,
+            'seconds': statistics.median(seconds),
+            'ref_seconds': statistics.median(at_ref)}
+
+
+def cli_solve():
+    '''Wall seconds of CLI_SOLVE in a fresh interpreter, start to exit,
+    the median of RUNS runs.'''
+    paths = (os.path.join(ROOT, 'src'), os.environ.get('PYTHONPATH'))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    seconds = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, '-m', 'cubology.cli', *CLI_SOLVE],
+                       env=env, capture_output=True, check=True)
+        seconds.append(time.perf_counter() - start)
+    return {'argv': ' '.join(CLI_SOLVE), 'seconds': statistics.median(seconds)}
+
+
 def reference_speed():
     '''Fastest of three runs of perfbench's reference(), iterations/s.'''
     from run import reference
@@ -226,11 +270,13 @@ def main(argv=None):
         runs = [json.loads(subprocess.run(
             [sys.executable, os.path.abspath(__file__), '--cold', str(n)],
             capture_output=True, text=True, check=True).stdout)
-            for _ in range(COLD_RUNS)]
+            for _ in range(RUNS)]
         cold[str(n)] = {key: statistics.median(run[key] for run in runs)
                         for key in runs[0]}
     warm = {str(n): warm_solves(n) for n in WARM_SIZES}
     layers = {str(n): layer_calls(n) for n in LAYER_SIZES}
+    estimates = {str(n): monte_carlo(n) for n in MONTE_CARLO_SIZES}
+    cli = cli_solve()
     result = {
         'label': args.label,
         'git_sha': git('rev-parse', 'HEAD'),
@@ -245,6 +291,8 @@ def main(argv=None):
         'cold_solve': cold,
         'warm_solve': warm,
         'layer_us': layers,
+        'monte_carlo_s': estimates,
+        'cli_solve_s': cli,
     }
     path = os.path.join(args.out, 'BENCH_%s.json' % args.label)
     with open(path, 'w') as handle:
