@@ -43,8 +43,8 @@ stage finding its orbit done reads no alphabet at all. A tuple's
 chained length, the summed length of its level words, depends on the
 class alone, so for each 3-cycle s -> h -> t -> s asked of it a class
 sorts, once, the six rotations of every routing slot t by that length,
-then t; a pass walks this order to the first t its stage admits, the
-first shortest tuple, and realizes it.
+then t, with their level slots; a pass tests each t in turn against its
+stage, to the first admitted, the first shortest tuple, and realizes it.
 
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
@@ -52,12 +52,12 @@ core, as stage_plan() checks once per cube size, fixes every sticker
 outside its orbit. So a stage works in the orbit's own index space, its
 at most 48 stickers laid out slot by slot: it reads them from the state
 with one itemgetter, reads its targets from them, and each pass runs
-them through one gather per chained level word, the core's gather and
-the level words' inverse gathers; they are written back once, when the
-stage is done. Each level word's gathers and inverse word are built
-once per class, on first use, from the symbols' tables over the
-stickers; the core's in stage_plan(). The emitted word is the setup,
-the core and the stored inverses in reverse, read as the orbit's moves.
+them through the outer level words' gathers, one composing the innermost
+level word, the core and that word's inverse, and the outer inverses;
+they are written back once, when the stage is done. Level words'
+gathers and inverses are built on first use once per class, from the
+symbols' tables, composed ones once per orbit. The emitted word is the
+setup, the core and the stored inverses in reverse, as the orbit's moves.
 
 solve() checks every stage's postcondition on what the stage can
 change, through kept reads (see decomposition.kept_read): the whole
@@ -68,8 +68,10 @@ state and builds its tuple only when read.
 
 import functools
 import operator
+import struct
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .cube_model import (
     FACES,
@@ -176,6 +178,12 @@ class _ClassTables:
         self.actions = [[action for _, action in row] for row in rows]
         self._pieces = [[None] * size for _ in levels]
         self._orders = {}
+        if len(levels) == 3:
+            # tails[x][y]: order()'s record less t, r and the level 0
+            # length, for level 1 slot x and level 2 slot z = a1[x][y].
+            (_, l1, l2), a1 = self.lengths, self.actions[1]
+            self._tails = [a and [l1[x] + l2[z] << 24 | x << 8 | z for z in a]
+                           for x, a in enumerate(a1)]
 
     def slots(self, key):
         '''Per level, where the earlier words carry the key's next slot.'''
@@ -184,48 +192,50 @@ class _ClassTables:
             slots.append(rest[0])
             action = actions[rest[0]]
             rest = [action[slot] for slot in rest[1:]]
-        return slots
+        return tuple(slots)
 
     def order(self, s, h):
-        '''Every code t * 6 + r, for a third slot t and the r-th of
-        _rotations(s, h, t), as bytes sorted by (chained length, t, r):
-        each code is scored with its length above its byte, one sort.'''
+        '''(thirds, records): every third slot t and the r-th tuple of
+        _rotations(s, h, t), sorted by (chained length, t, r), as bytes
+        of t and as 4-byte records (length, t, r << 5 | level 1 slot,
+        level 2 slot), each scored as one int for one sort.'''
         order = self._orders.get((s, h))
         if order is None:
-            (l0, l1, l2), (a0, a1, _) = self.lengths, self.actions
+            l0, a0, tails = self.lengths[0], self.actions[0], self._tails
             scored = []
             for t in range(len(l0)):
                 if t == s or t == h:
                     continue
-                for r, (a, b, c) in enumerate(_rotations(s, h, t)):
+                code = t << 16
+                for a, b, c in _rotations(s, h, t):
                     first = a0[a]
-                    b = first[b]
-                    scored.append(l0[a] + l1[b] + l2[a1[b][first[c]]] << 8
-                                  | t * 6 + r)
-            order = self._orders[s, h] = bytes(
-                code & 255 for code in sorted(scored))
+                    scored.append((l0[a] << 24) + code
+                                  + tails[first[b]][first[c]])
+                    code += 1 << 13
+            records = struct.pack('>%dI' % len(scored), *sorted(scored))
+            order = self._orders[s, h] = records[1::4], records
         return order
 
     def choose(self, request):
         '''(key, slots, inverse) for the first requested preimage tuple
         of shortest chained word, the slots its level words are looked
         up at, and whether the inverse core realizes it. A pair request
-        maps keys to that flag; a 3-cycle one, (s, h, admissible), asks
-        for _rotations(s, h, t) of each t with admissible[t], in t order.'''
+        maps keys to that flag; a 3-cycle one, (s, h, admits), asks for
+        _rotations(s, h, t) of each t with admits(t), tested lazily.'''
         if len(self.lengths) == 3:
-            s, h, admissible = request
-            for code in self.order(s, h):
-                if admissible[code // 6]:
+            s, h, admits = request
+            thirds, records = self.order(s, h)
+            for i, t in enumerate(thirds):
+                if admits(t):
                     break
             else:
                 raise AssertionError('a cycle was requested with no targets')
-            t, r = divmod(code, 6)
-            key, inverse = _rotations(s, h, t)[r], r >= 3
-        else:
-            key = min(request, key=lambda key: sum(
-                map(operator.getitem, self.lengths, self.slots(key))))
-            inverse = request[key]
-        return key, self.slots(key), inverse
+            _, _, rb, c = records[4 * i:4 * i + 4]
+            key = _rotations(s, h, t)[rb >> 5]
+            return key, (key[0], rb & 31, c), rb >> 5 >= 3
+        key = min(request, key=lambda key: sum(
+            map(operator.getitem, self.lengths, self.slots(key))))
+        return key, self.slots(key), request[key]
 
     def piece(self, depth, slot):
         '''(word, inverse word, gather, inverse gather) of the level
@@ -237,13 +247,10 @@ class _ClassTables:
             inverse = tuple(map(self._inverses.__getitem__, reversed(word)))
             # A word's gather reads each sticker from where the inverse
             # word sends it.
-            gathers = []
-            for sent in (inverse, word):
-                images = self._identity
-                for index in sent:
-                    images = images.translate(self._tables[index])
-                gathers.append(operator.itemgetter(*images))
-            pieces[slot] = (word, inverse, *gathers)
+            pieces[slot] = (word, inverse, *(
+                operator.itemgetter(*functools.reduce(bytes.translate, map(
+                    self._tables.__getitem__, sent), self._identity))
+                for sent in (inverse, word)))
         return pieces[slot]
 
 
@@ -385,21 +392,20 @@ def _run_sign_alignment(atlas, state):
     return tuple(parts), state
 
 
-def _run_orbit(spec, state, orbit, core, bases, targets, cores):
+def _run_orbit(spec, state, orbit, core, bases, targets, inner):
     '''Conjugate the core by chained setups until targets(local)
     requests nothing, where local holds the orbit's stickers as
     orbit.read gives them; they are written back into the state once,
-    at the end. A request is what _ClassTables.choose takes; cores holds
-    the core word and its inverse, each with its gather over local.'''
+    at the end. A request is what _ClassTables.choose takes.'''
     local = orbit.read(state.stickers)
     request = targets(local)
     if not request:
         return (), state
-    search = _setup_search(spec, orbit, bases)
+    tables, _, piece = _setup_search(spec, orbit, bases)
     parts = []
     while request:
-        _, slots, inverse = search[0].choose(request)
-        word, local = _conjugate(search, slots, cores[inverse], local)
+        _, slots, inverse = tables.choose(request)
+        word, local = _conjugate(piece, inner, slots, inverse, local)
         parts += word
         request = targets(local)
     stickers = list(state.stickers)
@@ -408,25 +414,37 @@ def _run_orbit(spec, state, orbit, core, bases, targets, cores):
     return tuple(parts), CubeState(state.n, ''.join(stickers))
 
 
-def _conjugate(search, slots, core, local):
-    '''(setup + core + undo, local after that word), where search is
-    what _setup_search gives, the setup chains the level words at slots,
-    core is a (word, local gather) pair and local holds the orbit's
-    stickers slot by slot. They are all the word changes: the setup
-    carries every other sticker away and the undo brings it back, while
-    the core, checked in stage_plan, leaves it alone.'''
-    piece = search[2]
-    pieces = [piece(depth, slot) for depth, slot in enumerate(slots)]
-    setup = undo = ()
-    for word, _, gather, _ in pieces:
-        local = gather(local)
-        setup += word
-    word, gather = core
-    local = gather(local)
-    for _, inverse, _, gather in reversed(pieces):
-        local = gather(local)
-        undo += inverse
-    return setup + word + undo, local
+def _inner_pieces(spec, orbit, core):
+    '''inner(slot, inverse): the innermost level word at slot, the core,
+    inverted if inverse, and the level word's undo, composed on first
+    use into one (word, gather over the orbit's local stickers).'''
+    bases, size = core.report.slots, len(orbit.positions)
+    words = core.sequence, invert_sequence(core.sequence)
+    gathers = local_gathers(spec, orbit.positions, core.sequence)
+
+    @functools.lru_cache(maxsize=None)
+    def inner(slot, inverse):
+        word, undo, gather, back = _setup_search(spec, orbit, bases)[2](
+            len(bases) - 1, slot)
+        return word + words[inverse] + undo, operator.itemgetter(
+            *back(gathers[inverse](gather(range(size)))))
+    return inner
+
+
+def _conjugate(piece, inner, slots, inverse, local):
+    '''(setup + core + undo, local after that word), where piece and
+    inner are _setup_search's and _inner_pieces' for the orbit, the
+    setup chains the level words at slots, the core runs inverted if
+    inverse, and local holds the orbit's stickers slot by slot. They
+    are all the word changes: the setup carries every other sticker away
+    and the undo brings it back, while the core, checked in stage_plan,
+    leaves it alone.'''
+    word, gather = inner(slots[-1], inverse)
+    w0, i0, g0, u0 = piece(0, slots[0])
+    if len(slots) == 2:
+        return (*w0, *word, *i0), u0(gather(g0(local)))
+    w1, i1, g1, u1 = piece(1, slots[1])
+    return (*w0, *w1, *word, *i1, *i0), u0(u1(gather(g1(g0(local)))))
 
 
 def _perm_targets(orbit, local):
@@ -434,25 +452,24 @@ def _perm_targets(orbit, local):
     home = next((s for s, image in enumerate(perm) if image != s), None)
     if home is None:
         return None
-    slot = perm[home]
-    # Any third slot above the working home keeps the smallest
-    # unplaced home strictly increasing, so the loop terminates
-    # whether the slot it routes through was placed yet or not.
-    return slot, home, [t > home and t != slot for t in range(len(perm))]
+    # Any third slot above the working home keeps the smallest unplaced
+    # home strictly increasing, so the loop terminates whether the slot
+    # it routes through was placed yet or not; the walk never offers s.
+    return perm[home], home, home.__lt__
 
 
-def _center_targets(orbit, shown):
-    homes = orbit.homes
-    wrong = list(map(operator.ne, shown, homes))
-    if True not in wrong:
+def _center_targets(orbit, local):
+    homes, shown = orbit.homes, ''.join(local)
+    if shown == homes:
         return None
-    h = wrong.index(True)
-    s = next(k for k in range(h + 1, 24) if wrong[k] and shown[k] == homes[h])
-    # Third slot: any other wrong slot, or a correct slot whose colour
-    # matches what leaves h (that slot then receives its own colour back
-    # and stays correct). The latter also covers the two-slot colour
-    # swap, which a bare 3-cycle of wrong slots never could.
-    return s, h, list(map(operator.or_, wrong, map(shown[h].__eq__, homes)))
+    h = next(compress(count(), map(operator.ne, shown, homes)))
+    # Homes list each colour's slots together: s is the first slot past
+    # h's colour to show it. Third slot: any other wrong slot, or a
+    # correct one of the colour leaving h (it gets its colour back), which
+    # covers the two-slot swap a bare 3-cycle of wrong slots never could.
+    color, leaving = homes[h], shown[h]
+    return (shown.find(color, homes.rfind(color) + 1), h,
+            lambda t: shown[t] != homes[t] or homes[t] == leaving)
 
 
 def _orientation_targets(orbit, local):
@@ -523,8 +540,6 @@ def stage_plan(spec):
             if ('rest id', True) not in (c[:2] for c in core.report.checks):
                 raise AssertionError('the core word of the %s moves '
                                      'stickers outside it' % orbit.name)
-            words = (core.sequence, invert_sequence(core.sequence))
-            gathers = local_gathers(spec, orbit.positions, core.sequence)
             stages.append(Stage(
                 name if orbit.key is None else name % orbit.key,
                 lambda state, reads, o=orbit, f=field,
@@ -533,7 +548,7 @@ def stage_plan(spec):
                 functools.partial(
                     _run_orbit, spec, orbit=orbit, core=core,
                     bases=core.report.slots,
-                    cores=tuple(zip(words, gathers)),
+                    inner=_inner_pieces(spec, orbit, core),
                     targets=functools.partial(targets, orbit))))
     return tuple(stages)
 

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import random
@@ -33,6 +34,7 @@ from cubology.decomposition import (
     compose,
     decompose,
     identity_tuple,
+    read_orbit,
 )
 from cubology.solver import (
     NotSolvable,
@@ -284,18 +286,19 @@ def _find_by_full_realization(search, wanted):
     return best
 
 
-def _wanted(request):
+def _wanted(request, size):
     '''A request as the dict of keys it stands for, each mapped to
     whether the inverse core realizes it: for a 3-cycle request
-    (s, h, admissible), the six rotations of the cycle s -> h -> t -> s
-    for every admissible t in increasing order, the core realizing
-    (s, h, t), (h, t, s) and (t, s, h); a pair request is that dict.'''
+    (s, h, admits) over size slots, the six rotations of the cycle
+    s -> h -> t -> s for every t with admits(t), in increasing order,
+    the core realizing (s, h, t), (h, t, s) and (t, s, h); a pair
+    request is that dict.'''
     if isinstance(request, dict):
         return request
-    s, h, admissible = request
+    s, h, admits = request
     wanted = {}
-    for t in range(len(admissible)):
-        if admissible[t] and t not in (s, h):
+    for t in range(size):
+        if t not in (s, h) and admits(t):
             wanted[s, h, t] = wanted[h, t, s] = wanted[t, s, h] = False
             wanted[s, t, h] = wanted[t, h, s] = wanted[h, s, t] = True
     return wanted
@@ -309,7 +312,7 @@ def _setup_word(search, slots):
 def _choice_by_full_realization(search, request):
     '''(key, inverse, setup word) of the first shortest key the request
     stands for, each key realized in full.'''
-    wanted = _wanted(request)
+    wanted = _wanted(request, len(search[0].words[0]))
     key, word = _find_by_full_realization(search, wanted)
     return key, wanted[key], word
 
@@ -327,14 +330,14 @@ def _orbit_searches(n):
 
 
 def _random_request(rng, size, arity):
-    '''A seeded request: a 3-cycle (s, h, admissible) with at least one
+    '''A seeded request: a 3-cycle (s, h, admits) with at least one
     admissible third slot, or a pair dict of random keys.'''
     if arity == 3:
         s, h = rng.sample(range(size), 2)
         admissible = [rng.random() < 0.3 for _ in range(size)]
         admissible[rng.choice([t for t in range(size)
                                if t not in (s, h)])] = True
-        return s, h, admissible
+        return s, h, admissible.__getitem__
     wanted = {}
     for _ in range(rng.randint(1, 64)):
         wanted.setdefault(tuple(rng.sample(range(size), 2)),
@@ -390,13 +393,13 @@ def test_cycle_walk_matches_the_first_minimum_for_every_pair():
                 subsets = [thirds, [rng.choice(thirds)],
                            rng.sample(thirds, rng.randint(1, len(thirds)))]
                 for subset in subsets:
-                    admissible = [t in subset for t in range(size)]
-                    key, slots, inverse = tables.choose((s, h, admissible))
-                    wanted = _wanted((s, h, admissible))
+                    request = s, h, subset.__contains__
+                    key, slots, inverse = tables.choose(request)
+                    wanted = _wanted(request, size)
                     assert (key, inverse) == _first_minimum(tables, wanted)
                     assert slots == tables.slots(key)
         with pytest.raises(AssertionError, match='no targets'):
-            tables.choose((0, 1, [True, True] + [False] * (size - 2)))
+            tables.choose((0, 1, (0, 1).__contains__))
 
 
 @pytest.mark.parametrize('n', range(2, 12))
@@ -432,12 +435,49 @@ def test_composed_cores_match_move_by_move_application(n):
         assert state == solved_state(spec)
 
 
+def _reference_request(orbit, local):
+    """The 3-cycle request a placement stage makes, with its
+    admissibility as a list over every slot: in a centre orbit, by
+    colour, the first wrong slot h, the first later wrong slot s showing
+    h's home colour, and every wrong slot or slot whose home colour is
+    the one leaving h; otherwise the first unplaced home h, the slot s
+    holding its piece, and every slot above h but s."""
+    if orbit.turns == 1:
+        homes = orbit.homes
+        wrong = [shown != home for shown, home in zip(local, homes)]
+        if True not in wrong:
+            return None
+        h = wrong.index(True)
+        s = next(k for k in range(h + 1, len(wrong))
+                 if wrong[k] and local[k] == homes[h])
+        return s, h, [wrong[t] or homes[t] == local[h]
+                      for t in range(len(wrong))]
+    perm, _ = read_orbit(local, orbit)
+    unplaced = [home for home, slot in enumerate(perm) if slot != home]
+    if not unplaced:
+        return None
+    h = unplaced[0]
+    return perm[h], h, [t > h and t != perm[h] for t in range(len(perm))]
+
+
+def _assert_same_request(request, reference, size):
+    """A lazy 3-cycle request stands for the same keys as the list-built
+    reference."""
+    assert (not request) == (reference is None)
+    if request:
+        assert request[:2] == reference[:2]
+        s, h, admissible = reference
+        assert _wanted(request, size) == \
+            _wanted((s, h, admissible.__getitem__), size)
+
+
 @pytest.mark.parametrize('n', range(2, 12))
 def test_orbit_local_conjugates_match_full_application(n):
     """Each pass rewrites only the worked orbit's stickers; once they
     are written back, applying the word it emits, setup + core + undo,
     to the whole state must give the same stickers everywhere, outside
-    the orbit too."""
+    the orbit too. Each 3-cycle request, its admissibility a test the
+    walk calls lazily, stands for the keys of the list-built one."""
     spec = CubeSpec(n)
     passes = 0
     for seed in range(2):
@@ -447,20 +487,24 @@ def test_orbit_local_conjugates_match_full_application(n):
             if args is None:
                 _, state = stage.run(state)
                 continue
-            orbit = args['orbit']
+            orbit, core = args['orbit'], args['core'].sequence
             search = _setup_search(spec, orbit, args['bases'])
             stickers = list(state.stickers)
             local = orbit.read(stickers)
             while True:
                 request = args['targets'](local)
+                if len(args['bases']) == 3:
+                    _assert_same_request(request, _reference_request(
+                        orbit, local), len(orbit.slots))
                 if not request:
                     break
                 _, inverse, setup = _choice_by_full_realization(search,
                                                                 request)
                 _, slots, _ = search[0].choose(request)
-                core = args['cores'][inverse]
-                word, local = solver._conjugate(search, slots, core, local)
-                assert word == setup + core[0] + invert_sequence(setup)
+                word, local = solver._conjugate(
+                    search[2], args['inner'], slots, inverse, local)
+                assert word == setup + (invert_sequence(core) if inverse
+                                        else core) + invert_sequence(setup)
                 for position, sticker in zip(orbit.positions, local):
                     stickers[position] = sticker
                 state = apply_sequence(state, word)
@@ -468,6 +512,51 @@ def test_orbit_local_conjugates_match_full_application(n):
                 passes += 1
         assert state == solved_state(spec)
     assert passes
+
+
+def test_centre_homes_list_each_colour_together():
+    """A centre stage finds its slot s with str.find past the slots of
+    h's colour, which holds only while every centre orbit lists each
+    colour's homes together."""
+    for n in range(4, 18):
+        for orbit in build_atlas(CubeSpec(n)).orbits:
+            if orbit.turns == 1:
+                runs = [color for color, _ in itertools.groupby(orbit.homes)]
+                assert len(runs) == len(set(runs)) == 6
+
+
+@pytest.mark.parametrize('n', range(2, 10))
+def test_composed_inner_gathers_match_the_three_gather_chain(n):
+    """For every orbit stage, innermost slot and core direction, the
+    one composed gather equals the innermost level word's gather, the
+    core's and the level word's inverse gather applied in turn, and its
+    word is the level word, the core and the undo. After 50 seeded
+    solves no orbit holds more than two composed gathers per slot."""
+    spec = CubeSpec(n)
+    plan = stage_plan(spec)[1:]
+    for stage in plan:
+        args = stage.run.keywords
+        orbit, inner = args['orbit'], args['inner']
+        tables, _, piece = _setup_search(spec, orbit, args['bases'])
+        core = args['core'].sequence
+        cores = zip((core, invert_sequence(core)),
+                    local_gathers(spec, orbit.positions, core))
+        stickers = tuple(range(len(orbit.positions)))
+        depth = len(args['bases']) - 1
+        for inverse, (sequence, core_gather) in enumerate(cores):
+            for slot, action in enumerate(tables.actions[depth]):
+                if action is None:
+                    continue
+                word, undo, gather, back = piece(depth, slot)
+                composed_word, composed = inner(slot, bool(inverse))
+                assert composed_word == word + sequence + undo
+                assert composed(stickers) == \
+                    back(core_gather(gather(stickers)))
+    for seed in range(50):
+        solve(random_valid_configuration(spec, seed=seed))
+    for stage in plan:
+        assert stage.run.keywords['inner'].cache_info().currsize <= \
+            2 * len(stage.run.keywords['orbit'].slots)
 
 
 @pytest.mark.parametrize('n', range(2, 14))

@@ -25,9 +25,19 @@ checkout's src/. It records:
   on older heads the per-orbit _SetupChain.choose, or find before
   choose) and in full decompositions of the state (the entry check and
   the sign alignment's postcondition; on heads that check every stage
-  on the whole state, every stage postcondition), and the median ratio
-  of solution length to the certified lower bound
-  gods_number_lower_bound(n).ceiling;
+  on the whole state, every stage postcondition), the median ratio of
+  solution length to the certified lower bound
+  gods_number_lower_bound(n).ceiling, the passes per solve (the calls
+  of that chooser, one per conjugate) and the microseconds per pass at
+  the reference speed (all solve seconds over all passes); then the
+  same states solved once more, when every order they ask for exists,
+  give the repeat median and microseconds per pass at the reference
+  speed;
+* first-request cost of _ClassTables.order at n = 4 and 5: after one
+  solve at the size, each 3-cycle class the size uses builds its order
+  afresh for every (s, h) pair, its kept orders set aside meanwhile;
+  the microseconds per pair, the median of ORDER_PASSES passes, raw
+  and at the reference speed;
 * per-layer microseconds per call of decompose, compose and
   check_validity at n = 3, 5, 7, 9, over the random_configuration
   states of seeds 0..49: the median of seven passes over all of them,
@@ -37,9 +47,10 @@ checkout's src/. It records:
   scaled by the speed that reached over REF_SPEED;
 * Monte Carlo seconds: estimate_valid_fraction at n = 3 and 2, each
   MONTE_CARLO_SAMPLES samples from MONTE_CARLO_SEED, the median of
-  three runs, raw and at the reference speed; this is criterion 4's
-  work (draws composed, decomposed and checked by the law) at a
-  fiftieth of its sample count;
+  MONTE_CARLO_RUNS runs, raw and at the reference speed, with the
+  quartiles at the reference speed; this is criterion 4's work (draws
+  composed, decomposed and checked by the law) at a fiftieth of its
+  sample count;
 * CLI end to end: `cubology solve --n 17 --seed 1` in a fresh
   interpreter, its wall seconds from start to exit, including the
   check by application, the median of three runs;
@@ -80,6 +91,9 @@ REF_ITERATIONS = 20000
 MONTE_CARLO_SIZES = (3, 2)
 MONTE_CARLO_SAMPLES = 2000
 MONTE_CARLO_SEED = 2026
+MONTE_CARLO_RUNS = 25
+ORDER_SIZES = (4, 5)
+ORDER_PASSES = 5
 CLI_SOLVE = ('solve', '--n', '17', '--seed', '1')
 RUNS = 3
 
@@ -150,9 +164,10 @@ def warm_solves(n):
     setattr(owner, chooser, timed(find, in_find))
     solver.decompose = timed(decompose, in_decompose)
     seconds, at_ref, ratios, moves = [], [], [], 0
+    states = [random_valid_configuration(spec, seed=seed)
+              for seed in WARM_SEEDS]
     try:
-        for seed in WARM_SEEDS:
-            state = random_valid_configuration(spec, seed=seed)
+        for state in states:
             start = time.perf_counter()
             trace = solver.solve(state)
             seconds.append(time.perf_counter() - start)
@@ -162,6 +177,12 @@ def warm_solves(n):
     finally:
         setattr(owner, chooser, find)
         solver.decompose = decompose
+    passes = len(in_find)
+    repeat = []
+    for state in states:
+        start = time.perf_counter()
+        solver.solve(state)
+        repeat.append(at_reference_speed(time.perf_counter() - start))
     return {'median_s': statistics.median(seconds), 'worst_s': max(seconds),
             'median_ref_s': statistics.median(at_ref),
             'worst_ref_s': max(at_ref),
@@ -170,7 +191,54 @@ def warm_solves(n):
             'find_share': sum(in_find) / sum(seconds),
             'decompose_share': sum(in_decompose) / sum(seconds),
             'moves_per_bound': statistics.median(ratios),
-            'bound_ceiling': ceiling}
+            'bound_ceiling': ceiling,
+            'passes_per_solve': passes / len(states),
+            'us_per_pass_ref': 1e6 * sum(at_ref) / passes,
+            'repeat_median_ref_s': statistics.median(repeat),
+            'repeat_us_per_pass_ref': 1e6 * sum(repeat) / passes}
+
+
+def order_first_request(n):
+    '''Microseconds per (s, h) pair of _ClassTables.order building a
+    pair's order afresh, over every pair of each 3-cycle class a solve
+    of size n uses, the median of ORDER_PASSES passes, raw and at the
+    reference speed; each class's kept orders are set aside during a
+    pass and put back after it. None on heads without class orders.'''
+    from cubology import solver
+    from cubology.cube_model import CubeSpec
+    from cubology.cubology_law import random_valid_configuration
+
+    if not hasattr(getattr(solver, '_ClassTables', None), 'order'):
+        return None
+    spec = CubeSpec(n)
+    solver.solve(random_valid_configuration(spec, seed=n))
+    classes = {}
+    for stage in solver.stage_plan(spec)[1:]:
+        args = stage.run.keywords
+        if len(args['bases']) == 3:
+            tables = solver._setup_search(spec, args['orbit'],
+                                          args['bases'])[0]
+            classes[id(tables)] = tables
+    pairs = sum(len(t.lengths[0]) * (len(t.lengths[0]) - 1)
+                for t in classes.values())
+    passes, at_ref = [], []
+    for _ in range(ORDER_PASSES):
+        seconds = 0.0
+        for tables in classes.values():
+            kept, tables._orders = tables._orders, {}
+            size = len(tables.lengths[0])
+            start = time.perf_counter()
+            for s in range(size):
+                for h in range(size):
+                    if s != h:
+                        tables.order(s, h)
+            seconds += time.perf_counter() - start
+            tables._orders = kept
+        passes.append(seconds)
+        at_ref.append(at_reference_speed(seconds))
+    return {'classes': len(classes), 'pairs': pairs,
+            'us_per_pair': 1e6 * statistics.median(passes) / pairs,
+            'us_per_pair_ref': 1e6 * statistics.median(at_ref) / pairs}
 
 
 def layer_calls(n):
@@ -203,20 +271,23 @@ def layer_calls(n):
 
 def monte_carlo(n):
     '''Seconds of one fixed estimate_valid_fraction at size n, the median
-    of RUNS runs, raw and at the reference speed.'''
+    of MONTE_CARLO_RUNS runs, raw and at the reference speed, and the
+    quartiles at the reference speed.'''
     from cubology.cube_model import CubeSpec
     from cubology.group_oracle import estimate_valid_fraction
 
     seconds, at_ref = [], []
-    for _ in range(RUNS):
+    for _ in range(MONTE_CARLO_RUNS):
         start = time.perf_counter()
         estimate_valid_fraction(CubeSpec(n), MONTE_CARLO_SAMPLES,
                                 seed=MONTE_CARLO_SEED)
         seconds.append(time.perf_counter() - start)
         at_ref.append(at_reference_speed(seconds[-1]))
+    q1, _, q3 = statistics.quantiles(at_ref, n=4)
     return {'samples': MONTE_CARLO_SAMPLES, 'seed': MONTE_CARLO_SEED,
-            'seconds': statistics.median(seconds),
-            'ref_seconds': statistics.median(at_ref)}
+            'runs': MONTE_CARLO_RUNS, 'seconds': statistics.median(seconds),
+            'ref_seconds': statistics.median(at_ref),
+            'ref_q1': q1, 'ref_q3': q3}
 
 
 def cli_solve():
@@ -274,6 +345,7 @@ def main(argv=None):
         cold[str(n)] = {key: statistics.median(run[key] for run in runs)
                         for key in runs[0]}
     warm = {str(n): warm_solves(n) for n in WARM_SIZES}
+    orders = {str(n): order_first_request(n) for n in ORDER_SIZES}
     layers = {str(n): layer_calls(n) for n in LAYER_SIZES}
     estimates = {str(n): monte_carlo(n) for n in MONTE_CARLO_SIZES}
     cli = cli_solve()
@@ -290,6 +362,7 @@ def main(argv=None):
             'before': speed_before, 'after': reference_speed()},
         'cold_solve': cold,
         'warm_solve': warm,
+        'order_first_request': orders,
         'layer_us': layers,
         'monte_carlo_s': estimates,
         'cli_solve_s': cli,
