@@ -38,11 +38,20 @@ row of exponents evaluated as an integer, as printed digits and as a
 certified logarithm, so the printed digits and the bound's text stay
 byte-identical across that change. The outputs run to tens of thousands
 of digits, so the interpreter's int-to-str limit is lifted around them.
+
+The parse digest pins what parse_move_sequence returns or raises, error
+message and position included, for a seeded corpus of move texts with
+and without each of several cube sizes. The texts follow the grammar,
+nest groups at most four deep and take ASCII depth digits only; they
+also carry stray and missing characters, Unicode whitespace and
+truncations, so every error path is taken. It was recorded before the
+parser became one recursive function.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 import sys
 
 import pytest
@@ -50,7 +59,10 @@ import pytest
 from cubology.cli import main
 from cubology.cube_model import (
     CubeSpec,
+    IllegalDepth,
+    ParseError,
     legal_slab_moves,
+    parse_move_sequence,
     sticker_permutation,
 )
 from cubology.cubology_law import (
@@ -455,6 +467,19 @@ BOUND_GOLDEN = {
         '2c4a4c7ed20b0eb05b2c719b01cb6499d8a9952258c9321d1ad4412c27587f3b',
 }
 
+# sha256 of the repr of every parse outcome over PARSE_TEXTS texts of
+# PARSE_SEED, each parsed without a size and with each of PARSE_SIZES.
+PARSE_GOLDEN = 'efe2bea784332cabccb47488043e0c4efb43e817c6484fd6ac8cc4e86ef17310'
+PARSE_SEED, PARSE_TEXTS, PARSE_SIZES = 1, 8000, (2, 3, 5, 8)
+
+# Each piece of move text is drawn from these, the wrong ones rarely.
+_SPACES = ('', '', ' ', ' ', '  ', '\t', '\n', '\u3000', '\xa0')
+_DEPTHS = ('',) * 30 + ('2', '3', '4', '5', '02', '10', '0', '1')
+_LETTERS = 'UDLRFB' * 10 + 'MES' + "Qx',:]"
+_SUFFIXES = ('', '', '', "'", '2', "2'", '3', "''", "3'")
+_SEPARATORS = ',' * 8 + ':' * 8 + ' ]'
+_CLOSERS = ']' * 24 + ' ,'
+
 SAMPLERS = {sampler.__name__: sampler
             for sampler in (random_configuration, random_valid_configuration)}
 
@@ -475,6 +500,43 @@ def test_sampler_draws_match_golden_digest(sampler, n):
     for seed in range(10):
         digest.update(SAMPLERS[sampler](CubeSpec(n), seed).stickers.encode())
     assert digest.hexdigest() == SAMPLER_GOLDEN[(sampler, n)]
+
+
+def _move_text(rng, nesting=0):
+    parts = []
+    for _ in range(rng.randrange(4)):
+        parts.append(rng.choice(_SPACES))
+        if nesting < 4 and rng.random() < 0.3:
+            parts += ['[', _move_text(rng, nesting + 1),
+                      rng.choice(_SEPARATORS), _move_text(rng, nesting + 1),
+                      rng.choice(_CLOSERS)]
+        else:
+            parts += [rng.choice(_DEPTHS), rng.choice(_LETTERS)]
+        parts.append(rng.choice(_SUFFIXES))
+    parts.append(rng.choice(_SPACES))
+    return ''.join(parts)
+
+
+def _parse_outcome(text, spec):
+    try:
+        return parse_move_sequence(text, spec)
+    except ParseError as error:
+        return ('ParseError', str(error), error.position)
+    except IllegalDepth as error:
+        return ('IllegalDepth', str(error))
+
+
+def test_parse_outcomes_match_golden_digest():
+    rng = random.Random(PARSE_SEED)
+    specs = [None] + [CubeSpec(n) for n in PARSE_SIZES]
+    digest = hashlib.sha256()
+    for _ in range(PARSE_TEXTS):
+        text = _move_text(rng)
+        if rng.random() < 0.1:
+            text = text[:rng.randrange(len(text) + 1)]
+        for spec in specs:
+            digest.update(repr(_parse_outcome(text, spec)).encode())
+    assert digest.hexdigest() == PARSE_GOLDEN
 
 
 def _geometry_rows(kind, n):
