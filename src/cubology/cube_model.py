@@ -16,7 +16,7 @@ Move notation grammar accepted by the parser:
 
     sequence := token (whitespace token)*
     token    := slice | group
-    slice    := [depth] FACE [suffix]      depth is a decimal >= 2
+    slice    := [depth] FACE [suffix]      depth is digits 0-9, >= 2
     FACE     := U | D | L | R | F | B | M | E | S
     suffix   := ' | 2 | 2' | 3
     group    := '[' sequence ',' sequence ']' [suffix]   commutator a b a' b'
@@ -24,13 +24,15 @@ Move notation grammar accepted by the parser:
 
 On a slice token the suffix fixes the quarter-turn count (mod 4, with
 multiples of four dropped); on a group it inverts or repeats the whole
-expansion. Groups nest.
+expansion. Groups nest at most MAX_NESTING deep, and the groups of one
+text expand to at most MAX_EXPANSION moves, each counted at its own level.
 '''
 
 from __future__ import annotations
 
 import functools
 import operator
+import re
 from dataclasses import dataclass
 
 FACES = ('U', 'L', 'F', 'R', 'B', 'D')
@@ -312,142 +314,86 @@ def sequence_permutation(spec, sequence):
 # --- parsing and formatting ------------------------------------------------
 
 
-class _Scanner:
-    def __init__(self, text, spec):
-        self.text = text
-        self.spec = spec
-        self.pos = 0
+MAX_NESTING = 100
+MAX_EXPANSION = 10 ** 5
 
-    def eof(self):
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ''
-
-    def skip_ws(self):
-        while not self.eof() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def fail(self, message, position=None):
-        raise ParseError(message, self.pos if position is None else position)
-
-    def parse_sequence(self, terminators):
-        moves = []
-        while True:
-            self.skip_ws()
-            if self.eof() or self.peek() in terminators:
-                return moves
-            moves.extend(self.parse_token())
-
-    def parse_token(self):
-        if self.peek() == '[':
-            return self.parse_group()
-        return self.parse_slice()
-
-    def read_suffix(self):
-        '''Return quarter-turn count and, for groups, (repeats, inverted).'''
-        ch = self.peek()
-        if ch == "'":
-            self.pos += 1
-            return 3, (1, True)
-        if ch == '2':
-            self.pos += 1
-            if self.peek() == "'":
-                self.pos += 1
-                return 2, (2, True)
-            return 2, (2, False)
-        if ch == '3':
-            self.pos += 1
-            return 3, (3, False)
-        return 1, (1, False)
-
-    def parse_slice(self):
-        start = self.pos
-        depth_text = ''
-        while self.peek().isdigit():
-            depth_text += self.peek()
-            self.pos += 1
-        face = self.peek()
-        if face not in FACES and face not in CENTRAL_LETTERS:
-            self.fail(f'expected a face letter, found {face!r}' if face
-                      else 'expected a face letter, found end of input', start)
-        self.pos += 1
-        if depth_text:
-            depth = int(depth_text)
-            if depth < 2:
-                self.fail('an explicit depth must be at least 2', start)
-        else:
-            depth = 1
-        if face in CENTRAL_LETTERS:
-            if depth_text:
-                self.fail(f'{face} names the central slab and takes no depth', start)
-            if self.spec is None:
-                self.fail(f'{face} needs a known cube size to resolve its depth', start)
-            if self.spec.n % 2 == 0:
-                self.fail(f'{face} only exists on odd cubes', start)
-            depth = (self.spec.n + 1) // 2
-            face = CENTRAL_LETTERS[face]
-        quarter_turns, _ = self.read_suffix()
-        move = Move(face, depth, quarter_turns)
-        if self.spec is not None:
-            move.require_legal(self.spec)
-        return [move]
-
-    def parse_group(self):
-        start = self.pos
-        self.pos += 1  # consume '['
-        first = self.parse_sequence(',:')
-        self.skip_ws()
-        sep = self.peek()
-        if sep not in ',:':
-            self.fail("expected ',' or ':' inside a group", start)
-        self.pos += 1
-        second = self.parse_sequence(']')
-        self.skip_ws()
-        if self.peek() != ']':
-            self.fail("unclosed group, expected ']'", start)
-        self.pos += 1
-        inv_first = [m.inverse() for m in reversed(first)]
-        if sep == ',':
-            inv_second = [m.inverse() for m in reversed(second)]
-            moves = first + second + inv_first + inv_second
-        else:
-            moves = first + second + inv_first
-        _, (repeats, inverted) = self.read_suffix()
-        if inverted:
-            moves = [m.inverse() for m in reversed(moves)]
-        return moves * repeats
+# whitespace, then a token: a slice's depth digits, the character after
+# them and its suffix
+_TOKEN = re.compile(r"\s*([0-9]*)(.?)(2'|['23]?)", re.DOTALL)
+# a suffix as a signed count: quarter turns mod 4 after a slice; after a
+# group, repeats of its expansion, inverted when negative
+_SUFFIX_COUNT = {'': 1, "'": -1, '2': 2, "2'": -2, '3': 3}
 
 
 def parse_move_sequence(text, spec=None):
     '''Parse move text into a flat tuple of Moves (groups are expanded).
 
     With a spec, slab depths are legality-checked (IllegalDepth) and the
-    central letters M/E/S resolve; without one they are a ParseError.
+    central letters M/E/S resolve; without one they are a ParseError. A
+    group past MAX_NESTING or MAX_EXPANSION is a ParseError at its '['.
     '''
-    scanner = _Scanner(text, spec)
-    moves = scanner.parse_sequence('')
-    scanner.skip_ws()
-    if not scanner.eof():
-        scanner.fail(f'unexpected character {scanner.peek()!r}')
-    return tuple(moves)
+    room = MAX_EXPANSION
+
+    def sequence(pos, stops, nesting):
+        '''The moves from pos up to the end of input or a character in
+        stops, and the token of that character.'''
+        nonlocal room
+        moves = []
+        while True:
+            token = _TOKEN.match(text, pos)
+            start, (digits, letter, suffix) = token.start(1), token.groups()
+            pos, count = token.end(), _SUFFIX_COUNT[suffix]
+            # '' is in every stops: the end of input ends each sequence
+            if not digits and letter in stops:
+                return tuple(moves), token
+            if not digits and letter == '[':
+                if nesting == MAX_NESTING:
+                    raise ParseError(f'groups nest deeper than {MAX_NESTING} levels', start)
+                first, stop = sequence(start + 1, ',:', nesting + 1)
+                # at the end of input the second half stops there too
+                second, close = sequence(stop.start(2) + 1, ']', nesting + 1)
+                if close.group(2) != ']':
+                    raise ParseError("unclosed group, expected ']'", start)
+                pos, count = close.end(), _SUFFIX_COUNT[close.group(3)]
+                undo = invert_sequence(second) if stop.group(2) == ',' else ()
+                word = first + second + invert_sequence(first) + undo
+                room -= len(word) * abs(count)
+                if room < 0:
+                    raise ParseError(f'groups expand past {MAX_EXPANSION} moves', start)
+                moves += (invert_sequence(word) if count < 0 else word) * abs(count)
+                continue
+            if letter not in FACES and letter not in CENTRAL_LETTERS:
+                raise ParseError('expected a face letter, found '
+                                 + (repr(letter) if letter else 'end of input'), start)
+            if digits and int(digits) < 2:
+                raise ParseError('an explicit depth must be at least 2', start)
+            face, depth = letter, int(digits or 1)
+            if letter in CENTRAL_LETTERS:
+                why = ('names the central slab and takes no depth' if digits else
+                       'needs a known cube size to resolve its depth' if spec is None else
+                       'only exists on odd cubes' if spec.central_depth is None else '')
+                if why:
+                    raise ParseError(f'{letter} {why}', start)
+                face, depth = CENTRAL_LETTERS[letter], spec.central_depth
+            move = Move(face, depth, count % 4)
+            if spec is not None:
+                move.require_legal(spec)
+            moves.append(move)
+
+    return sequence(0, '', 0)[0]
 
 
 _SUFFIX = {1: '', 2: '2', 3: "'"}
 
 
-def format_move(move, spec=None):
-    if spec is not None and spec.central_depth == move.depth:
-        for letter, face in CENTRAL_LETTERS.items():
-            if face == move.face:
-                return letter + _SUFFIX[move.quarter_turns]
+def format_move(move):
     depth_text = '' if move.depth == 1 else str(move.depth)
     return depth_text + move.face + _SUFFIX[move.quarter_turns]
 
 
-def format_move_sequence(sequence, spec=None):
+def format_move_sequence(sequence):
     '''Space-separated token text; parse(format(seq)) returns seq unchanged.'''
-    return ' '.join(format_move(m, spec) for m in sequence)
+    return ' '.join(map(format_move, sequence))
 
 
 # --- rendering and serialisation -------------------------------------------

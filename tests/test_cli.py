@@ -144,6 +144,14 @@ def test_parse_errors_exit_one_with_the_error_name(capsys):
     assert err.startswith('IllegalDepth:')
 
 
+@pytest.mark.parametrize('moves', ['[R:' * 400 + 'U' + ']' * 400,
+                                   '[R,' * 18 + 'U' + ']' * 18, '\u00b2R'])
+def test_deep_exploding_or_unicode_move_text_exits_one(capsys, moves):
+    code, _, err = run(capsys, ['validate', '--n', '3', '--moves', moves])
+    assert code == 1
+    assert err.startswith('ParseError:')
+
+
 def test_uncancelled_central_slab_turns_are_domain_errors(capsys):
     for command in ('validate', 'solve', 'decompose'):
         code, _, err = run(capsys, [command, '--n', '3', '--moves', 'M'])

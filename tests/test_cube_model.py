@@ -10,6 +10,7 @@ from cubology.cube_model import (
     CubeSpec,
     CubeState,
     IllegalDepth,
+    MAX_NESTING,
     Move,
     ParseError,
     apply_move,
@@ -209,6 +210,30 @@ def test_parse_errors_carry_positions():
         parse_move_sequence('[R, U', spec)
     with pytest.raises(ParseError):
         parse_move_sequence('0R', spec)
+
+
+def test_deep_or_exploding_groups_are_parse_errors():
+    spec = CubeSpec(3)
+    deepest = '[R:' * MAX_NESTING + 'U' + ']' * MAX_NESTING
+    assert len(parse_move_sequence(deepest, spec)) == 2 * MAX_NESTING + 1
+    with pytest.raises(ParseError) as err:
+        parse_move_sequence('[R:' * 400 + 'U' + ']' * 400, spec)
+    assert err.value.position == 3 * MAX_NESTING  # the first '[' too deep
+    # 18 nested commutators would expand to 786,430 moves
+    with pytest.raises(ParseError) as err:
+        parse_move_sequence('[R,' * 18 + 'U' + ']' * 18, spec)
+    assert 'expand past' in str(err.value)
+    assert err.value.position % 3 == 0
+    # the limit is on groups: plain move text of any length parses
+    assert len(parse_move_sequence('R ' * 100_000, spec)) == 100_000
+
+
+@pytest.mark.parametrize('text', ['\u00b2R', '\u0663R'])
+def test_slice_depth_takes_ascii_digits_only(text):
+    with pytest.raises(ParseError) as err:
+        parse_move_sequence(text, CubeSpec(5))
+    assert str(err.value) == \
+        f'expected a face letter, found {text[0]!r} (at position 0)'
 
 
 def test_central_letter_rejected_on_even_cubes():

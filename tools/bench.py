@@ -21,15 +21,13 @@ checkout's src/. It records:
   layers below), the microseconds per emitted move (all solve seconds
   over all moves, raw and at the reference speed), the shares of the
   solve seconds spent choosing setups in _ClassTables.choose (for a
-  3-cycle, the walk of its class's order and that order's first build;
-  on older heads the per-orbit _SetupChain.choose, or find before
-  choose) and in full decompositions of the state (the entry check and
-  the sign alignment's postcondition; on heads that check every stage
-  on the whole state, every stage postcondition), the median ratio of
-  solution length to the certified lower bound
-  gods_number_lower_bound(n).ceiling, the passes per solve (the calls
-  of that chooser, one per conjugate) and the microseconds per pass at
-  the reference speed (all solve seconds over all passes); then the
+  3-cycle, the walk of its class's order and that order's first build)
+  and in full decompositions of the state (the entry check and the sign
+  alignment's postcondition), the median ratio of solution length to
+  the certified lower bound gods_number_lower_bound(n).ceiling, the
+  passes per solve (the calls of that chooser, one per conjugate) and
+  the microseconds per pass at the reference speed (all solve seconds
+  over all passes); then the
   same states solved once more, when every order they ask for exists,
   give the repeat median and microseconds per pass at the reference
   speed;
@@ -137,12 +135,10 @@ def cold_solve(n):
     start = time.perf_counter()
     solver.solve(state)
     elapsed = time.perf_counter() - start
-    # One breadth-first pass fills each class's tables; a head without
-    # shared class tables runs one pass per orbit.
-    passes = getattr(solver, '_class_tables', chains).cache_info().misses
+    # One breadth-first pass fills each class's tables.
     return {'solve_s': elapsed, 'chain_build_s': sum(spent),
             'chains_built': chains.cache_info().misses,
-            'breadth_first_passes': passes}
+            'breadth_first_passes': solver._class_tables.cache_info().misses}
 
 
 def warm_solves(n):
@@ -154,14 +150,9 @@ def warm_solves(n):
     spec = CubeSpec(n)
     solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
-    # choose walks the class orders, or, on older heads, scores every
-    # key; heads before the class tables chose setups on the per-orbit
-    # _SetupChain, and heads before choose in find.
-    owner = getattr(solver, '_SetupChain', None) or solver._ClassTables
-    chooser = 'choose' if hasattr(owner, 'choose') else 'find'
-    find, decompose = getattr(owner, chooser), solver.decompose
-    in_find, in_decompose = [], []
-    setattr(owner, chooser, timed(find, in_find))
+    choose, decompose = solver._ClassTables.choose, solver.decompose
+    in_choose, in_decompose = [], []
+    solver._ClassTables.choose = timed(choose, in_choose)
     solver.decompose = timed(decompose, in_decompose)
     seconds, at_ref, ratios, moves = [], [], [], 0
     states = [random_valid_configuration(spec, seed=seed)
@@ -175,9 +166,9 @@ def warm_solves(n):
             ratios.append(len(trace.total) / ceiling)
             moves += len(trace.total)
     finally:
-        setattr(owner, chooser, find)
+        solver._ClassTables.choose = choose
         solver.decompose = decompose
-    passes = len(in_find)
+    passes = len(in_choose)
     repeat = []
     for state in states:
         start = time.perf_counter()
@@ -188,7 +179,7 @@ def warm_solves(n):
             'worst_ref_s': max(at_ref),
             'us_per_move': 1e6 * sum(seconds) / moves,
             'us_per_move_ref': 1e6 * sum(at_ref) / moves,
-            'find_share': sum(in_find) / sum(seconds),
+            'find_share': sum(in_choose) / sum(seconds),
             'decompose_share': sum(in_decompose) / sum(seconds),
             'moves_per_bound': statistics.median(ratios),
             'bound_ceiling': ceiling,
@@ -203,13 +194,11 @@ def order_first_request(n):
     pair's order afresh, over every pair of each 3-cycle class a solve
     of size n uses, the median of ORDER_PASSES passes, raw and at the
     reference speed; each class's kept orders are set aside during a
-    pass and put back after it. None on heads without class orders.'''
+    pass and put back after it.'''
     from cubology import solver
     from cubology.cube_model import CubeSpec
     from cubology.cubology_law import random_valid_configuration
 
-    if not hasattr(getattr(solver, '_ClassTables', None), 'order'):
-        return None
     spec = CubeSpec(n)
     solver.solve(random_valid_configuration(spec, seed=n))
     classes = {}
