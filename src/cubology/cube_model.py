@@ -342,7 +342,6 @@ def parse_move_sequence(text, spec=None):
         while True:
             token = _TOKEN.match(text, pos)
             start, (digits, letter, suffix) = token.start(1), token.groups()
-            pos, count = token.end(), _SUFFIX_COUNT[suffix]
             # '' is in every stops: the end of input ends each sequence
             if not digits and letter in stops:
                 return tuple(moves), token
@@ -375,10 +374,11 @@ def parse_move_sequence(text, spec=None):
                 if why:
                     raise ParseError(f'{letter} {why}', start)
                 face, depth = CENTRAL_LETTERS[letter], spec.central_depth
-            move = Move(face, depth, count % 4)
+            move = Move(face, depth, _SUFFIX_COUNT[suffix] % 4)
             if spec is not None:
                 move.require_legal(spec)
             moves.append(move)
+            pos = token.end()
 
     return sequence(0, '', 0)[0]
 

@@ -220,10 +220,11 @@ def test_deep_or_exploding_groups_are_parse_errors():
         parse_move_sequence('[R:' * 400 + 'U' + ']' * 400, spec)
     assert err.value.position == 3 * MAX_NESTING  # the first '[' too deep
     # 18 nested commutators would expand to 786,430 moves
+    exploding = '[R,' * 18 + 'U' + ']' * 18
     with pytest.raises(ParseError) as err:
-        parse_move_sequence('[R,' * 18 + 'U' + ']' * 18, spec)
+        parse_move_sequence(exploding, spec)
     assert 'expand past' in str(err.value)
-    assert err.value.position % 3 == 0
+    assert exploding[err.value.position] == '['
     # the limit is on groups: plain move text of any length parses
     assert len(parse_move_sequence('R ' * 100_000, spec)) == 100_000
 
