@@ -46,6 +46,13 @@ nest groups at most four deep and take ASCII depth digits only; they
 also carry stray and missing characters, Unicode whitespace and
 truncations, so every error path is taken. It was recorded before the
 parser became one recursive function.
+
+The CLI-document digest pins the plain and --json output and the exit
+code of scramble, validate, solve, decompose and render (plain and
+--ansi) for n=2..5 and two seeds, of count for every --what and bound
+with and without --tuned for n=2..5, and of order by formula for n=2..9
+and by both methods for n=2 and 3. It was recorded before every --json
+document began taking its schema and size from one writer.
 """
 
 import contextlib
@@ -472,6 +479,11 @@ BOUND_GOLDEN = {
 PARSE_GOLDEN = 'efe2bea784332cabccb47488043e0c4efb43e817c6484fd6ac8cc4e86ef17310'
 PARSE_SEED, PARSE_TEXTS, PARSE_SIZES = 1, 8000, (2, 3, 5, 8)
 
+# sha256 of every command line _cli_document_argvs lists, each plain and
+# under --json: the argv and exit code, then the output.
+CLI_DOCUMENT_GOLDEN = \
+    '751740d5df38c7304adf631270fa9d60fca9e7a616b17ce3bb509e492dacf00a'
+
 # Each piece of move text is drawn from these, the wrong ones rarely.
 _SPACES = ('', '', ' ', ' ', '  ', '\t', '\n', '\u3000', '\xa0')
 _DEPTHS = ('',) * 30 + ('2', '3', '4', '5', '02', '10', '0', '1')
@@ -608,3 +620,34 @@ def test_bound_matches_golden_digest(kind, n):
     digest = _cli_digest(['bound', '--n', str(n), '--json']
                          + (['--tuned'] if kind == 'tuned' else []))
     assert digest == BOUND_GOLDEN[(kind, n)]
+
+
+def _cli_document_argvs():
+    '''Every command line the CLI-document digest covers, before --json.'''
+    for n in map(str, range(2, 6)):
+        for seed in ('1', '2'):
+            for command in ('scramble', 'validate', 'solve', 'decompose',
+                            'render'):
+                yield [command, '--n', n, '--seed', seed]
+            yield ['render', '--n', n, '--seed', seed, '--ansi']
+        for what in ('s_conf', 'orbits', 'group', 's_phys', 'bound',
+                     'tuned-bound'):
+            yield ['count', '--n', n, '--what', what]
+        yield ['bound', '--n', n]
+        yield ['bound', '--n', n, '--tuned']
+    for n in range(2, 10):
+        yield ['order', '--n', str(n), '--method', 'formula']
+    for n in (2, 3):
+        yield ['order', '--n', str(n), '--method', 'both']
+
+
+def test_cli_documents_match_golden_digest():
+    digest = hashlib.sha256()
+    for argv in _cli_document_argvs():
+        for form in ([], ['--json']):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv + form)
+            digest.update(repr((argv + form, code)).encode())
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == CLI_DOCUMENT_GOLDEN

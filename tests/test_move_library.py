@@ -1,5 +1,7 @@
 """Macro library tests: frozen cycle structures and contract checks."""
 
+import hashlib
+
 import pytest
 
 from cubology.cube_model import (
@@ -27,6 +29,11 @@ from cubology.move_library import (
 )
 
 NAMED_MOVE_COUNTS = {2: 2, 3: 4, 4: 5, 5: 7, 6: 10, 7: 12}
+
+# sha256 of the repr of every call in _builder_grid for n=2..10 with its
+# outcome: the NamedMove it returns, or the name of the error it raises.
+BUILDER_GRID_GOLDEN = \
+    '8c68162b68bcda643a9abdb91e7fb1b8222b6f2d59792b10673a727988732bb6'
 
 
 def slot_cycle(spec, named, family, key=None):
@@ -213,3 +220,39 @@ def test_all_named_moves_inventory():
             report = verify_cycle_structure(
                 CubeSpec(n), named.sequence, named.expected_effect)
             assert report.ok, (n, named.name, report.failing())
+
+
+def _builder_grid(n):
+    '''The indexed builders called with indices -1..n+1, each call with
+    the (family, key) of the orbit it names.'''
+    indices = range(-1, n + 2)
+    for i in indices:
+        yield coupled_edge_three_cycle, (i,), ('coupled', i)
+        yield coupled_edge_parity_move, (i,), ('coupled', i)
+        for j in indices:
+            yield center_three_cycle, (i, j), (
+                ('center_corner', i) if i == j else ('center_edge', (i, j)))
+
+
+def test_builders_fail_exactly_where_the_atlas_has_no_orbit():
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        spec = CubeSpec(n)
+        atlas = build_atlas(spec)
+        for builder, indices, (family, key) in _builder_grid(n):
+            try:
+                atlas.orbit(family, key)
+                expected = None
+            except ValueError:
+                expected = IndexOutOfRange
+            if builder is coupled_edge_parity_move and n % 2:
+                expected = OddCube
+            call = (n, builder.__name__, indices)
+            try:
+                outcome = builder(spec, *indices)
+            except (IndexOutOfRange, OddCube) as error:
+                assert type(error) is expected, call
+                outcome = type(error).__name__
+            assert expected is None or isinstance(outcome, str), call
+            digest.update(repr((call, outcome)).encode())
+    assert digest.hexdigest() == BUILDER_GRID_GOLDEN
