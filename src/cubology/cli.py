@@ -42,12 +42,11 @@ class _UsageError(Exception):
     pass
 
 
-def _schema(command):
-    return 'cubology/%s/v1' % command
-
-
-def _emit(document):
-    print(json.dumps(document, indent=2))
+def _emit(args, n, **fields):
+    '''Print the --json document of args.command: its schema and n, then
+    fields in order.'''
+    print(json.dumps({'schema': 'cubology/%s/v1' % args.command, 'n': n,
+                      **fields}, indent=2))
 
 
 def _require_n(args):
@@ -99,7 +98,7 @@ def _cmd_scramble(args):
     if args.seed is None:
         raise _UsageError('scramble needs --seed for reproducibility')
     state = _scramble_state(spec, args.seed, args.length)
-    _emit(state_to_json_dict(state))
+    print(json.dumps(state_to_json_dict(state), indent=2))
     return 0
 
 
@@ -107,11 +106,9 @@ def _cmd_validate(args):
     state = _input_state(args)
     report = check_validity(decompose(state))
     if args.json:
-        _emit({'schema': _schema('validate'), 'n': state.n,
-               'valid': report.valid,
-               'conditions': [{'condition': c.condition, 'ok': c.ok,
-                               'detail': c.detail}
-                              for c in report.conditions]})
+        _emit(args, state.n, valid=report.valid,
+              conditions=[{'condition': c.condition, 'ok': c.ok,
+                           'detail': c.detail} for c in report.conditions])
     else:
         for c in report.conditions:
             line = '%-22s %s' % (c.condition, 'pass' if c.ok else 'FAIL')
@@ -136,9 +133,9 @@ def _cmd_solve(args):
                            'length': len(sequence),
                            'cumulative': cumulative,
                            'tuple_after': config.to_json_dict()})
-        _emit({'schema': _schema('solve'), 'n': trace.n, 'stages': stages,
-               'total': format_move_sequence(trace.total),
-               'total_length': len(trace.total), 'verified': solved})
+        _emit(args, trace.n, stages=stages,
+              total=format_move_sequence(trace.total),
+              total_length=len(trace.total), verified=solved)
     else:
         for name, sequence, _state in trace.steps:
             cumulative += len(sequence)
@@ -149,26 +146,32 @@ def _cmd_solve(args):
     return 0 if solved else 1
 
 
+def _lower_bound(spec, args, tuned):
+    '''The tuned or plain lower bound at the requested precision.'''
+    bound = tuned_lower_bound if tuned else gods_number_lower_bound
+    return bound(spec.n, args.precision)
+
+
+def _bound_fields(spec, result):
+    '''The fields every --json document of a lower bound ends with.'''
+    return {'bound': str(result.bound), 'precision': result.precision,
+            's_phys': count_digits('s_phys', spec.n),
+            'basic_move_count': result.basic_move_count}
+
+
 def _cmd_count(args):
     spec = _require_n(args)
     if args.what not in ('bound', 'tuned-bound'):
         value = count_digits(args.what, spec.n)
         if args.json:
-            _emit({'schema': _schema('count'), 'n': spec.n,
-                   'what': args.what, 'value': value})
+            _emit(args, spec.n, what=args.what, value=value)
         else:
             print(value)
         return 0
-    if args.what == 'bound':
-        result = gods_number_lower_bound(spec.n, args.precision)
-    else:
-        result = tuned_lower_bound(spec.n, args.precision)
+    result = _lower_bound(spec, args, args.what == 'tuned-bound')
     if args.json:
-        _emit({'schema': _schema('count'), 'n': spec.n, 'what': args.what,
-               'value': str(result.ceiling), 'bound': str(result.bound),
-               'precision': result.precision,
-               's_phys': count_digits('s_phys', spec.n),
-               'basic_move_count': result.basic_move_count})
+        _emit(args, spec.n, what=args.what, value=str(result.ceiling),
+              **_bound_fields(spec, result))
     else:
         print('%d (bound %s at %d digits)'
               % (result.ceiling, _format_bound(result.bound),
@@ -190,9 +193,8 @@ def _cmd_order(args):
         oracle = str(schreier_sims_order(generators(spec)))
     match = formula == oracle if args.method == 'both' else None
     if args.json:
-        _emit({'schema': _schema('order'), 'n': spec.n,
-               'method': args.method, 'formula': formula,
-               'oracle': oracle, 'match': match})
+        _emit(args, spec.n, method=args.method, formula=formula,
+              oracle=oracle, match=match)
     else:
         if formula is not None:
             print('formula: %s' % formula)
@@ -205,18 +207,11 @@ def _cmd_order(args):
 
 def _cmd_bound(args):
     spec = _require_n(args)
-    if args.tuned:
-        result = tuned_lower_bound(spec.n, args.precision)
-        kind = 'tuned'
-    else:
-        result = gods_number_lower_bound(spec.n, args.precision)
-        kind = 'plain'
+    result = _lower_bound(spec, args, args.tuned)
+    kind = 'tuned' if args.tuned else 'plain'
     if args.json:
-        _emit({'schema': _schema('bound'), 'n': spec.n, 'kind': kind,
-               'ceiling': result.ceiling, 'bound': str(result.bound),
-               'precision': result.precision,
-               's_phys': count_digits('s_phys', spec.n),
-               'basic_move_count': result.basic_move_count})
+        _emit(args, spec.n, kind=kind, ceiling=result.ceiling,
+              **_bound_fields(spec, result))
     else:
         print('n=%d: no solver beats %d moves in the worst case'
               % (spec.n, result.ceiling))
@@ -232,12 +227,11 @@ def _cmd_verify_moves(args):
     spec = _require_n(args)
     moves = all_named_moves(spec)
     if args.json:
-        _emit({'schema': _schema('verify-moves'), 'n': spec.n,
-               'moves': [{'name': named.name,
-                          'descriptor': named.expected_effect.describe(),
-                          'ok': named.report.ok}
-                         for named in moves],
-               'all_ok': True})
+        _emit(args, spec.n,
+              moves=[{'name': named.name,
+                      'descriptor': named.expected_effect.describe(),
+                      'ok': named.report.ok} for named in moves],
+              all_ok=True)
     else:
         for named in moves:
             print('%-26s n=%d  %-40s pass'
@@ -248,8 +242,7 @@ def _cmd_verify_moves(args):
 def _cmd_render(args):
     state = _input_state(args)
     if args.json:
-        _emit({'schema': _schema('render'), 'n': state.n,
-               'lines': render_net(state).splitlines()})
+        _emit(args, state.n, lines=render_net(state).splitlines())
     else:
         print(render_net(state, ansi=args.ansi))
     return 0
@@ -257,10 +250,9 @@ def _cmd_render(args):
 
 def _cmd_decompose(args):
     state = _input_state(args)
-    config = decompose(state)
-    document = config.to_json_dict()
+    document = decompose(state).to_json_dict()
     if args.json:
-        _emit({'schema': _schema('decompose'), **document})
+        _emit(args, **document)
     else:
         for key, value in document.items():
             print('%s: %s' % (key, json.dumps(value)))

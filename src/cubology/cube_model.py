@@ -128,11 +128,6 @@ class CubeState:
         n = self.n
         return self.stickers[FACE_ORDINAL[face] * n * n + row * n + col]
 
-    def __getitem__(self, index):
-        '''The sticker at an index, so that a state reads like its
-        sticker string or a mutable list of its stickers.'''
-        return self.stickers[index]
-
 
 def sticker_index(n, face, row, col):
     return FACE_ORDINAL[face] * n * n + row * n + col
@@ -196,7 +191,11 @@ def sticker_position(spec, index):
 
 
 @functools.lru_cache(maxsize=None)
-def _quarter_turn_permutation(n, face, depth):
+def _move_permutation(n, face, depth, quarter_turns):
+    if quarter_turns > 1:
+        # one more quarter turn after the cached quarter_turns - 1
+        before = _move_permutation(n, face, depth, quarter_turns - 1)
+        return operator.itemgetter(*before)(_move_permutation(n, face, depth, 1))
     placement, lookup = _geometry(n)
     normal = FACE_NORMAL[face]
     axis = next(k for k in range(3) if normal[k])
@@ -207,15 +206,6 @@ def _quarter_turn_permutation(n, face, depth):
         if cell[axis] == level:
             perm[src] = lookup[(_turn(cell, normal), _turn(direction, normal))]
     return tuple(perm)
-
-
-@functools.lru_cache(maxsize=None)
-def _move_permutation(n, face, depth, quarter_turns):
-    base = _quarter_turn_permutation(n, face, depth)
-    perm = base
-    for _ in range(quarter_turns - 1):
-        perm = tuple(base[p] for p in perm)
-    return perm
 
 
 def sticker_permutation(spec, move):
@@ -364,9 +354,12 @@ def parse_move_sequence(text, spec=None):
             if letter not in FACES and letter not in CENTRAL_LETTERS:
                 raise ParseError('expected a face letter, found '
                                  + (repr(letter) if letter else 'end of input'), start)
-            if digits and int(digits) < 2:
+            try:
+                face, depth = letter, int(digits or 1)
+            except ValueError:  # past the interpreter's int digit limit
+                raise ParseError('the depth has too many digits', start) from None
+            if digits and depth < 2:
                 raise ParseError('an explicit depth must be at least 2', start)
-            face, depth = letter, int(digits or 1)
             if letter in CENTRAL_LETTERS:
                 why = ('names the central slab and takes no depth' if digits else
                        'needs a known cube size to resolve its depth' if spec is None else
@@ -414,19 +407,13 @@ def render_net(state, ansi=False):
     '''
     n = state.n
     pad = ' ' * (n + 1)
-    lines = []
-    for r in range(n):
-        lines.append(pad + ''.join(_paint(state.sticker('U', r, c), ansi) for c in range(n)))
-    lines.append('')
-    for r in range(n):
-        row = []
-        for face in ('L', 'F', 'R', 'B'):
-            row.append(''.join(_paint(state.sticker(face, r, c), ansi) for c in range(n)))
-        lines.append(' '.join(row))
-    lines.append('')
-    for r in range(n):
-        lines.append(pad + ''.join(_paint(state.sticker('D', r, c), ansi) for c in range(n)))
-    return '\n'.join(lines)
+
+    def row(face, r):
+        return ''.join(_paint(state.sticker(face, r, c), ansi) for c in range(n))
+
+    return '\n'.join([pad + row('U', r) for r in range(n)] + ['']
+                     + [' '.join(row(face, r) for face in 'LFRB') for r in range(n)]
+                     + [''] + [pad + row('D', r) for r in range(n)])
 
 
 def state_to_json_dict(state):

@@ -23,6 +23,7 @@ move each) and estimate_valid_fraction() samples random reassemblies
 for a Wilson confidence interval on the reachable fraction.
 '''
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -243,15 +244,10 @@ def bfs_states(spec, depth, budget=2_000_000):
                     next_frontier.append(image)
         counts.append(len(next_frontier))
         frontier = next_frontier
-    cumulative = []
-    total = 0
-    for c in counts:
-        total += c
-        cumulative.append(total)
     return BallGrowth(
         depth=depth,
         counts=tuple(counts),
-        cumulative=tuple(cumulative),
+        cumulative=tuple(itertools.accumulate(counts)),
         states=tuple(order))
 
 

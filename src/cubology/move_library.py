@@ -46,7 +46,7 @@ class OddCube(ValueError):
 
 
 class IndexOutOfRange(ValueError):
-    '''A slice index does not name an interior orbit of this cube.'''
+    '''The slice indices name an orbit the cube's atlas does not list.'''
 
 
 class BrokenWord(ValueError):
@@ -204,6 +204,11 @@ def verify_cycle_structure(spec, sequence, descriptor):
 
 
 def _named(name, spec, text, descriptor):
+    try:
+        build_atlas(spec).orbit(descriptor.family, descriptor.key)
+    except ValueError:
+        raise IndexOutOfRange('a %d-cube has no %s' % (
+            spec.n, orbit_name(descriptor.family, descriptor.key))) from None
     sequence = parse_move_sequence(text, spec)
     report = verify_cycle_structure(spec, sequence, descriptor)
     if not report.ok:
@@ -234,15 +239,6 @@ def center_three_cycle(spec, i, j):
     on the off-diagonal centre orbit (i, j) when i differs from j. When j
     names the central column of an odd cube the slice is written M, which
     is the same slab turned the other way.'''
-    half = spec.n // 2
-    ceil_half = (spec.n + 1) // 2
-    if not 2 <= i <= half:
-        raise IndexOutOfRange(
-            'row index %d is outside 2..%d on a %d-cube' % (i, half, spec.n))
-    if not 2 <= j <= ceil_half:
-        raise IndexOutOfRange(
-            'column index %d is outside 2..%d on a %d-cube'
-            % (j, ceil_half, spec.n))
     if spec.central_depth is not None and j == spec.central_depth:
         text = "[[M,%dD],F']" % i
     else:
@@ -256,11 +252,6 @@ def center_three_cycle(spec, i, j):
 
 def coupled_edge_three_cycle(spec, i):
     '''[[F',U],iD]: 3-cycle on coupled orbit i, identity elsewhere.'''
-    half = spec.n // 2
-    if not 2 <= i <= half:
-        raise IndexOutOfRange(
-            'orbit index %d is outside 2..%d on a %d-cube'
-            % (i, half, spec.n))
     return _named('coupled_edge_three_cycle', spec, "[[F',U],%dD]" % i,
                   EffectDescriptor('three_cycle', 'coupled', i))
 
@@ -276,11 +267,6 @@ def coupled_edge_parity_move(spec, i):
     cube in range.'''
     if spec.n % 2:
         raise OddCube('a %d-cube has no coupled-orbit parity move' % spec.n)
-    half = spec.n // 2
-    if not 2 <= i <= half:
-        raise IndexOutOfRange(
-            'orbit index %d is outside 2..%d on a %d-cube'
-            % (i, half, spec.n))
     prefix = 'R2 ' + ' '.join('%dR2' % d for d in range(2, i + 1)) + ' B2'
     core = "U2 %dL U2 %dR' U2 %dR U2 F2 %dR F2 %dL'" % (i, i, i, i, i)
     return _named('coupled_edge_parity_move', spec,

@@ -152,6 +152,13 @@ def test_deep_exploding_or_unicode_move_text_exits_one(capsys, moves):
     assert err.startswith('ParseError:')
 
 
+def test_overlong_slice_depth_exits_one_with_a_parse_error(capsys):
+    moves = '1' * 5000 + 'R'
+    code, _, err = run(capsys, ['validate', '--n', '3', '--moves', moves])
+    assert code == 1
+    assert err == 'ParseError: the depth has too many digits (at position 0)\n'
+
+
 def test_uncancelled_central_slab_turns_are_domain_errors(capsys):
     for command in ('validate', 'solve', 'decompose'):
         code, _, err = run(capsys, [command, '--n', '3', '--moves', 'M'])

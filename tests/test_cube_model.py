@@ -237,6 +237,16 @@ def test_slice_depth_takes_ascii_digits_only(text):
         f'expected a face letter, found {text[0]!r} (at position 0)'
 
 
+def test_overlong_slice_depth_is_a_parse_error():
+    # more digits than int() reads under the interpreter's default limit
+    text = 'R ' + '1' * 5000 + 'R'
+    for spec in (None, CubeSpec(3)):
+        with pytest.raises(ParseError) as err:
+            parse_move_sequence(text, spec)
+        assert str(err.value) == \
+            'the depth has too many digits (at position 2)'
+
+
 def test_central_letter_rejected_on_even_cubes():
     with pytest.raises(ParseError) as err:
         parse_move_sequence('M', CubeSpec(4))
