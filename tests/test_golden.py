@@ -28,7 +28,10 @@ The verify-moves digests pin the text and JSON reports of every named
 word, and the oracle digests pin the chain build_bsgs produces (base,
 orbit sizes and strong generators) for the quarter-turn generators. Both
 were recorded before the named words began carrying their verification
-report and before the sift skipped identity transversal steps.
+report and before the sift skipped identity transversal steps. The
+named-word digest pins every named move's name, word and report for
+n=8..12, past the verify-moves digests; it was recorded before the
+library listed its words by walking the orbit atlas.
 
 The count digests pin `count --what W --json` for the four exact counts
 and for the plain bound, and `bound --json` with and without --tuned
@@ -78,6 +81,7 @@ from cubology.cubology_law import (
 )
 from cubology.decomposition import build_atlas
 from cubology.group_oracle import build_bsgs, generators
+from cubology.move_library import all_named_moves
 
 GOLDEN = {
     (2, 'decompose'):
@@ -234,6 +238,11 @@ VERIFY_MOVES_GOLDEN = {
     ('text', 7):
         '335cea50b2e43305eaba95cb4492b1f21da87517ba903ae08322859191c024d3',
 }
+
+# sha256 of repr([(name, sequence, report)]) of all_named_moves, one list
+# per size, for n = 8..12 in turn.
+NAMED_MOVES_GOLDEN = \
+    '6e54e29d20136dfbb37c05026045ec6462d43aa7cffa85d0e85087963b7a743a'
 
 # sha256 of repr((base, orbit_sizes, strong_generators)) of the chain
 # build_bsgs grows from the quarter-turn generators, per size.
@@ -581,6 +590,14 @@ def test_verify_moves_matches_golden_digest(form, n):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == VERIFY_MOVES_GOLDEN[(form, n)]
+
+
+def test_named_moves_match_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(8, 13):
+        digest.update(repr([(m.name, m.sequence, m.report)
+                            for m in all_named_moves(CubeSpec(n))]).encode())
+    assert digest.hexdigest() == NAMED_MOVES_GOLDEN
 
 
 @pytest.mark.parametrize('n', sorted(BSGS_GOLDEN))
