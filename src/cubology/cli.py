@@ -74,11 +74,14 @@ def _input_state(args):
     if len(given) > 1:
         raise _UsageError('give only one of %s' % ', '.join(given))
     if args.state_file is not None:
-        if args.state_file == '-':
-            document = json.load(sys.stdin)
-        else:
-            with open(args.state_file) as handle:
-                document = json.load(handle)
+        try:
+            if args.state_file == '-':
+                document = json.load(sys.stdin)
+            else:
+                with open(args.state_file) as handle:
+                    document = json.load(handle)
+        except RecursionError:
+            raise ValueError('state document nests too deeply') from None
         state = state_from_json_dict(document)
         if args.n is not None and args.n != state.n:
             raise _UsageError('--n %d contradicts the state file (n=%d)'

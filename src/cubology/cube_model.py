@@ -96,9 +96,7 @@ class Move:
         return Move(self.face, self.depth, 4 - self.quarter_turns)
 
     def is_legal(self, spec):
-        if self.depth <= spec.n // 2:
-            return True
-        return spec.n % 2 == 1 and self.depth == (spec.n + 1) // 2
+        return self.depth <= spec.n // 2 or self.depth == spec.central_depth
 
     def require_legal(self, spec):
         if not self.is_legal(spec):
@@ -125,8 +123,7 @@ class CubeState:
         return CubeSpec(self.n)
 
     def sticker(self, face, row, col):
-        n = self.n
-        return self.stickers[FACE_ORDINAL[face] * n * n + row * n + col]
+        return self.stickers[sticker_index(self.n, face, row, col)]
 
 
 def sticker_index(n, face, row, col):

@@ -25,6 +25,7 @@ the counting module.
 '''
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ from .decomposition import (
     compose,
     decompose,
     permutation_sign,
-    required_center_signs,
     validate_shape,
 )
 
@@ -83,11 +83,15 @@ def check_validity(config):
                     % (corner_sign, ', '.join(bad)))))
 
     if config.center_edge_perms:
-        required = required_center_signs(atlas, corner_sign, {
-            i: _sign(perm) for i, perm in config.coupled_perms.items()})
-        bad = ['(%d, %d)' % label
-               for label, perm in sorted(config.center_edge_perms.items())
-               if _sign(perm) != required[label]]
+        # The free orbits' signs: the corners' and, by depth, the wings'.
+        signs = {orbit: corner_sign if orbit.key is None
+                 else _sign(config.coupled_perms[orbit.key])
+                 for orbit in atlas.orbits if orbit not in atlas.sign_sources}
+        bad = ['(%d, %d)' % orbit.key
+               for orbit, sources in atlas.sign_sources.items()
+               if orbit.family == 'center_edge'
+               and _sign(config.center_edge_perms[orbit.key])
+               != math.prod(map(signs.__getitem__, sources))]
         conditions.append(ConditionVerdict(
             condition='center_edge_sign',
             ok=not bad,
@@ -169,23 +173,18 @@ def random_valid_configuration(spec, seed=None):
     rng = random.Random(seed)
     atlas = build_atlas(spec)
     config = ConfigTuple(spec.n)
-    required = None
+    signs = {}
     # Orbit by orbit, the permutation is drawn before the orientation
-    # vector, so that a seed names the same state as it always has.
+    # vector, so that a seed names the same state as it always has. A
+    # tied orbit comes after the free orbits whose signs fix its own.
     for orbit in atlas.orbits:
         size = len(orbit.slots)
-        if orbit.family == 'single':
-            perm = _signed_perm(rng, size, permutation_sign(config.corner_perm))
-        elif orbit.turns == 1:
-            if required is None:
-                # Centre orbits come last, after the corner and wing
-                # permutations that fix their signs.
-                required = required_center_signs(
-                    atlas, _sign(config.corner_perm),
-                    {i: _sign(p) for i, p in config.coupled_perms.items()})
-            perm = _signed_perm(rng, size, required[orbit.key])
-        else:
-            perm = _random_perm(rng, size)
+        perm = _random_perm(rng, size)
+        sources = atlas.sign_sources.get(orbit)
+        if sources is None:
+            signs[orbit] = _sign(perm)
+        elif _sign(perm) != math.prod(map(signs.__getitem__, sources)):
+            perm = (perm[1], perm[0]) + perm[2:]
         orientation = None
         if orbit.family == 'coupled':
             orientation = (0,) * size
@@ -199,13 +198,6 @@ def random_valid_configuration(spec, seed=None):
 def _random_perm(rng, size):
     images = list(range(size))
     rng.shuffle(images)
-    return tuple(images)
-
-
-def _signed_perm(rng, size, sign):
-    images = list(_random_perm(rng, size))
-    if permutation_sign(images) != sign:
-        images[0], images[1] = images[1], images[0]
     return tuple(images)
 
 

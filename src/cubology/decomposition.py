@@ -27,7 +27,10 @@ diagonal centres by depth, off-diagonal centres by label. An Orbit names
 its family and key (the depth or label) and lists its slots; a Slot
 lists its sticker positions and the colours its home piece shows there,
 reference sticker first. decompose() and compose() read the atlas of the
-cube they are given.
+cube they are given. Its `sign_sources` maps each orbit the first law
+ties, the single edges and the centres, to the free orbits whose signs
+multiply to the sign the law demands of it; the free orbits, the
+corners and the wings, are the ones it lacks.
 
 decompose() cuts a state into a ConfigTuple: one permutation per orbit
 plus an orientation vector for every orbit whose slots hold more than
@@ -77,7 +80,6 @@ sticker order.
 '''
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -93,18 +95,21 @@ from .cube_model import (
     sticker_position,
 )
 
-FAMILY_WORDS = {
-    'corner': 'corners',
-    'single': 'single edges',
-    'coupled': 'coupled orbit',
-    'center_corner': 'diagonal centre orbit',
-    'center_edge': 'off-diagonal centre orbit',
+# Each piece family, in atlas order: how reports name it, and its
+# ConfigTuple fields, the permutation and the orientation vector (None for
+# one-sticker centres). Families with a key hold dicts keyed by it.
+FAMILIES = {
+    'corner': ('corners', 'corner_perm', 'corner_twists'),
+    'single': ('single edges', 'single_edge_perm', 'single_edge_flips'),
+    'coupled': ('coupled orbit', 'coupled_perms', 'coupled_orientations'),
+    'center_corner': ('diagonal centre orbit', 'center_corner_perms', None),
+    'center_edge': ('off-diagonal centre orbit', 'center_edge_perms', None),
 }
 
 
 def orbit_name(family, key=None):
     '''How reports name an orbit: its family in words, then its key.'''
-    word = FAMILY_WORDS[family]
+    word = FAMILIES[family][0]
     return word if key is None else '%s %s' % (word, key)
 
 
@@ -258,7 +263,9 @@ class OrbitAtlas:
 
     `orbits` is the one table; orbit(family, key) looks one up, and the
     key tuples list the wing depths, diagonal centre depths and
-    off-diagonal centre labels the cube has.
+    off-diagonal centre labels the cube has. `sign_sources` maps each
+    orbit the first law ties to the free orbits whose signs multiply to
+    the sign it must have; the free orbits are the ones it lacks.
     '''
 
     def __init__(self, spec, orbits, fixed_centers):
@@ -277,13 +284,14 @@ class OrbitAtlas:
             for slot_id, slot in enumerate(orbit.slots):
                 for pos in slot.positions:
                     self.position_owner[pos] = (orbit, slot_id)
-        # Per centre orbit, the orbits whose signs multiply to the sign the
-        # first law demands of it: the corners and, for a label (i, j), the
-        # wings at depths i and j (the odd central slab has none).
+        # A tied orbit's sources are the corners and, for a label (i, j),
+        # the wings at depths i and j (the odd central slab has none).
+        # Each tied orbit comes after its sources in orbits, which the
+        # sampler relies on.
         corners = (self._by_name['corner', None],)
         self.sign_sources = {}
         for orbit in self.orbits:
-            if orbit.turns == 1:
+            if orbit.family not in ('corner', 'coupled'):
                 depths = orbit.key if orbit.family == 'center_edge' else ()
                 wings = (self._by_name.get(('coupled', d)) for d in depths)
                 self.sign_sources[orbit] = corners + tuple(filter(None, wings))
@@ -418,7 +426,7 @@ def build_atlas(spec):
         slots.setdefault(name, []).append(
             Slot(tuple(positions), tuple(colors[p] for p in positions)))
 
-    order = list(FAMILY_WORDS)
+    order = list(FAMILIES)
     orbits = []
     for family, key in sorted(slots, key=lambda k: (order.index(k[0]), k[1])):
         orbit = Orbit(family, key, tuple(
@@ -442,16 +450,9 @@ def _det3(a, b, c):
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-# ConfigTuple fields of each family: the permutation and the orientation
-# vector (None for one-sticker centres). Families with a key hold dicts
-# keyed by it.
-_FIELDS = {
-    'corner': ('corner_perm', 'corner_twists'),
-    'single': ('single_edge_perm', 'single_edge_flips'),
-    'coupled': ('coupled_perms', 'coupled_orientations'),
-    'center_corner': ('center_corner_perms', None),
-    'center_edge': ('center_edge_perms', None),
-}
+# Each family's ConfigTuple fields, taken from FAMILIES once: decompose
+# and compose look them up once per orbit.
+_FIELDS = {family: row[1:] for family, row in FAMILIES.items()}
 # Every field of a ConfigTuple that holds an entry, read by one call.
 _ENTRIES = operator.attrgetter(*filter(None, sum(_FIELDS.values(), ())))
 
@@ -523,20 +524,6 @@ def identity_tuple(spec):
         size = len(orbit.slots)
         config.set_orbit_fields(orbit, tuple(range(size)), (0,) * size)
     return config
-
-
-def required_center_signs(atlas, corner_sign, wing_signs):
-    '''Permutation sign the first law demands of each centre orbit, by key.
-
-    A diagonal centre orbit must match the corner sign. An off-diagonal
-    orbit (i, j) must match the corner sign times the wing signs (by
-    depth) at depths i and j, as atlas.sign_sources lists them.
-    '''
-    signs = {atlas.orbit('corner'): corner_sign}
-    for i, sign in wing_signs.items():
-        signs[atlas.orbit('coupled', i)] = sign
-    return {orbit.key: math.prod(map(signs.__getitem__, sources))
-            for orbit, sources in atlas.sign_sources.items()}
 
 
 def _values(entries):

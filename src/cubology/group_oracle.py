@@ -184,12 +184,9 @@ def build_bsgs(permutations, degree=None):
 
 
 def schreier_sims_order(gens):
-    '''Exact order of the group generated by a GeneratorSet or perms.'''
-    if isinstance(gens, GeneratorSet):
-        return build_bsgs(gens.permutations,
-                          gens.spec.sticker_count).order
-    perms = list(gens)
-    return build_bsgs(perms).order
+    '''Exact order of the group a GeneratorSet generates; subgroup_order
+    takes plain permutations.'''
+    return build_bsgs(gens.permutations, gens.spec.sticker_count).order
 
 
 def subgroup_order(permutations, restriction=None, degree=None):

@@ -297,13 +297,13 @@ def all_named_moves(spec):
     if spec.n % 2:
         moves.append(single_edge_three_cycle(spec))
         moves.append(single_edge_flip_pair(spec))
-    half = spec.n // 2
-    ceil_half = (spec.n + 1) // 2
-    for i in range(2, half + 1):
+    atlas = build_atlas(spec)
+    for i in atlas.coupled_orbit_indices:
         moves.append(coupled_edge_three_cycle(spec, i))
         if spec.n % 2 == 0:
             moves.append(coupled_edge_parity_move(spec, i))
-    for i in range(2, half + 1):
-        for j in range(2, ceil_half + 1):
-            moves.append(center_three_cycle(spec, i, j))
+    # A diagonal centre orbit i is the label (i, i).
+    labels = [(i, i) for i in atlas.center_corner_indices]
+    for i, j in sorted(labels + list(atlas.center_edge_labels)):
+        moves.append(center_three_cycle(spec, i, j))
     return moves

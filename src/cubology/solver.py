@@ -381,7 +381,7 @@ def _setup_search(spec, orbit, bases):
 def _run_sign_alignment(atlas, state):
     parts = []
     for orbit in atlas.orbits:
-        if orbit.family not in ('corner', 'coupled'):
+        if orbit in atlas.sign_sources:
             continue
         perm, _ = read_orbit(orbit.read(state.stickers), orbit)
         if _sign(perm) == -1:

@@ -350,6 +350,20 @@ def test_missing_state_file_is_a_domain_error(capsys, tmp_path):
     assert err.startswith('FileNotFoundError:')
 
 
+@pytest.mark.parametrize('piped', [False, True])
+def test_deeply_nested_state_document_is_a_domain_error(
+        capsys, monkeypatch, tmp_path, piped):
+    document = '[' * 200_000 + ']' * 200_000
+    path = tmp_path / 'deep.json'
+    path.write_text(document)
+    code, out, err = run(
+        capsys, ['validate', '--state-file', '-' if piped else str(path)],
+        stdin_text=document if piped else None, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ''
+    assert err == 'ValueError: state document nests too deeply\n'
+
+
 @pytest.mark.parametrize('argv', [
     ['count', '--n', '3', '--what', 'bound', '--precision', '0'],
     ['bound', '--n', '3', '--precision', '-5'],

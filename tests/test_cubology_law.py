@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -104,8 +105,17 @@ def test_two_swapped_corners_are_fine_on_two():
 
 
 def test_orbit_class_count_matches_closed_form():
+    '''The GF(2) count also says that the co-rank of the generator sign
+    vectors is the number of orbits the atlas's sign table ties: the
+    table misses no tie the moves force and adds none.'''
     for n in range(2, 31):
-        assert orbit_class_count(CubeSpec(n)) == counting.orbit_count(n)
+        spec = CubeSpec(n)
+        atlas = build_atlas(spec)
+        count = orbit_class_count(spec)
+        assert count == counting.orbit_count(n)
+        assert count == 3 * 2 ** (
+            len(atlas.sign_sources) + 24 * len(atlas.coupled_orbit_indices)
+        ) * (1 + n % 2)
     assert orbit_class_count(CubeSpec(2)) == 3
     assert orbit_class_count(CubeSpec(3)) == 12
     assert orbit_class_count(CubeSpec(4)) == 100663296
@@ -120,12 +130,17 @@ def test_every_generator_keeps_the_first_law():
     and are all 0 on wings. The single edges and every diagonal centre
     orbit move with the corner sign, and an off-diagonal orbit (i, j)
     with the corner sign times the wing signs at depths i and j, where a
-    central depth adds no factor.
+    central depth adds no factor. The atlas's sign table says the same:
+    each orbit in it moves with the product of its sources' signs, and
+    the orbits it lacks are exactly the corners and the wings.
     Since every reachable state is a product of these turns, this
     certifies the law's necessity exactly.'''
     for n in range(2, 31):
         spec = CubeSpec(n)
-        orbits = build_atlas(spec).orbits
+        atlas = build_atlas(spec)
+        orbits = atlas.orbits
+        assert [o for o in orbits if o not in atlas.sign_sources] == [
+            o for o in orbits if o.family in ('corner', 'coupled')]
         slot_of = [{frozenset(slot.positions): k
                     for k, slot in enumerate(orbit.slots)}
                    for orbit in orbits]
@@ -160,6 +175,10 @@ def test_every_generator_keeps_the_first_law():
                 elif family == 'center_edge':
                     i, j = key
                     assert sign == corner * wing(i) * wing(j), (n, move, key)
+            for orbit, sources in atlas.sign_sources.items():
+                assert signs[orbit.family, orbit.key] == math.prod(
+                    signs[s.family, s.key] for s in sources), (n, move,
+                                                               orbit.name)
 
 
 def test_scrambles_stay_solvable():
