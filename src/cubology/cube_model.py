@@ -92,6 +92,7 @@ class Move:
         if self.quarter_turns not in (1, 2, 3):
             raise ValueError(f'quarter_turns must be 1, 2 or 3, got {self.quarter_turns!r}')
 
+    @functools.lru_cache(maxsize=1024)
     def inverse(self):
         return Move(self.face, self.depth, 4 - self.quarter_turns)
 
@@ -271,23 +272,23 @@ def apply_sequence(state, sequence):
 
 
 def invert_sequence(sequence):
-    return tuple(m.inverse() for m in reversed(tuple(sequence)))
+    return tuple(map(Move.inverse, reversed(tuple(sequence))))
 
 
-def local_gathers(spec, positions, sequence):
-    '''A sequence and its inverse composed into gathers over the
-    stickers at positions alone, which the sequence must carry among
-    themselves: applied to the tuple of those stickers, in the order of
-    positions, each lists the stickers it leaves there. Returns
-    (gather, inverse gather).'''
+def local_table(spec, positions, sequence):
+    '''The destination table of a sequence over the stickers at
+    positions alone, at most 256, which it must carry among themselves:
+    entry i is the index in positions of where the sticker at
+    positions[i] ends. Later entries are fixed, so it is a
+    bytes.translate table.'''
     # Follow each listed sticker to where the sequence takes it.
     ends = positions
     for move in sequence:
         perm = sticker_permutation(spec, move)
         ends = [perm[position] for position in ends]
     local = {position: i for i, position in enumerate(positions)}
-    images = [local[position] for position in ends]
-    return _gather(images), operator.itemgetter(*images)
+    return bytes(map(local.__getitem__, ends)) + bytes(
+        range(len(ends), 256))
 
 
 def sequence_permutation(spec, sequence):

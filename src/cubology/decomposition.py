@@ -376,10 +376,16 @@ def _fold(n, index):
     return None
 
 
-@functools.lru_cache(maxsize=None)
 def build_atlas(spec):
     '''Build (and cache) the orbit catalogue for one cube size.'''
-    n = spec.n
+    return _atlas_of(spec.n)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _atlas_of(n):
+    '''build_atlas, looked up by n alone; validate_shape leaves CubeSpec
+    to refuse a size that is not an int, hashable or not.'''
+    spec = CubeSpec(n)
     colors = solved_state(spec).stickers
     folds = [_fold(n, index) for index in range(spec.sticker_count)]
     # Stickers sharing a fold must be exactly the orbits of the legal
@@ -540,7 +546,8 @@ def validate_shape(config):
     that cube's atlas.'''
     if not isinstance(config, ConfigTuple):
         raise ShapeMismatch('expected a ConfigTuple')
-    atlas = build_atlas(CubeSpec(config.n))
+    atlas = _atlas_of(config.n) if isinstance(config.n, int) else \
+        build_atlas(CubeSpec(config.n))
     # Count off the entries the tuple holds as the atlas's orbits fill
     # them, so that an entry for an orbit the cube lacks is caught too.
     held = sum(len(value) if isinstance(value, dict) else value is not None
@@ -589,10 +596,10 @@ def decompose(state, reads=None):
     matching its kept read is not read again, and its fields are a
     function of what matched, so the tuple is the same.
     '''
-    spec = state.spec
-    atlas = build_atlas(spec)
+    n = state.n
+    atlas = _atlas_of(n)
     stickers = state.stickers
-    share = spec.sticker_count // 6
+    share = n * n
     for color in COLORS:
         count = stickers.count(color)
         if count != share:
@@ -605,7 +612,7 @@ def decompose(state, reads=None):
                 'immobile centre at position %d shows %s, expected %s'
                 % (position, stickers[position], color))
 
-    config = ConfigTuple(spec.n)
+    config = ConfigTuple(n)
     reads = {} if reads is None else reads
     # Centres come last, after the corner and wing reads fixing their signs.
     for orbit in atlas.orbits:

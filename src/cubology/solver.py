@@ -49,15 +49,16 @@ stage, to the first admitted, the first shortest tuple, and realizes it.
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
 core, as stage_plan() checks once per cube size, fixes every sticker
-outside its orbit. So a stage works in the orbit's own index space, its
-at most 48 stickers laid out slot by slot: it reads them from the state
-with one itemgetter, reads its targets from them, and each pass runs
-them through the outer level words' gathers, one composing the innermost
-level word, the core and that word's inverse, and the outer inverses;
-they are written back once, when the stage is done. Level words'
-gathers and inverses are built on first use once per class, from the
-symbols' tables, composed ones once per orbit. The emitted word is the
-setup, the core and the stored inverses in reverse, as the orbit's moves.
+outside its orbit. So a stage tracks the orbit's at most 48 stickers,
+laid out slot by slot, as one bytes permutation, where, each sticker's
+position, and maps it by bytes.translate through destination tables:
+the outer level words', one composing the innermost level word, the
+core and that word's inverse, and the outer inverses'. One maketrans and
+one translate give the colours by position, which the targets read and
+which are written back once, when the stage is done. Level words'
+tables are built on first use once per class, composed ones once per
+orbit. The emitted word is the setup, the core and the stored inverses
+in reverse, as the orbit's moves.
 
 solve() checks every stage's postcondition on what the stage can
 change, through kept reads (see decomposition.kept_read): the whole
@@ -71,7 +72,6 @@ import operator
 import struct
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, count
 
 from .cube_model import (
     FACES,
@@ -79,7 +79,7 @@ from .cube_model import (
     Move,
     apply_move,
     invert_sequence,
-    local_gathers,
+    local_table,
     solved_state,
     sticker_permutation,
 )
@@ -152,7 +152,7 @@ class _ClassTables:
     '''One orbit class's transversal chain, shared by every orbit whose
     moves act alike on its stickers, as flat tables by level and slot:
     the level word, over alphabet indices, its length and its slot
-    action; on first use, the word's inverse and both words as gathers
+    action; on first use, the word's inverse and both words' tables
     over an orbit's local stickers; and the 3-cycle orders asked for.
     alphabet holds (symbol, local table) pairs, a local table giving
     where the symbol's move sends each of an orbit's stickers, listed
@@ -166,7 +166,7 @@ class _ClassTables:
         # stored as a full translation table.
         self._tables = [table + bytes(range(len(table), 256))
                         for _, table in alphabet]
-        self._identity = bytes(range(size * turns))
+        self._identity = bytes(range(256))
         levels = _class_levels(tuple(
             (i, bytes(table[s * turns] // turns for s in range(size))
              + bytes(range(size, 256)))
@@ -238,19 +238,17 @@ class _ClassTables:
         return key, self.slots(key), request[key]
 
     def piece(self, depth, slot):
-        '''(word, inverse word, gather, inverse gather) of the level
-        word at slot, the gathers over an orbit's local stickers; built
-        on first use, since a solve needs only some of them.'''
+        '''(word, inverse word, table, inverse table) of the level word
+        at slot, the destination tables over an orbit's local stickers;
+        built on first use, since a solve needs only some of them.'''
         pieces = self._pieces[depth]
         if pieces[slot] is None:
             word = self.words[depth][slot]
             inverse = tuple(map(self._inverses.__getitem__, reversed(word)))
-            # A word's gather reads each sticker from where the inverse
-            # word sends it.
             pieces[slot] = (word, inverse, *(
-                operator.itemgetter(*functools.reduce(bytes.translate, map(
-                    self._tables.__getitem__, sent), self._identity))
-                for sent in (inverse, word)))
+                functools.reduce(bytes.translate, map(
+                    self._tables.__getitem__, sent), self._identity)
+                for sent in (word, inverse)))
         return pieces[slot]
 
 
@@ -372,9 +370,9 @@ def _setup_search(spec, orbit, bases):
 
     @functools.lru_cache(maxsize=None)
     def piece(depth, slot):
-        word, inverse, *gathers = tables.piece(depth, slot)
+        word, inverse, *destinations = tables.piece(depth, slot)
         return (*(tuple(map(relabel.__getitem__, w)) for w in (word, inverse)),
-                *gathers)
+                *destinations)
     return tables, relabel, piece
 
 
@@ -393,23 +391,26 @@ def _run_sign_alignment(atlas, state):
 
 
 def _run_orbit(spec, state, orbit, core, bases, targets, inner):
-    '''Conjugate the core by chained setups until targets(local)
-    requests nothing, where local holds the orbit's stickers as
-    orbit.read gives them; they are written back into the state once,
-    at the end. A request is what _ClassTables.choose takes.'''
-    local = orbit.read(state.stickers)
-    request = targets(local)
+    '''Conjugate the core by chained setups until targets(shown)
+    requests nothing, shown the orbit's colours as bytes, as orbit.read
+    lays them out; they are written back into the state once, at the
+    end. A request is what _ClassTables.choose takes.'''
+    shown = ''.join(orbit.read(state.stickers)).encode()
+    request = targets(shown)
     if not request:
         return (), state
     tables, _, piece = _setup_search(spec, orbit, bases)
-    parts = []
+    # where[k]: the position of the sticker starting at k, colours[k].
+    colours, where = shown.ljust(256), bytes(range(len(shown)))
+    home, parts = where, []
     while request:
         _, slots, inverse = tables.choose(request)
-        word, local = _conjugate(piece, inner, slots, inverse, local)
+        word, where = _conjugate(piece, inner, slots, inverse, where)
         parts += word
-        request = targets(local)
+        shown = bytes.maketrans(where, home)[:len(home)].translate(colours)
+        request = targets(shown)
     stickers = list(state.stickers)
-    for position, sticker in zip(orbit.positions, local):
+    for position, sticker in zip(orbit.positions, shown.decode()):
         stickers[position] = sticker
     return tuple(parts), CubeState(state.n, ''.join(stickers))
 
@@ -417,38 +418,45 @@ def _run_orbit(spec, state, orbit, core, bases, targets, inner):
 def _inner_pieces(spec, orbit, core):
     '''inner(slot, inverse): the innermost level word at slot, the core,
     inverted if inverse, and the level word's undo, composed on first
-    use into one (word, gather over the orbit's local stickers).'''
-    bases, size = core.report.slots, len(orbit.positions)
+    use into one (word, destination table over the orbit's stickers).'''
+    bases = core.report.slots
     words = core.sequence, invert_sequence(core.sequence)
-    gathers = local_gathers(spec, orbit.positions, core.sequence)
+    forward = local_table(spec, orbit.positions, core.sequence)
+    cores = forward, bytes.maketrans(forward, bytes(range(256)))
 
     @functools.lru_cache(maxsize=None)
     def inner(slot, inverse):
-        word, undo, gather, back = _setup_search(spec, orbit, bases)[2](
+        word, undo, table, back = _setup_search(spec, orbit, bases)[2](
             len(bases) - 1, slot)
-        return word + words[inverse] + undo, operator.itemgetter(
-            *back(gathers[inverse](gather(range(size)))))
+        return (word + words[inverse] + undo,
+                table.translate(cores[inverse]).translate(back))
     return inner
 
 
-def _conjugate(piece, inner, slots, inverse, local):
-    '''(setup + core + undo, local after that word), where piece and
+def _conjugate(piece, inner, slots, inverse, where):
+    '''(setup + core + undo, where after that word), where piece and
     inner are _setup_search's and _inner_pieces' for the orbit, the
     setup chains the level words at slots, the core runs inverted if
-    inverse, and local holds the orbit's stickers slot by slot. They
-    are all the word changes: the setup carries every other sticker away
-    and the undo brings it back, while the core, checked in stage_plan,
-    leaves it alone.'''
-    word, gather = inner(slots[-1], inverse)
-    w0, i0, g0, u0 = piece(0, slots[0])
+    inverse, and where gives the orbit's stickers' positions, all that
+    the word moves (see the check of the core in stage_plan).'''
+    w, t = inner(slots[-1], inverse)
+    w0, i0, t0, u0 = piece(0, slots[0])
     if len(slots) == 2:
-        return (*w0, *word, *i0), u0(gather(g0(local)))
-    w1, i1, g1, u1 = piece(1, slots[1])
-    return (*w0, *w1, *word, *i1, *i0), u0(u1(gather(g1(g0(local)))))
+        return (*w0, *w, *i0), where.translate(t0).translate(t).translate(u0)
+    w1, i1, t1, u1 = piece(1, slots[1])
+    return (*w0, *w1, *w, *i1, *i0), where.translate(t0).translate(
+        t1).translate(t).translate(u1).translate(u0)
 
 
-def _perm_targets(orbit, local):
-    perm, _ = read_orbit(local, orbit)
+def _mismatch(shown, homes):
+    # The first index where they differ, or their length: the byte that
+    # holds the top set bit of their XOR, read as big-endian ints.
+    differ = int.from_bytes(shown, 'big') ^ int.from_bytes(homes, 'big')
+    return len(homes) - 1 - (differ.bit_length() - 1 >> 3)
+
+
+def _perm_targets(orbit, homes, shown):
+    perm, _ = read_orbit(shown.decode(), orbit)
     home = next((s for s, image in enumerate(perm) if image != s), None)
     if home is None:
         return None
@@ -458,11 +466,22 @@ def _perm_targets(orbit, local):
     return perm[home], home, home.__lt__
 
 
-def _center_targets(orbit, local):
-    homes, shown = orbit.homes, ''.join(local)
-    if shown == homes:
+def _wing_targets(orbit, homes, shown):
+    '''_perm_targets of a wing orbit by a mismatch scan, exact as the law
+    leaves every wing unturned, showing its home colours in order.'''
+    h = _mismatch(shown, homes) >> 1 << 1
+    if h == len(homes):
         return None
-    h = next(compress(count(), map(operator.ne, shown, homes)))
+    s = shown.find(homes[h:h + 2], h + 2)
+    while s & 1:
+        s = shown.find(homes[h:h + 2], s + 1)
+    return s >> 1, h >> 1, (h >> 1).__lt__
+
+
+def _center_targets(orbit, homes, shown):
+    h = _mismatch(shown, homes)
+    if h == len(homes):
+        return None
     # Homes list each colour's slots together: s is the first slot past
     # h's colour to show it. Third slot: any other wrong slot, or a
     # correct one of the colour leaving h (it gets its colour back), which
@@ -472,13 +491,13 @@ def _center_targets(orbit, local):
             lambda t: shown[t] != homes[t] or homes[t] == leaving)
 
 
-def _orientation_targets(orbit, local):
+def _orientation_targets(orbit, homes, shown):
     '''Pairs (a, b) for the first misoriented slot a. The twist core
     turns the slot on its first base by +1 and the one on its second by
     -1, so a's twist of +1 is undone by (b, a) forward or (a, b)
     inverted, and a twist of -1 the other way round. The flip core
     flips both slots and always runs forward.'''
-    _, values = read_orbit(local, orbit)
+    _, values = read_orbit(shown.decode(), orbit)
     nonzero = [s for s, v in enumerate(values) if v]
     if not nonzero:
         return None
@@ -511,7 +530,7 @@ _PLAN = (
      lambda spec, _key: single_edge_three_cycle(spec), 0),
     ('center_corner', 'center_corner_placement_%d', _center_targets,
      lambda spec, i: center_three_cycle(spec, i, i), 0),
-    ('coupled', 'coupled_placement_%d', _perm_targets,
+    ('coupled', 'coupled_placement_%d', _wing_targets,
      coupled_edge_three_cycle, 0),
     ('center_edge', 'center_edge_placement_%d_%d', _center_targets,
      lambda spec, label: center_three_cycle(spec, *label), 0),
@@ -530,6 +549,7 @@ def stage_plan(spec):
                     lambda state, reads: _signs_aligned(atlas, state, reads),
                     lambda state: _run_sign_alignment(atlas, state))]
     identity = identity_tuple(spec)
+    solved = solved_state(spec).stickers
     for family, name, targets, word, field in _PLAN:
         for orbit in atlas.orbits:
             if orbit.family != family:
@@ -549,7 +569,8 @@ def stage_plan(spec):
                     _run_orbit, spec, orbit=orbit, core=core,
                     bases=core.report.slots,
                     inner=_inner_pieces(spec, orbit, core),
-                    targets=functools.partial(targets, orbit))))
+                    targets=functools.partial(targets, orbit, ''.join(
+                        orbit.read(solved)).encode()))))
     return tuple(stages)
 
 

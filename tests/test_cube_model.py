@@ -18,7 +18,7 @@ from cubology.cube_model import (
     format_move_sequence,
     invert_sequence,
     legal_slab_moves,
-    local_gathers,
+    local_table,
     parse_move_sequence,
     render_net,
     sequence_permutation,
@@ -158,17 +158,22 @@ def test_moves_permute_stickers_bijectively(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(spec_and_sequence(), st.integers(0, 2 ** 32))
-def test_local_gathers_apply_the_sequence_to_one_orbit(pair, seed):
+def test_local_table_applies_the_sequence_to_one_orbit(pair, seed):
     spec, seq = pair
     state = random_configuration(spec, seed)
     after = apply_sequence(state, seq)
     for orbit in build_atlas(spec).orbits:
         positions = orbit.positions
-        gather, inverse = local_gathers(spec, positions, seq)
+        size = len(positions)
+        table = local_table(spec, positions, seq)
+        assert table[size:] == bytes(range(size, 256))
         before = [state.stickers[p] for p in positions]
         moved = [after.stickers[p] for p in positions]
-        assert list(gather(before)) == moved
-        assert list(inverse(moved)) == before
+        # Each sticker lands where the table sends it, and read back
+        # through the inverted table each position shows its sticker.
+        assert [moved[table[i]] for i in range(size)] == before
+        sources = bytes.maketrans(table, bytes(range(256)))[:size]
+        assert [before[i] for i in sources] == moved
 
 
 def test_parse_plain_and_suffixed_tokens():

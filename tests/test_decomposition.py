@@ -284,7 +284,7 @@ def test_compose_rejects_an_atlas_leaving_a_position_unpainted(monkeypatch):
                                     *corners.slots[1:]))
     copy = OrbitAtlas(spec, (broken, *atlas.orbits[1:]),
                       atlas.fixed_centers)
-    monkeypatch.setattr(decomposition, 'build_atlas', lambda spec: copy)
+    monkeypatch.setattr(decomposition, '_atlas_of', lambda n: copy)
     with pytest.raises(AssertionError, match='left a position unpainted'):
         compose(identity_tuple(spec))
 

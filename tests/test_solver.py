@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -22,7 +23,7 @@ from cubology.cube_model import (
     apply_sequence,
     invert_sequence,
     legal_slab_moves,
-    local_gathers,
+    local_table,
     sequence_permutation,
     solved_state,
     state_to_json_dict,
@@ -411,7 +412,7 @@ def test_setup_choice_on_live_targets_matches_full_realization(n):
         for stage in stage_plan(spec):
             args = getattr(stage.run, 'keywords', None)
             request = args and args['targets'](
-                args['orbit'].read(state.stickers))
+                _shown(args['orbit'], state.stickers))
             if request:
                 search = _setup_search(spec, args['orbit'], args['bases'])
                 key, slots, inverse = search[0].choose(request)
@@ -433,6 +434,11 @@ def test_composed_cores_match_move_by_move_application(n):
             assert apply_sequence(state, sequence) == after
             state = after
         assert state == solved_state(spec)
+
+
+def _shown(orbit, stickers):
+    """The colours an orbit shows, as the bytes its targets read."""
+    return ''.join(orbit.read(stickers)).encode()
 
 
 def _reference_request(orbit, local):
@@ -473,8 +479,9 @@ def _assert_same_request(request, reference, size):
 
 @pytest.mark.parametrize('n', range(2, 12))
 def test_orbit_local_conjugates_match_full_application(n):
-    """Each pass rewrites only the worked orbit's stickers; once they
-    are written back, applying the word it emits, setup + core + undo,
+    """Each pass moves only the worked orbit's stickers, tracked as one
+    bytes permutation, each sticker's position; once they are written
+    back by it, applying the word the pass emits, setup + core + undo,
     to the whole state must give the same stickers everywhere, outside
     the orbit too. Each 3-cycle request, its admissibility a test the
     walk calls lazily, stands for the keys of the list-built one."""
@@ -490,9 +497,11 @@ def test_orbit_local_conjugates_match_full_application(n):
             orbit, core = args['orbit'], args['core'].sequence
             search = _setup_search(spec, orbit, args['bases'])
             stickers = list(state.stickers)
-            local = orbit.read(stickers)
+            colours = orbit.read(stickers)
+            where = bytes(range(len(colours)))
             while True:
-                request = args['targets'](local)
+                local = orbit.read(stickers)
+                request = args['targets'](_shown(orbit, stickers))
                 if len(args['bases']) == 3:
                     _assert_same_request(request, _reference_request(
                         orbit, local), len(orbit.slots))
@@ -501,17 +510,66 @@ def test_orbit_local_conjugates_match_full_application(n):
                 _, inverse, setup = _choice_by_full_realization(search,
                                                                 request)
                 _, slots, _ = search[0].choose(request)
-                word, local = solver._conjugate(
-                    search[2], args['inner'], slots, inverse, local)
+                word, where = solver._conjugate(
+                    search[2], args['inner'], slots, inverse, where)
                 assert word == setup + (invert_sequence(core) if inverse
                                         else core) + invert_sequence(setup)
-                for position, sticker in zip(orbit.positions, local):
-                    stickers[position] = sticker
+                for colour, position in zip(colours, where):
+                    stickers[orbit.positions[position]] = colour
                 state = apply_sequence(state, word)
                 assert ''.join(stickers) == state.stickers
                 passes += 1
         assert state == solved_state(spec)
     assert passes
+
+
+def _decoded_target(orbit, shown, field):
+    """What read_orbit makes of the colours shown: for placement (field
+    0) the slot holding the first unplaced home's piece and that home,
+    for orientation the first misoriented slot, None once the field is
+    solved."""
+    fields = read_orbit(shown.decode(), orbit)
+    wrong = [s for s, v in enumerate(fields[field]) if v != (s, 0)[field]]
+    if not wrong:
+        return None
+    return (fields[0][wrong[0]], wrong[0]) if field == 0 else wrong[0]
+
+
+@pytest.mark.parametrize('n', range(2, 12))
+def test_scanned_targets_match_the_decoded_orbit(n):
+    """On every pass of seeded solves, each wing placement target found
+    by the mismatch scan, and each corner or single-edge target read
+    from bytes, equals the target decoded through read_orbit; every wing
+    the scan reads is unturned."""
+    spec = CubeSpec(n)
+    passes = {}
+
+    def checking(targets, orbit, field):
+        def check(shown):
+            request = targets(shown)
+            if orbit.family == 'coupled':
+                assert not any(read_orbit(shown.decode(), orbit)[1])
+            found = request and (request[:2] if field == 0
+                                 else min(request)[0])
+            assert found == _decoded_target(orbit, shown, field)
+            passes[orbit.family] = passes.get(orbit.family, 0) + 1
+            return request
+        return check
+
+    for seed in range(3):
+        state = random_valid_configuration(spec, seed=seed + 300 * n)
+        for stage in stage_plan(spec):
+            run = stage.run
+            args = getattr(run, 'keywords', {})
+            if 'orbit' in args and args['orbit'].turns > 1:
+                run = functools.partial(run.func, *run.args, **{
+                    **args, 'targets': checking(args['targets'],
+                                                args['orbit'],
+                                                len(args['bases']) == 2)})
+            _, state = run(state)
+        assert state == solved_state(spec)
+    assert passes['corner'] > 0
+    assert (passes.get('coupled', 0) > 0) == (n >= 4)
 
 
 def test_centre_homes_list_each_colour_together():
@@ -528,10 +586,12 @@ def test_centre_homes_list_each_colour_together():
 @pytest.mark.parametrize('n', range(2, 10))
 def test_composed_inner_gathers_match_the_three_gather_chain(n):
     """For every orbit stage, innermost slot and core direction, the
-    one composed gather equals the innermost level word's gather, the
-    core's and the level word's inverse gather applied in turn, and its
-    word is the level word, the core and the undo. After 50 seeded
-    solves no orbit holds more than two composed gathers per slot."""
+    one composed destination table moves the orbit's stickers as the
+    innermost level word's table, the core's and the level word's
+    inverse table applied in turn, the core's inverse from its own
+    inverted word, and its word is the level word, the core and the
+    undo. After 50 seeded solves no orbit holds more than two composed
+    tables per slot."""
     spec = CubeSpec(n)
     plan = stage_plan(spec)[1:]
     for stage in plan:
@@ -539,19 +599,18 @@ def test_composed_inner_gathers_match_the_three_gather_chain(n):
         orbit, inner = args['orbit'], args['inner']
         tables, _, piece = _setup_search(spec, orbit, args['bases'])
         core = args['core'].sequence
-        cores = zip((core, invert_sequence(core)),
-                    local_gathers(spec, orbit.positions, core))
-        stickers = tuple(range(len(orbit.positions)))
+        where = bytes(range(len(orbit.positions)))
         depth = len(args['bases']) - 1
-        for inverse, (sequence, core_gather) in enumerate(cores):
+        for inverse, sequence in enumerate((core, invert_sequence(core))):
+            core_table = local_table(spec, orbit.positions, sequence)
             for slot, action in enumerate(tables.actions[depth]):
                 if action is None:
                     continue
-                word, undo, gather, back = piece(depth, slot)
+                word, undo, table, back = piece(depth, slot)
                 composed_word, composed = inner(slot, bool(inverse))
                 assert composed_word == word + sequence + undo
-                assert composed(stickers) == \
-                    back(core_gather(gather(stickers)))
+                assert where.translate(composed) == where.translate(
+                    table).translate(core_table).translate(back)
     for seed in range(50):
         solve(random_valid_configuration(spec, seed=seed))
     for stage in plan:
@@ -561,36 +620,36 @@ def test_composed_inner_gathers_match_the_three_gather_chain(n):
 
 @pytest.mark.parametrize('n', range(2, 14))
 def test_class_pieces_match_each_orbits_own_level_words(n):
-    """A class builds each level word's gathers once, from its symbols'
-    local tables; for every orbit of the class they equal the gathers of
-    the orbit's own level word, and the stored inverse reads back as
-    that word inverted."""
+    """A class builds each level word's destination tables once, from
+    its symbols' local tables; for every orbit of the class they equal
+    the tables of the orbit's own level word and of its inverse, and the
+    stored inverse reads back as that word inverted."""
     spec = CubeSpec(n)
     for orbit, _, search in _orbit_searches(n):
         tables, relabel, _ = search
-        stickers = tuple(range(len(orbit.positions)))
         for depth, actions in enumerate(tables.actions):
             for slot, action in enumerate(actions):
                 if action is None:
                     continue
                 word = _level_word(search, depth, slot)
-                _, inverse, gather, inverse_gather = tables.piece(depth, slot)
-                expected = local_gathers(spec, orbit.positions, word)
-                assert (gather(stickers), inverse_gather(stickers)) == \
-                    tuple(g(stickers) for g in expected)
+                _, inverse, table, inverse_table = tables.piece(depth, slot)
+                assert (table, inverse_table) == tuple(
+                    local_table(spec, orbit.positions, w)
+                    for w in (word, invert_sequence(word)))
                 assert tuple(relabel[i] for i in inverse) == \
                     invert_sequence(word)
 
 
 def test_a_warm_solve_builds_no_level_word_gathers(monkeypatch):
-    """Level-word gathers belong to the class, so solving new states
-    after the stage plan is built calls local_gathers for none."""
+    """Level-word destination tables belong to the class, so solving
+    new states after the stage plan is built calls local_table for
+    none."""
     spec = CubeSpec(9)
     solve(random_valid_configuration(spec, seed=1))
     calls = []
-    monkeypatch.setattr(solver, 'local_gathers',
+    monkeypatch.setattr(solver, 'local_table',
                         lambda *args: calls.append(args) or
-                        local_gathers(*args))
+                        local_table(*args))
     for seed in (2, 3):
         state = random_valid_configuration(spec, seed=seed)
         assert apply_sequence(state, solve(state).total) == solved_state(spec)

@@ -25,9 +25,13 @@ checkout's src/. It records:
   and in full decompositions of the state (the entry check and the sign
   alignment's postcondition), the median ratio of solution length to
   the certified lower bound gods_number_lower_bound(n).ceiling, the
-  passes per solve (the calls of that chooser, one per conjugate) and
-  the microseconds per pass at the reference speed (all solve seconds
-  over all passes); then the
+  passes per solve (the calls of that chooser, one per conjugate), the
+  microseconds per pass at the reference speed (all solve seconds over
+  all passes) and, per family of the worked orbit (centre, wing, cubie:
+  corners and single edges), the microseconds per pass at the
+  reference speed of that family's stages (their run seconds, without
+  the postcondition checks, over their passes; None where the size has
+  no such orbit); then the
   same states solved once more, when every order they ask for exists,
   give the repeat median and microseconds per pass at the reference
   speed;
@@ -67,6 +71,7 @@ up to 2x, which the reference-speed figures (_ref_us) take out.
 '''
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -141,6 +146,33 @@ def cold_solve(n):
             'breadth_first_passes': solver._class_tables.cache_info().misses}
 
 
+def _pass_family(orbit):
+    return ('centre' if orbit.turns == 1 else
+            'wing' if orbit.family == 'coupled' else 'cubie')
+
+
+def _timed_plan(plan, in_choose, spent):
+    '''The stage plan with each orbit stage's run timed: every run
+    appends (family, seconds, passes) to spent, its passes counted as
+    the chooser calls in_choose records meanwhile.'''
+    def timed_stage(stage):
+        run = stage.run
+        orbit = getattr(run, 'keywords', {}).get('orbit')
+        if orbit is None:
+            return stage
+
+        def timed_run(state):
+            passes, start = len(in_choose), time.perf_counter()
+            try:
+                return run(state)
+            finally:
+                spent.append((_pass_family(orbit),
+                              time.perf_counter() - start,
+                              len(in_choose) - passes))
+        return dataclasses.replace(stage, run=timed_run)
+    return tuple(map(timed_stage, plan))
+
+
 def warm_solves(n):
     from cubology import solver
     from cubology.counting import gods_number_lower_bound
@@ -151,9 +183,14 @@ def warm_solves(n):
     solver.solve(random_valid_configuration(spec, seed=n))
     ceiling = gods_number_lower_bound(n).ceiling
     choose, decompose = solver._ClassTables.choose, solver.decompose
-    in_choose, in_decompose = [], []
+    stage_plan = solver.stage_plan
+    in_choose, in_decompose, spent = [], [], []
     solver._ClassTables.choose = timed(choose, in_choose)
     solver.decompose = timed(decompose, in_decompose)
+    plan = _timed_plan(stage_plan(spec), in_choose, spent)
+    solver.stage_plan = lambda _spec: plan
+    # Per family: [stage seconds at the reference speed, passes].
+    families = {family: [0.0, 0] for family in ('centre', 'wing', 'cubie')}
     seconds, at_ref, ratios, moves = [], [], [], 0
     states = [random_valid_configuration(spec, seed=seed)
               for seed in WARM_SEEDS]
@@ -165,9 +202,15 @@ def warm_solves(n):
             at_ref.append(at_reference_speed(seconds[-1]))
             ratios.append(len(trace.total) / ceiling)
             moves += len(trace.total)
+            for family, stage_seconds, stage_passes in spent:
+                families[family][0] += (stage_seconds * at_ref[-1]
+                                        / seconds[-1])
+                families[family][1] += stage_passes
+            spent.clear()
     finally:
         solver._ClassTables.choose = choose
         solver.decompose = decompose
+        solver.stage_plan = stage_plan
     passes = len(in_choose)
     repeat = []
     for state in states:
@@ -185,6 +228,10 @@ def warm_solves(n):
             'bound_ceiling': ceiling,
             'passes_per_solve': passes / len(states),
             'us_per_pass_ref': 1e6 * sum(at_ref) / passes,
+            **{'us_per_pass_ref_' + family:
+               1e6 * family_seconds / family_passes if family_passes else None
+               for family, (family_seconds, family_passes)
+               in families.items()},
             'repeat_median_ref_s': statistics.median(repeat),
             'repeat_us_per_pass_ref': 1e6 * sum(repeat) / passes}
 
