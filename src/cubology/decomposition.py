@@ -224,8 +224,8 @@ class Orbit:
 
     @functools.cached_property
     def homes(self):
-        '''Centres: each home's colour, in slot order, as one string.'''
-        return ''.join(slot.colors[0] for slot in self.slots)
+        '''The solved orbit's colours as orbit.read lays them out.'''
+        return ''.join(c for slot in self.slots for c in slot.colors)
 
     @functools.cached_property
     def homes_by_color(self):

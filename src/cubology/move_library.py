@@ -30,6 +30,7 @@ from .cube_model import (
 )
 from .cubology_law import check_validity
 from .decomposition import (
+    NotAConfiguration,
     build_atlas,
     decompose,
     orbit_name,
@@ -117,13 +118,7 @@ def _rest_id(orbit, slots, moved, where, checks):
                    if stray else 'no sticker outside the %s moves' % where))
 
 
-def _check_three_cycle(atlas, perm, moved, descriptor, checks):
-    try:
-        orbit = atlas.orbit(descriptor.family, descriptor.key)
-        action = atlas.slot_action(perm, orbit)
-    except (ValueError, KeyError) as exc:
-        checks.append(('orbit action', False, str(exc)))
-        return ()
+def _check_three_cycle(orbit, action, moved, checks):
     cycled = [s for s, t in enumerate(action) if t != s]
     if len(cycled) != 3:
         checks.append(('single 3-cycle', False,
@@ -137,22 +132,21 @@ def _check_three_cycle(atlas, perm, moved, descriptor, checks):
     return slots
 
 
-def _check_orientation_pair(atlas, perm, moved, after, descriptor, checks):
-    orbit = atlas.orbit(descriptor.family)
-    slot_perm, orientation = decompose(after).orbit_fields(orbit)
-    perm_id = slot_perm == tuple(range(len(slot_perm)))
+def _check_orientation_pair(orbit, action, moved, config, kind, checks):
+    _, orientation = config.orbit_fields(orbit)
+    shifted = [s for s, t in enumerate(action) if t != s]
     touched = {s: v for s, v in enumerate(orientation) if v}
     # Two slots whose orientations cancel: +1 and -1 twists, or two flips.
     good = len(touched) == 2 and sum(touched.values()) % orbit.turns == 0
-    label = ('two twists, +1 and -1' if descriptor.kind == 'twist_pair'
-             else 'two flips')
-    checks.append(('family permutation id', perm_id, 'perm fixed'))
+    label = 'two twists, +1 and -1' if kind == 'twist_pair' else 'two flips'
+    checks.append(('family permutation id', not shifted,
+                   'slots %s move' % shifted if shifted else 'perm fixed'))
     checks.append((label, good, 'slots %s' % sorted(touched)))
     _rest_id(orbit, touched, moved, 'pair', checks)
     return tuple(sorted(touched, key=lambda s: (touched[s], s)))
 
 
-def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
+def _check_odd_permutation(atlas, action, moved, config, checks):
     frozen = {p for orbit in atlas.orbits
               if orbit.family in ('corner', 'single')
               for slot in orbit.slots for p in slot.positions}
@@ -160,16 +154,10 @@ def _check_odd_permutation(atlas, perm, moved, after, descriptor, checks):
     checks.append(('corners and single edges fixed', not stray,
                    'sticker positions %s move' % stray[:8]
                    if stray else 'all fixed'))
-    try:
-        orbit = atlas.orbit('coupled', descriptor.key)
-        action = atlas.slot_action(perm, orbit)
-    except (ValueError, KeyError) as exc:
-        checks.append(('orbit action', False, str(exc)))
-        return ()
     sign = permutation_sign(action)
     checks.append(('odd permutation on the orbit', sign == -1,
                    'sign %+d' % sign))
-    report = check_validity(decompose(after))
+    report = check_validity(config)
     checks.append(('state stays solvable', report.valid,
                    'first law holds' if report.valid
                    else str(report.failing())))
@@ -181,24 +169,36 @@ def verify_cycle_structure(spec, sequence, descriptor):
 
     The report carries one (label, passed, detail) triple per check, so
     a failure names the actual observed effect, and the slots the effect
-    acts on.
+    acts on. A word the checks cannot read fails one check instead:
+    'orbit action' when the cube lacks the named orbit, and, for a twist,
+    flip or odd-permutation word, 'state decomposes' when what it leaves
+    is no reassembly of the pieces, as when it moves an immobile centre.
     '''
+    kind = descriptor.kind
+    if kind not in ('three_cycle', 'twist_pair', 'flip_pair',
+                    'odd_permutation'):
+        raise ValueError('unknown effect kind %r' % (kind,))
     atlas = build_atlas(spec)
     perm = sequence_permutation(spec, sequence)
     moved = frozenset(p for p, q in enumerate(perm) if q != p)
+    try:
+        orbit = atlas.orbit(descriptor.family, descriptor.key)
+        action = atlas.slot_action(perm, orbit)
+        if kind != 'three_cycle':
+            config = decompose(apply_sequence(solved_state(spec), sequence))
+    # NotAConfiguration is a ValueError, so it is caught first.
+    except NotAConfiguration as exc:
+        return EffectReport(False, (('state decomposes', False, str(exc)),), ())
+    except (ValueError, KeyError) as exc:
+        return EffectReport(False, (('orbit action', False, str(exc)),), ())
     checks = []
-    if descriptor.kind == 'three_cycle':
-        slots = _check_three_cycle(atlas, perm, moved, descriptor, checks)
-    elif descriptor.kind in ('twist_pair', 'flip_pair'):
-        slots = _check_orientation_pair(
-            atlas, perm, moved, apply_sequence(solved_state(spec), sequence),
-            descriptor, checks)
-    elif descriptor.kind == 'odd_permutation':
-        slots = _check_odd_permutation(
-            atlas, perm, moved, apply_sequence(solved_state(spec), sequence),
-            descriptor, checks)
+    if kind == 'three_cycle':
+        slots = _check_three_cycle(orbit, action, moved, checks)
+    elif kind == 'odd_permutation':
+        slots = _check_odd_permutation(atlas, action, moved, config, checks)
     else:
-        raise ValueError('unknown effect kind %r' % (descriptor.kind,))
+        slots = _check_orientation_pair(orbit, action, moved, config, kind,
+                                        checks)
     return EffectReport(ok=all(c[1] for c in checks), checks=tuple(checks),
                         slots=slots)
 

@@ -38,13 +38,14 @@ the longest entry. The pass runs over symbols (face, depth rank,
 quarter turns), each depth named by its rank among the depths acting on
 the orbit, so every orbit whose moves then act alike on its stickers
 shares one class, across all cube sizes: nine serve every orbit up to
-n=33. An orbit keeps only the map reading class words as its moves; a
-stage finding its orbit done reads no alphabet at all. A tuple's
-chained length, the summed length of its level words, depends on the
-class alone, so for each 3-cycle s -> h -> t -> s asked of it a class
-sorts, once, the six rotations of every routing slot t by that length,
-then t, with their level slots; a pass tests each t in turn against its
-stage, to the first admitted, the first shortest tuple, and realizes it.
+n=33. Each orbit stage builds its one set-up, the orbit's alphabet and
+the map reading class words as its moves, on its first pass; a stage
+finding its orbit done builds nothing. A tuple's chained length, the
+summed length of its level words, depends on the class alone, so for
+each 3-cycle s -> h -> t -> s asked of it a class sorts, once, the six
+rotations of every routing slot t by that length, then t, with their
+level slots; a pass tests each t in turn against its stage, to the
+first admitted, the first shortest tuple, and realizes it.
 
 A conjugate rewrites only the worked orbit's stickers: the setup
 carries every other sticker away and the undo brings it back, while the
@@ -57,8 +58,8 @@ core and that word's inverse, and the outer inverses'. One maketrans and
 one translate give the colours by position, which the targets read and
 which are written back once, when the stage is done. Level words'
 tables are built on first use once per class, composed ones once per
-orbit. The emitted word is the setup, the core and the stored inverses
-in reverse, as the orbit's moves.
+stage, by its set-up. The emitted word is the setup, the core and the
+stored inverses in reverse, as the orbit's moves.
 
 solve() checks every stage's postcondition on what the stage can
 change, through kept reads (see decomposition.kept_read): the whole
@@ -330,26 +331,22 @@ def _class_levels(alphabet, bases, size):
     return levels
 
 
-@functools.lru_cache(maxsize=None)
-def _class_tables(alphabet, bases, turns):
-    '''The tables of one orbit class, built once per class.'''
-    return _ClassTables(alphabet, bases, turns)
+_class_tables = functools.lru_cache(maxsize=None)(_ClassTables)
 
 
-@functools.lru_cache(maxsize=None)
-def _setup_search(spec, orbit, bases):
-    '''(class tables, relabel, piece) for the orbit: the tables of its
-    class, keyed by each symbol (face, depth rank, q) with its local
-    table, the map reading each alphabet index back as this orbit's
-    move, and piece(depth, slot), the class piece with its words read
-    so, kept from first use. The
+def _setup_search(spec, orbit, core):
+    '''(class tables, piece, inner) for the orbit and its core word: its
+    class's tables, keyed by each symbol (face, depth rank, q) with its
+    local table; piece(depth, slot), the class piece with its words read
+    as this orbit's moves; inner(slot, inverse), the innermost level
+    word at slot, the core, inverted if inverse, and the word's undo as
+    one (word, destination table). Both keep what they build. The
     alphabet is every slab move acting on the orbit, in legal_slab_moves
-    order; only depth 1 and the depths in orbit.key act. A depth's rank
-    among those replaces it in the symbol, so every orbit whose moves
-    then act alike on its stickers, of any cube size, shares one class;
-    the ranks keep the depth order, so each level word is the least word
-    over this orbit's own moves, by length and then legal_slab_moves
-    order, that does the level's job.'''
+    order: depth 1 and the depths in orbit.key, each named by its rank
+    among them, so every orbit whose moves then act alike on its
+    stickers, of any cube size, shares one class. Ranks keep the depth
+    order, so each level word is the least over this orbit's own moves,
+    by length and then legal_slab_moves order, that does its job.'''
     local = {position: i for i, position in enumerate(orbit.positions)}
     identity = bytes(range(len(local)))
     keyed = orbit.key if isinstance(orbit.key, tuple) else (orbit.key,)
@@ -365,15 +362,24 @@ def _setup_search(spec, orbit, bases):
                 if table != identity:
                     moves.append(Move(face, depth, q))
                     alphabet.append(((face, rank, q), table))
-    tables = _class_tables(tuple(alphabet), tuple(bases), orbit.turns)
-    relabel = dict(enumerate(moves))
+    bases = core.report.slots
+    tables = _class_tables(tuple(alphabet), bases, orbit.turns)
+    words = core.sequence, invert_sequence(core.sequence)
+    forward = local_table(spec, orbit.positions, core.sequence)
+    cores = forward, bytes.maketrans(forward, bytes(range(256)))
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cache
     def piece(depth, slot):
         word, inverse, *destinations = tables.piece(depth, slot)
-        return (*(tuple(map(relabel.__getitem__, w)) for w in (word, inverse)),
+        return (*(tuple(map(moves.__getitem__, w)) for w in (word, inverse)),
                 *destinations)
-    return tables, relabel, piece
+
+    @functools.cache
+    def inner(slot, inverse):
+        word, undo, table, back = piece(len(bases) - 1, slot)
+        return (word + words[inverse] + undo,
+                table.translate(cores[inverse]).translate(back))
+    return tables, piece, inner
 
 
 def _run_sign_alignment(atlas, state):
@@ -390,16 +396,17 @@ def _run_sign_alignment(atlas, state):
     return tuple(parts), state
 
 
-def _run_orbit(spec, state, orbit, core, bases, targets, inner):
+def _run_orbit(state, orbit, setup, targets):
     '''Conjugate the core by chained setups until targets(shown)
     requests nothing, shown the orbit's colours as bytes, as orbit.read
     lays them out; they are written back into the state once, at the
-    end. A request is what _ClassTables.choose takes.'''
+    end. A request is what _ClassTables.choose takes; setup() gives
+    _setup_search's tables, built on the first request.'''
     shown = ''.join(orbit.read(state.stickers)).encode()
     request = targets(shown)
     if not request:
         return (), state
-    tables, _, piece = _setup_search(spec, orbit, bases)
+    tables, piece, inner = setup()
     # where[k]: the position of the sticker starting at k, colours[k].
     colours, where = shown.ljust(256), bytes(range(len(shown)))
     home, parts = where, []
@@ -415,30 +422,12 @@ def _run_orbit(spec, state, orbit, core, bases, targets, inner):
     return tuple(parts), CubeState(state.n, ''.join(stickers))
 
 
-def _inner_pieces(spec, orbit, core):
-    '''inner(slot, inverse): the innermost level word at slot, the core,
-    inverted if inverse, and the level word's undo, composed on first
-    use into one (word, destination table over the orbit's stickers).'''
-    bases = core.report.slots
-    words = core.sequence, invert_sequence(core.sequence)
-    forward = local_table(spec, orbit.positions, core.sequence)
-    cores = forward, bytes.maketrans(forward, bytes(range(256)))
-
-    @functools.lru_cache(maxsize=None)
-    def inner(slot, inverse):
-        word, undo, table, back = _setup_search(spec, orbit, bases)[2](
-            len(bases) - 1, slot)
-        return (word + words[inverse] + undo,
-                table.translate(cores[inverse]).translate(back))
-    return inner
-
-
 def _conjugate(piece, inner, slots, inverse, where):
     '''(setup + core + undo, where after that word), where piece and
-    inner are _setup_search's and _inner_pieces' for the orbit, the
-    setup chains the level words at slots, the core runs inverted if
-    inverse, and where gives the orbit's stickers' positions, all that
-    the word moves (see the check of the core in stage_plan).'''
+    inner are the orbit's from _setup_search, the setup chains the level
+    words at slots, the core runs inverted if inverse, and where gives
+    the orbit's stickers' positions, all that the word moves (see the
+    check of the core in stage_plan).'''
     w, t = inner(slots[-1], inverse)
     w0, i0, t0, u0 = piece(0, slots[0])
     if len(slots) == 2:
@@ -549,7 +538,6 @@ def stage_plan(spec):
                     lambda state, reads: _signs_aligned(atlas, state, reads),
                     lambda state: _run_sign_alignment(atlas, state))]
     identity = identity_tuple(spec)
-    solved = solved_state(spec).stickers
     for family, name, targets, word, field in _PLAN:
         for orbit in atlas.orbits:
             if orbit.family != family:
@@ -566,11 +554,11 @@ def stage_plan(spec):
                     ident=identity.orbit_fields(orbit)[field]:
                     kept_read(atlas, state.stickers, o, reads)[2][f] == ident,
                 functools.partial(
-                    _run_orbit, spec, orbit=orbit, core=core,
-                    bases=core.report.slots,
-                    inner=_inner_pieces(spec, orbit, core),
-                    targets=functools.partial(targets, orbit, ''.join(
-                        orbit.read(solved)).encode()))))
+                    _run_orbit, orbit=orbit,
+                    setup=functools.cache(functools.partial(
+                        _setup_search, spec, orbit, core)),
+                    targets=functools.partial(targets, orbit,
+                                              orbit.homes.encode()))))
     return tuple(stages)
 
 

@@ -14,6 +14,7 @@ from cubology.cube_model import (
 )
 from cubology.decomposition import build_atlas, decompose, permutation_sign
 from cubology.move_library import (
+    EffectDescriptor,
     EvenCube,
     IndexOutOfRange,
     OddCube,
@@ -200,6 +201,60 @@ def test_verify_cycle_structure_rejects_a_plain_face_turn():
     assert not report.ok
     details = [c[2] for c in report.failing()]
     assert any('4 slots move' in d for d in details)
+
+
+def test_words_moving_immobile_centres_fail_one_decompose_check():
+    """On an odd cube a word turning a central slab alone leaves the
+    immobile centres displaced; every twist, flip and odd-permutation
+    check reports that as one failing check, carrying decompose's
+    message, rather than raising."""
+    spec = CubeSpec(5)
+    descriptors = (EffectDescriptor('twist_pair', 'corner'),
+                   EffectDescriptor('flip_pair', 'single'),
+                   EffectDescriptor('odd_permutation', 'coupled', 2))
+    messages = {'M': 'immobile centre at position 12 shows B, expected W',
+                'E': 'immobile centre at position 37 shows B, expected O',
+                'S': 'immobile centre at position 12 shows O, expected W',
+                'M U': 'immobile centre at position 12 shows B, expected W'}
+    for text, message in messages.items():
+        sequence = parse_move_sequence(text, spec)
+        for descriptor in descriptors:
+            report = verify_cycle_structure(spec, sequence, descriptor)
+            assert report.ok is False
+            assert report.checks == (('state decomposes', False, message),)
+            assert report.slots == ()
+
+
+def test_a_missing_orbit_fails_one_check_for_every_kind():
+    spec = CubeSpec(4)
+    sequence = corner_twist_pair(spec).sequence
+    cases = [(EffectDescriptor(kind, 'single'),
+              'no single orbit None on a 4-cube')
+             for kind in ('twist_pair', 'flip_pair', 'three_cycle')]
+    cases += [(EffectDescriptor(kind, 'coupled', 9),
+               'no coupled orbit 9 on a 4-cube')
+              for kind in ('three_cycle', 'odd_permutation')]
+    for descriptor, message in cases:
+        report = verify_cycle_structure(spec, sequence, descriptor)
+        assert report.ok is False
+        assert report.checks == (('orbit action', False, message),)
+        assert report.slots == ()
+
+
+def test_a_moved_family_names_the_slots_it_moves():
+    spec = CubeSpec(5)
+    sequence = parse_move_sequence('[M,U]', spec)
+    report = verify_cycle_structure(spec, sequence,
+                                    EffectDescriptor('flip_pair', 'single'))
+    assert report.checks[0] == ('family permutation id', False,
+                                'slots [0, 1, 2, 6, 11] move')
+    perm, _ = decompose(apply_sequence(solved_state(spec), sequence)) \
+        .orbit_fields(build_atlas(spec).orbit('single'))
+    assert [s for s, t in enumerate(perm) if t != s] == [0, 1, 2, 6, 11]
+    named = single_edge_flip_pair(spec)
+    assert verify_cycle_structure(
+        spec, named.sequence, named.expected_effect).checks[0] == \
+        ('family permutation id', True, 'perm fixed')
 
 
 def test_conjugated_macro_keeps_its_cycle_structure():

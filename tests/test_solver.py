@@ -40,7 +40,6 @@ from cubology.decomposition import (
 from cubology.solver import (
     NotSolvable,
     StageOrderViolation,
-    _setup_search,
     solve,
     solve_stage,
     stage_names,
@@ -164,20 +163,40 @@ def test_solved_input_yields_empty_trace():
 
 
 
+def _stage_core(run):
+    '''The core word an orbit stage's set-up is built from.'''
+    _, orbit, core = run.keywords['setup'].__wrapped__.args
+    assert orbit is run.keywords['orbit']
+    return core
+
+
+def _orbit_stages(spec):
+    '''(stage, orbit, core, set-up) per orbit stage of the size.'''
+    return [(stage, stage.run.keywords['orbit'], _stage_core(stage.run),
+             stage.run.keywords['setup']) for stage in stage_plan(spec)[1:]]
+
+
 def test_a_stage_with_no_targets_builds_no_chain():
-    _setup_search.cache_clear()
     for n in (2, 3, 4, 5):
+        for _, _, _, setup in _orbit_stages(CubeSpec(n)):
+            setup.cache_clear()
         solve(solved_state(CubeSpec(n)))
-    assert _setup_search.cache_info().misses == 0
+        assert all(setup.cache_info().currsize == 0
+                   for _, _, _, setup in _orbit_stages(CubeSpec(n)))
     spec = CubeSpec(5)
     state = random_valid_configuration(spec, seed=5)
-    for name in stage_names(spec):
-        # Once a stage has run, running it again finds nothing to do.
-        _, state = solve_stage(state, name)
-        chains = _setup_search.cache_info().misses
-        assert solve_stage(state, name) == ((), state)
-        assert _setup_search.cache_info().misses == chains
-    assert chains > 0
+    built = 0
+    for stage in stage_plan(spec):
+        # Once a stage has run, running it again finds nothing to do and
+        # builds nothing.
+        _, state = solve_stage(state, stage.name)
+        setup = getattr(stage.run, 'keywords', {}).get('setup')
+        if setup:
+            built += setup.cache_info().currsize
+            setup.cache_clear()
+        assert solve_stage(state, stage.name) == ((), state)
+        assert not setup or setup.cache_info().currsize == 0
+    assert built > 0
 
 
 def test_unsolvable_state_is_rejected_with_report():
@@ -257,17 +276,18 @@ def _reference_bases(spec, atlas, core, orbit):
 def test_stored_core_slots_match_the_words_own_effect(n):
     spec = CubeSpec(n)
     atlas = build_atlas(spec)
-    for stage in stage_plan(spec)[1:]:
-        args = stage.run.keywords
-        core, orbit = args['core'], args['orbit']
-        assert args['bases'] == core.report.slots
+    for _, orbit, core, setup in _orbit_stages(spec):
         assert core.report.slots == _reference_bases(spec, atlas, core, orbit)
+        # Each chain level's base, the one slot its level word leaves in
+        # place, is the core's.
+        identity = bytes(range(len(orbit.slots)))
+        assert tuple(actions.index(identity)
+                     for actions in setup()[0].actions) == core.report.slots
 
 
 def _level_word(search, depth, slot):
     '''The level word at slot of an orbit's class, in the orbit's moves.'''
-    tables, relabel, _ = search
-    return tuple(relabel[i] for i in tables.words[depth][slot])
+    return search[1](depth, slot)[0]
 
 
 def _find_by_full_realization(search, wanted):
@@ -319,15 +339,10 @@ def _choice_by_full_realization(search, request):
 
 
 def _orbit_searches(n):
-    '''(orbit, bases, (class tables, relabel, relabelled pieces)) per
-    orbit stage of n.'''
-    spec = CubeSpec(n)
-    orbit_stages = [stage.run.keywords for stage in stage_plan(spec)
-                    if hasattr(stage.run, 'keywords')]
-    assert len(orbit_stages) == len(stage_plan(spec)) - 1
-    return [(args['orbit'], args['bases'],
-             _setup_search(spec, args['orbit'], args['bases']))
-            for args in orbit_stages]
+    '''(orbit, bases, (class tables, piece, inner)) per orbit stage of
+    n, from the stage's own set-up.'''
+    return [(orbit, core.report.slots, setup())
+            for _, orbit, core, setup in _orbit_stages(CubeSpec(n))]
 
 
 def _random_request(rng, size, arity):
@@ -414,7 +429,7 @@ def test_setup_choice_on_live_targets_matches_full_realization(n):
             request = args and args['targets'](
                 _shown(args['orbit'], state.stickers))
             if request:
-                search = _setup_search(spec, args['orbit'], args['bases'])
+                search = args['setup']()
                 key, slots, inverse = search[0].choose(request)
                 assert (key, inverse, _setup_word(search, slots)) == \
                     _choice_by_full_realization(search, request)
@@ -494,15 +509,15 @@ def test_orbit_local_conjugates_match_full_application(n):
             if args is None:
                 _, state = stage.run(state)
                 continue
-            orbit, core = args['orbit'], args['core'].sequence
-            search = _setup_search(spec, orbit, args['bases'])
+            orbit, core = args['orbit'], _stage_core(stage.run)
+            bases, search = core.report.slots, args['setup']()
             stickers = list(state.stickers)
             colours = orbit.read(stickers)
             where = bytes(range(len(colours)))
             while True:
                 local = orbit.read(stickers)
                 request = args['targets'](_shown(orbit, stickers))
-                if len(args['bases']) == 3:
+                if len(bases) == 3:
                     _assert_same_request(request, _reference_request(
                         orbit, local), len(orbit.slots))
                 if not request:
@@ -511,9 +526,10 @@ def test_orbit_local_conjugates_match_full_application(n):
                                                                 request)
                 _, slots, _ = search[0].choose(request)
                 word, where = solver._conjugate(
-                    search[2], args['inner'], slots, inverse, where)
-                assert word == setup + (invert_sequence(core) if inverse
-                                        else core) + invert_sequence(setup)
+                    search[1], search[2], slots, inverse, where)
+                assert word == setup + (
+                    invert_sequence(core.sequence) if inverse
+                    else core.sequence) + invert_sequence(setup)
                 for colour, position in zip(colours, where):
                     stickers[orbit.positions[position]] = colour
                 state = apply_sequence(state, word)
@@ -563,9 +579,9 @@ def test_scanned_targets_match_the_decoded_orbit(n):
             args = getattr(run, 'keywords', {})
             if 'orbit' in args and args['orbit'].turns > 1:
                 run = functools.partial(run.func, *run.args, **{
-                    **args, 'targets': checking(args['targets'],
-                                                args['orbit'],
-                                                len(args['bases']) == 2)})
+                    **args, 'targets': checking(
+                        args['targets'], args['orbit'],
+                        len(_stage_core(run).report.slots) == 2)})
             _, state = run(state)
         assert state == solved_state(spec)
     assert passes['corner'] > 0
@@ -593,15 +609,12 @@ def test_composed_inner_gathers_match_the_three_gather_chain(n):
     undo. After 50 seeded solves no orbit holds more than two composed
     tables per slot."""
     spec = CubeSpec(n)
-    plan = stage_plan(spec)[1:]
-    for stage in plan:
-        args = stage.run.keywords
-        orbit, inner = args['orbit'], args['inner']
-        tables, _, piece = _setup_search(spec, orbit, args['bases'])
-        core = args['core'].sequence
+    for _, orbit, core, setup in _orbit_stages(spec):
+        tables, piece, inner = setup()
         where = bytes(range(len(orbit.positions)))
-        depth = len(args['bases']) - 1
-        for inverse, sequence in enumerate((core, invert_sequence(core))):
+        depth = len(core.report.slots) - 1
+        for inverse, sequence in enumerate(
+                (core.sequence, invert_sequence(core.sequence))):
             core_table = local_table(spec, orbit.positions, sequence)
             for slot, action in enumerate(tables.actions[depth]):
                 if action is None:
@@ -613,9 +626,8 @@ def test_composed_inner_gathers_match_the_three_gather_chain(n):
                     table).translate(core_table).translate(back)
     for seed in range(50):
         solve(random_valid_configuration(spec, seed=seed))
-    for stage in plan:
-        assert stage.run.keywords['inner'].cache_info().currsize <= \
-            2 * len(stage.run.keywords['orbit'].slots)
+    for _, orbit, _, setup in _orbit_stages(spec):
+        assert setup()[2].cache_info().currsize <= 2 * len(orbit.slots)
 
 
 @pytest.mark.parametrize('n', range(2, 14))
@@ -625,19 +637,18 @@ def test_class_pieces_match_each_orbits_own_level_words(n):
     the tables of the orbit's own level word and of its inverse, and the
     stored inverse reads back as that word inverted."""
     spec = CubeSpec(n)
-    for orbit, _, search in _orbit_searches(n):
-        tables, relabel, _ = search
+    for orbit, _, (tables, piece, _) in _orbit_searches(n):
         for depth, actions in enumerate(tables.actions):
             for slot, action in enumerate(actions):
                 if action is None:
                     continue
-                word = _level_word(search, depth, slot)
-                _, inverse, table, inverse_table = tables.piece(depth, slot)
+                word, inverse, *destinations = piece(depth, slot)
+                _, _, table, inverse_table = tables.piece(depth, slot)
+                assert destinations == [table, inverse_table]
                 assert (table, inverse_table) == tuple(
                     local_table(spec, orbit.positions, w)
                     for w in (word, invert_sequence(word)))
-                assert tuple(relabel[i] for i in inverse) == \
-                    invert_sequence(word)
+                assert inverse == invert_sequence(word)
 
 
 def test_a_warm_solve_builds_no_level_word_gathers(monkeypatch):
@@ -661,7 +672,6 @@ def test_setup_alphabet_matches_a_scan_of_every_slab_move(monkeypatch):
     class key an orbit's tables are looked up by, symbols with their
     local tables and the slot actions these give, equals what a scan of
     every legal slab move gives, for every orbit of n=2..17."""
-    _setup_search.cache_clear()
     class_tables = solver._class_tables
     calls = []
     monkeypatch.setattr(solver, '_class_tables',
@@ -672,10 +682,8 @@ def test_setup_alphabet_matches_a_scan_of_every_slab_move(monkeypatch):
         atlas = build_atlas(spec)
         perms = [(move, sticker_permutation(spec, move))
                  for move in legal_slab_moves(spec, False, (1, 2, 3))]
-        for stage in stage_plan(spec)[1:]:
-            orbit, bases = (stage.run.keywords['orbit'],
-                            stage.run.keywords['bases'])
-            _setup_search(spec, orbit, bases)
+        for _, orbit, _, setup in _orbit_stages(spec):
+            setup.__wrapped__()
             size = len(orbit.slots)
             local = {p: i for i, p in enumerate(orbit.positions)}
             acting = [(move, bytes(atlas.slot_action(perm, orbit)),
@@ -692,7 +700,6 @@ def test_setup_alphabet_matches_a_scan_of_every_slab_move(monkeypatch):
             assert [bytes(table[s * turns] // turns for s in range(size))
                     for _, table in alphabet] == \
                 [action for _, action, _ in acting]
-    _setup_search.cache_clear()
 
 
 def test_stage_plan_refuses_a_core_that_moves_stickers_outside_it(
@@ -732,13 +739,8 @@ def _orbit_class(n, stage_name, key):
     return 'center_edge i<j' if i < j else 'center_edge i>j'
 
 
-def _clear_setup_caches():
-    _setup_search.cache_clear()
-    solver._class_tables.cache_clear()
-
-
 def test_one_setup_pass_per_orbit_class(monkeypatch):
-    _clear_setup_caches()
+    solver._class_tables.cache_clear()
     class_tables = solver._class_tables
     calls = []
 
@@ -750,10 +752,9 @@ def test_one_setup_pass_per_orbit_class(monkeypatch):
     keys = {}
     for n in range(2, 26):
         spec = CubeSpec(n)
-        for stage in stage_plan(spec)[1:]:
-            args = stage.run.keywords
-            _setup_search(spec, args['orbit'], args['bases'])
-            label = _orbit_class(n, stage.name, args['orbit'].key)
+        for stage, orbit, _, setup in _orbit_stages(spec):
+            setup.__wrapped__()
+            label = _orbit_class(n, stage.name, orbit.key)
             keys.setdefault(label, set()).add(calls[-1])
     assert class_tables.cache_info().misses == 9
     assert len(keys) == 9
@@ -809,7 +810,7 @@ def _alphabet(*actions):
 
 
 def test_class_levels_match_the_breadth_first_ball(monkeypatch):
-    _clear_setup_caches()
+    solver._class_tables.cache_clear()
     class_levels = solver._class_levels
     calls = set()
 
@@ -819,11 +820,9 @@ def test_class_levels_match_the_breadth_first_ball(monkeypatch):
 
     monkeypatch.setattr(solver, '_class_levels', recording)
     for n in range(2, 14):
-        spec = CubeSpec(n)
-        for stage in stage_plan(spec)[1:]:
-            args = stage.run.keywords
-            _setup_search(spec, args['orbit'], args['bases'])
-    _clear_setup_caches()
+        for _, _, _, setup in _orbit_stages(CubeSpec(n)):
+            setup.__wrapped__()
+    solver._class_tables.cache_clear()
     assert len(calls) == 9
     for args in calls:
         assert class_levels(*args) == _breadth_first_levels(*args)

@@ -8,11 +8,11 @@ checkout's src/. It records:
 
 * cold solve at n = 4, 9, 13, 17, 25, 33: three fresh interpreters per
   size each solve the seeded valid state (seed n) and report the
-  solve's wall seconds, the part of them spent reading orbits' setup
-  alphabets and building class tables, the orbits read and the
-  breadth-first passes that filled the class tables; each figure is
-  the median of the three, since one fresh process alone can swing by
-  as much as a change under test;
+  solve's wall seconds, the part of them spent building orbit stages'
+  set-ups (setup alphabet, class tables, core table), the set-ups
+  built and the breadth-first passes that filled the class tables;
+  each figure is the median of the three, since one fresh process
+  alone can swing by as much as a change under test;
 * warm solve at n = 3, 4, 5, 7, 9, 13, 17, 25, 33: after one solve has
   built the size's stage plan and class tables, the median and worst
   wall seconds over the new states of seeds 100..139, raw and at the
@@ -127,22 +127,23 @@ def at_reference_speed(seconds):
 
 def cold_solve(n):
     '''Solve seed n's valid state in this fresh interpreter, timing the
-    orbit setup alphabets and class tables it builds on the way.'''
+    orbit stages' set-ups it builds on the way.'''
     from cubology import solver
     from cubology.cube_model import CubeSpec
     from cubology.cubology_law import random_valid_configuration
 
     spec = CubeSpec(n)
     state = random_valid_configuration(spec, seed=n)
-    chains = solver._setup_search
     spent = []
-    solver._setup_search = timed(chains, spent)
+    # stage_plan binds _setup_search into each orbit stage, so it is
+    # wrapped before the solve builds the plan; one call per set-up.
+    solver._setup_search = timed(solver._setup_search, spent)
     start = time.perf_counter()
     solver.solve(state)
     elapsed = time.perf_counter() - start
     # One breadth-first pass fills each class's tables.
     return {'solve_s': elapsed, 'chain_build_s': sum(spent),
-            'chains_built': chains.cache_info().misses,
+            'chains_built': len(spent),
             'breadth_first_passes': solver._class_tables.cache_info().misses}
 
 
@@ -250,10 +251,8 @@ def order_first_request(n):
     solver.solve(random_valid_configuration(spec, seed=n))
     classes = {}
     for stage in solver.stage_plan(spec)[1:]:
-        args = stage.run.keywords
-        if len(args['bases']) == 3:
-            tables = solver._setup_search(spec, args['orbit'],
-                                          args['bases'])[0]
+        tables = stage.run.keywords['setup']()[0]
+        if len(tables.lengths) == 3:
             classes[id(tables)] = tables
     pairs = sum(len(t.lengths[0]) * (len(t.lengths[0]) - 1)
                 for t in classes.values())
