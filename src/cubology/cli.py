@@ -292,7 +292,7 @@ def _build_parser():
     def subcommand(name, handler, helptext):
         sub = commands.add_parser(name, help=helptext)
         sub.set_defaults(handler=handler)
-        sub.add_argument('--n', type=int, help='cube size')
+        sub.add_argument('--n', type=_int_at_least(2), help='cube size')
         sub.add_argument('--json', action='store_true',
                          help='versioned JSON output')
         return sub

@@ -12,6 +12,10 @@ cubes the central slab (n+1)/2 is also addressable, and the letters
 M, E, S alias the central slabs that turn like L, D and F. A move word
 is a tuple of Moves, applied left to right.
 
+Each slab turn is cached once, as {source: destination} over the 4n
+stickers it moves (n^2 + 4n for a face, less an odd face's centre). Words
+are applied through it, and a move's full permutation is derived from it.
+
 Move notation grammar accepted by the parser:
 
     sequence := token (whitespace token)*
@@ -31,7 +35,6 @@ text expand to at most MAX_EXPANSION moves, each counted at its own level.
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from dataclasses import dataclass
 
@@ -96,11 +99,8 @@ class Move:
     def inverse(self):
         return Move(self.face, self.depth, 4 - self.quarter_turns)
 
-    def is_legal(self, spec):
-        return self.depth <= spec.n // 2 or self.depth == spec.central_depth
-
     def require_legal(self, spec):
-        if not self.is_legal(spec):
+        if self.depth > spec.n // 2 and self.depth != spec.central_depth:
             raise IllegalDepth(
                 f'depth {self.depth} of face {self.face} does not exist on a '
                 f'{spec.n}x{spec.n}x{spec.n} cube')
@@ -189,28 +189,39 @@ def sticker_position(spec, index):
 
 
 @functools.lru_cache(maxsize=None)
-def _move_permutation(n, face, depth, quarter_turns):
+def _slab_map(n, face, depth, quarter_turns):
     if quarter_turns > 1:
         # one more quarter turn after the cached quarter_turns - 1
-        before = _move_permutation(n, face, depth, quarter_turns - 1)
-        return operator.itemgetter(*before)(_move_permutation(n, face, depth, 1))
+        one = _slab_map(n, face, depth, 1)
+        before = _slab_map(n, face, depth, quarter_turns - 1)
+        return {src: one[dst] for src, dst in before.items()}
     placement, lookup = _geometry(n)
     normal = FACE_NORMAL[face]
     axis = next(k for k in range(3) if normal[k])
     # the slab's cells share this coordinate on the normal's axis
     level = (n + 1 - 2 * depth) * normal[axis]
-    perm = list(range(6 * n * n))
+    moved = {}
     for src, (cell, direction) in enumerate(placement):
         if cell[axis] == level:
-            perm[src] = lookup[(_turn(cell, normal), _turn(direction, normal))]
-    return tuple(perm)
+            dst = lookup[(_turn(cell, normal), _turn(direction, normal))]
+            if dst != src:
+                moved[src] = dst
+    return moved
+
+
+def slab_map(spec, move):
+    '''{source: destination} over the stickers the move moves, and no
+    others: applying the move sends the sticker at index i to index
+    slab_map(spec, move)[i]. The map is shared; do not change it.'''
+    move.require_legal(spec)
+    return _slab_map(spec.n, move.face, move.depth, move.quarter_turns)
 
 
 def sticker_permutation(spec, move):
     '''Destination map p of a move: applying the move sends the sticker at
     index i to index p[i], i.e. apply_move(s, move).stickers[p[i]] == s.stickers[i].'''
-    move.require_legal(spec)
-    return _move_permutation(spec.n, move.face, move.depth, move.quarter_turns)
+    moved = slab_map(spec, move)
+    return tuple(moved.get(i, i) for i in range(spec.sticker_count))
 
 
 def solved_state(spec):
@@ -238,27 +249,15 @@ def legal_slab_moves(spec, include_central=False, quarter_turns=(1,)):
     return moves
 
 
-def _gather(perm):
-    '''itemgetter reading a sticker sequence in the order the destination
-    map perm leaves it: _gather(perm)(s)[perm[i]] == s[i].'''
-    source = [0] * len(perm)
-    for src, dst in enumerate(perm):
-        source[dst] = src
-    return operator.itemgetter(*source)
-
-
-@functools.lru_cache(maxsize=None)
-def _move_gather(n, face, depth, quarter_turns):
-    return _gather(_move_permutation(n, face, depth, quarter_turns))
-
-
 def _carry(spec, items, sequence):
     '''items, one per sticker index, in the order the sequence leaves
-    them.'''
+    them, as a list; each move rewrites only the stickers it moves.'''
+    items = list(items)
     for move in sequence:
-        move.require_legal(spec)
-        items = _move_gather(
-            spec.n, move.face, move.depth, move.quarter_turns)(items)
+        moved = slab_map(spec, move)
+        taken = [items[src] for src in moved]
+        for dst, item in zip(moved.values(), taken):
+            items[dst] = item
     return items
 
 
@@ -281,22 +280,23 @@ def local_table(spec, positions, sequence):
     entry i is the index in positions of where the sticker at
     positions[i] ends. Later entries are fixed, so it is a
     bytes.translate table.'''
-    # Follow each listed sticker to where the sequence takes it.
     ends = positions
     for move in sequence:
-        perm = sticker_permutation(spec, move)
-        ends = [perm[position] for position in ends]
+        moved = slab_map(spec, move)
+        ends = [moved.get(position, position) for position in ends]
     local = {position: i for i, position in enumerate(positions)}
-    return bytes(map(local.__getitem__, ends)) + bytes(
-        range(len(ends), 256))
+    return bytes(map(local.__getitem__, ends)) + bytes(range(len(ends), 256))
 
 
 def sequence_permutation(spec, sequence):
     '''Destination map of a whole sequence, composed left to right.'''
     # Carrying the labels 0..N-1 leaves at each index the label of the
-    # sticker that ends there, the source map; gathering by it inverts it.
+    # sticker that ends there: the source map, inverted here once.
     labels = range(spec.sticker_count)
-    return _gather(_carry(spec, labels, sequence))(labels)
+    perm = [0] * spec.sticker_count
+    for dst, src in enumerate(_carry(spec, labels, sequence)):
+        perm[src] = dst
+    return tuple(perm)
 
 
 # --- parsing and formatting ------------------------------------------------

@@ -90,8 +90,8 @@ from .cube_model import (
     CubeSpec,
     CubeState,
     legal_slab_moves,
+    slab_map,
     solved_state,
-    sticker_permutation,
     sticker_position,
 )
 
@@ -355,8 +355,7 @@ def _orbit_components(spec):
             parent[rb] = ra
 
     for move in legal_slab_moves(spec):
-        perm = sticker_permutation(spec, move)
-        for src, dst in enumerate(perm):
+        for src, dst in slab_map(spec, move).items():
             union(src, dst)
     components = {}
     for pos in range(spec.sticker_count):

@@ -81,8 +81,8 @@ from .cube_model import (
     apply_move,
     invert_sequence,
     local_table,
+    slab_map,
     solved_state,
-    sticker_permutation,
 )
 from .cubology_law import check_validity
 from .decomposition import (
@@ -354,8 +354,8 @@ def _setup_search(spec, orbit, core):
     alphabet, moves = [], []
     for face in FACES:
         for rank, depth in enumerate(depths):
-            quarter = bytes(map(local.__getitem__, orbit.read(
-                sticker_permutation(spec, Move(face, depth)))))
+            moved = slab_map(spec, Move(face, depth))
+            quarter = bytes([local[moved.get(p, p)] for p in orbit.positions])
             table = identity
             for q in (1, 2, 3):
                 table = bytes(map(quarter.__getitem__, table))

@@ -368,12 +368,24 @@ def test_deeply_nested_state_document_is_a_domain_error(
     ['count', '--n', '3', '--what', 'bound', '--precision', '0'],
     ['bound', '--n', '3', '--precision', '-5'],
     ['scramble', '--n', '3', '--seed', '1', '--length', '-1'],
+    ['count', '--n', '1', '--what', 'group'],
+    ['scramble', '--n', '0', '--seed', '1'],
+    ['bound', '--n', '-3'],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ''
     assert 'must be at least' in err
+
+
+def test_a_state_file_below_size_two_is_a_domain_error(capsys, monkeypatch):
+    code, out, err = run(capsys, ['validate', '--state-file', '-'],
+                         stdin_text='{"n": 1, "stickers": "WOGRBY"}',
+                         monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ''
+    assert err == 'ValueError: cube size must be an integer >= 2, got 1\n'
 
 
 @pytest.mark.parametrize('command', [

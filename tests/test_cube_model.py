@@ -1,6 +1,7 @@
 """Sticker model tests: indexing, permutations, parsing, round trips."""
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from cubology.cube_model import (
     parse_move_sequence,
     render_net,
     sequence_permutation,
+    slab_map,
     solved_state,
     state_from_json_dict,
     state_to_json_dict,
@@ -174,6 +176,54 @@ def test_local_table_applies_the_sequence_to_one_orbit(pair, seed):
         assert [moved[table[i]] for i in range(size)] == before
         sources = bytes.maketrans(table, bytes(range(256)))[:size]
         assert [before[i] for i in sources] == moved
+
+
+def _labelled(spec):
+    '''A state whose stickers are all distinct.'''
+    return CubeState(spec.n, ''.join(chr(0x100 + i)
+                                     for i in range(spec.sticker_count)))
+
+
+@pytest.mark.parametrize('n', range(2, 12))
+def test_sparse_path_matches_full_permutations_composed(n):
+    spec = CubeSpec(n)
+    alphabet = legal_slab_moves(spec, True, (1, 2, 3))
+    kept = [move for move in alphabet if move.depth != spec.central_depth]
+    start = _labelled(spec)
+    orbits = build_atlas(spec).orbits
+    for seed in range(4):
+        rng = random.Random(seed)
+        # a word with central slabs, then one over the moves that keep
+        # every orbit, which local_table follows below
+        for letters in (alphabet, kept):
+            word = tuple(rng.choice(letters) for _ in range(25))
+            composed = list(range(spec.sticker_count))
+            for move in word:
+                perm = sticker_permutation(spec, move)
+                composed = [perm[i] for i in composed]
+            assert sequence_permutation(spec, word) == tuple(composed)
+            after = apply_sequence(start, word).stickers
+            assert all(after[composed[i]] == ch
+                       for i, ch in enumerate(start.stickers))
+        for orbit in orbits:
+            local = {p: i for i, p in enumerate(orbit.positions)}
+            assert local_table(spec, orbit.positions, word)[:len(local)] \
+                == bytes(local[composed[p]] for p in orbit.positions)
+
+
+@pytest.mark.parametrize('n', range(2, 12))
+def test_each_turn_moves_only_its_slab(n):
+    spec = CubeSpec(n)
+    start = _labelled(spec)
+    for move in legal_slab_moves(spec, True, (1, 2, 3)):
+        after = apply_move(start, move).stickers
+        changed = {i for i, (a, b) in enumerate(zip(start.stickers, after))
+                   if a != b}
+        if move.depth > 1:
+            assert len(changed) == 4 * n, move
+        else:
+            assert len(changed) == n * n + 4 * n - n % 2, move
+        assert set(slab_map(spec, move)) == changed, move
 
 
 def test_parse_plain_and_suffixed_tokens():

@@ -53,7 +53,8 @@ checkout's src/. It records:
   quartiles at the reference speed; this is criterion 4's work (draws
   composed, decomposed and checked by the law) at a fiftieth of its
   sample count;
-* CLI end to end: `cubology solve --n 17 --seed 1` in a fresh
+* CLI end to end: `cubology solve --n 17 --seed 1` (cli_solve_s) and
+  `cubology solve --n 33 --seed 1` (cli_solve_n33_s), each in a fresh
   interpreter, its wall seconds from start to exit, including the
   check by application, the median of three runs;
 * the speed of perfbench/run.py's reference(), a fixed pure-Python
@@ -98,6 +99,7 @@ MONTE_CARLO_RUNS = 25
 ORDER_SIZES = (4, 5)
 ORDER_PASSES = 5
 CLI_SOLVE = ('solve', '--n', '17', '--seed', '1')
+CLI_SOLVE_N33 = ('solve', '--n', '33', '--seed', '1')
 RUNS = 3
 
 
@@ -325,18 +327,18 @@ def monte_carlo(n):
             'ref_q1': q1, 'ref_q3': q3}
 
 
-def cli_solve():
-    '''Wall seconds of CLI_SOLVE in a fresh interpreter, start to exit,
-    the median of RUNS runs.'''
+def cli_solve(argv):
+    '''Wall seconds of the CLI run with argv in a fresh interpreter,
+    start to exit, the median of RUNS runs.'''
     paths = (os.path.join(ROOT, 'src'), os.environ.get('PYTHONPATH'))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     seconds = []
     for _ in range(RUNS):
         start = time.perf_counter()
-        subprocess.run([sys.executable, '-m', 'cubology.cli', *CLI_SOLVE],
+        subprocess.run([sys.executable, '-m', 'cubology.cli', *argv],
                        env=env, capture_output=True, check=True)
         seconds.append(time.perf_counter() - start)
-    return {'argv': ' '.join(CLI_SOLVE), 'seconds': statistics.median(seconds)}
+    return {'argv': ' '.join(argv), 'seconds': statistics.median(seconds)}
 
 
 def reference_speed():
@@ -383,7 +385,8 @@ def main(argv=None):
     orders = {str(n): order_first_request(n) for n in ORDER_SIZES}
     layers = {str(n): layer_calls(n) for n in LAYER_SIZES}
     estimates = {str(n): monte_carlo(n) for n in MONTE_CARLO_SIZES}
-    cli = cli_solve()
+    cli = cli_solve(CLI_SOLVE)
+    cli_n33 = cli_solve(CLI_SOLVE_N33)
     result = {
         'label': args.label,
         'git_sha': git('rev-parse', 'HEAD'),
@@ -401,6 +404,7 @@ def main(argv=None):
         'layer_us': layers,
         'monte_carlo_s': estimates,
         'cli_solve_s': cli,
+        'cli_solve_n33_s': cli_n33,
     }
     path = os.path.join(args.out, 'BENCH_%s.json' % args.label)
     with open(path, 'w') as handle:
