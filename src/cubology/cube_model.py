@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 FACES = ('U', 'L', 'F', 'R', 'B', 'D')
 FACE_ORDINAL = {f: i for i, f in enumerate(FACES)}
@@ -79,6 +80,10 @@ class CubeSpec:
         return (self.n + 1) // 2 if self.n % 2 else None
 
 
+# One shared CubeSpec per size, as every state of that size reads it.
+_spec = functools.lru_cache(maxsize=None)(CubeSpec)
+
+
 @dataclass(frozen=True)
 class Move:
     '''One slab turn: face letter, depth from that face, quarter turns (1..3, clockwise).'''
@@ -99,8 +104,11 @@ class Move:
     def inverse(self):
         return Move(self.face, self.depth, 4 - self.quarter_turns)
 
+    def is_legal(self, spec):
+        return self.depth <= spec.n // 2 or self.depth == spec.central_depth
+
     def require_legal(self, spec):
-        if self.depth > spec.n // 2 and self.depth != spec.central_depth:
+        if not self.is_legal(spec):
             raise IllegalDepth(
                 f'depth {self.depth} of face {self.face} does not exist on a '
                 f'{spec.n}x{spec.n}x{spec.n} cube')
@@ -121,7 +129,7 @@ class CubeState:
 
     @property
     def spec(self):
-        return CubeSpec(self.n)
+        return _spec(self.n)
 
     def sticker(self, face, row, col):
         return self.stickers[sticker_index(self.n, face, row, col)]
@@ -194,7 +202,8 @@ def _slab_map(n, face, depth, quarter_turns):
         # one more quarter turn after the cached quarter_turns - 1
         one = _slab_map(n, face, depth, 1)
         before = _slab_map(n, face, depth, quarter_turns - 1)
-        return {src: one[dst] for src, dst in before.items()}
+        return MappingProxyType(
+            {src: one[dst] for src, dst in before.items()})
     placement, lookup = _geometry(n)
     normal = FACE_NORMAL[face]
     axis = next(k for k in range(3) if normal[k])
@@ -206,13 +215,13 @@ def _slab_map(n, face, depth, quarter_turns):
             dst = lookup[(_turn(cell, normal), _turn(direction, normal))]
             if dst != src:
                 moved[src] = dst
-    return moved
+    return MappingProxyType(moved)
 
 
 def slab_map(spec, move):
     '''{source: destination} over the stickers the move moves, and no
     others: applying the move sends the sticker at index i to index
-    slab_map(spec, move)[i]. The map is shared; do not change it.'''
+    slab_map(spec, move)[i]. The map is shared, so it is read-only.'''
     move.require_legal(spec)
     return _slab_map(spec.n, move.face, move.depth, move.quarter_turns)
 
@@ -262,7 +271,12 @@ def _carry(spec, items, sequence):
 
 
 def apply_move(state, move):
-    return apply_sequence(state, (move,))
+    # One move reads each sticker it moves from the state before it.
+    before = state.stickers
+    stickers = list(before)
+    for src, dst in slab_map(state.spec, move).items():
+        stickers[dst] = before[src]
+    return CubeState(state.n, ''.join(stickers))
 
 
 def apply_sequence(state, sequence):
@@ -280,12 +294,14 @@ def local_table(spec, positions, sequence):
     entry i is the index in positions of where the sticker at
     positions[i] ends. Later entries are fixed, so it is a
     bytes.translate table.'''
+    # Follow each listed sticker to where the sequence takes it.
     ends = positions
     for move in sequence:
         moved = slab_map(spec, move)
-        ends = [moved.get(position, position) for position in ends]
+        ends = [moved[p] if p in moved else p for p in ends]
     local = {position: i for i, position in enumerate(positions)}
-    return bytes(map(local.__getitem__, ends)) + bytes(range(len(ends), 256))
+    return bytes(map(local.__getitem__, ends)) + bytes(
+        range(len(ends), 256))
 
 
 def sequence_permutation(spec, sequence):

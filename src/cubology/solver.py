@@ -355,7 +355,8 @@ def _setup_search(spec, orbit, core):
     for face in FACES:
         for rank, depth in enumerate(depths):
             moved = slab_map(spec, Move(face, depth))
-            quarter = bytes([local[moved.get(p, p)] for p in orbit.positions])
+            quarter = bytes([local[moved[p] if p in moved else p]
+                             for p in orbit.positions])
             table = identity
             for q in (1, 2, 3):
                 table = bytes(map(quarter.__getitem__, table))

@@ -224,6 +224,14 @@ def test_each_turn_moves_only_its_slab(n):
         else:
             assert len(changed) == n * n + 4 * n - n % 2, move
         assert set(slab_map(spec, move)) == changed, move
+        # apply_move and apply_sequence rewrite the slab each its own way
+        assert apply_sequence(start, (move,)).stickers == after, move
+
+
+def test_slab_map_is_read_only():
+    moved = slab_map(CubeSpec(3), Move('R'))
+    with pytest.raises(TypeError):
+        moved[0] = 0
 
 
 def test_parse_plain_and_suffixed_tokens():
