@@ -229,8 +229,10 @@ def slab_map(spec, move):
 def sticker_permutation(spec, move):
     '''Destination map p of a move: applying the move sends the sticker at
     index i to index p[i], i.e. apply_move(s, move).stickers[p[i]] == s.stickers[i].'''
-    moved = slab_map(spec, move)
-    return tuple(moved.get(i, i) for i in range(spec.sticker_count))
+    perm = list(range(spec.sticker_count))
+    for src, dst in slab_map(spec, move).items():
+        perm[src] = dst
+    return tuple(perm)
 
 
 def solved_state(spec):
